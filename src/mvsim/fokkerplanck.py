@@ -7,19 +7,26 @@ The density equation is always derived from the SDE coefficients,
 with the statistic vector s recomputed from the evolving density each step, so
 the nonlocal coupling is carried through the drift/diffusion fields.
 
-Scheme: explicit Euler in time; conservative flux-form advection with
-first-order upwinding by the sign of the interface velocity; centered second
-differences of the products A_ii p; centered mixed differences of A_12 p for
-the 2D cross term; Dirichlet zero ghost values outside the box.  Every
-operator telescopes over the grid, so the mass lost per step equals a sum of
-boundary terms which is tracked as cumulative boundary flux; mass plus flux
-staying at 1 is a live consistency check of the implementation.
+Scheme: explicit Euler in time, stepped by one loop over the axes for 1D and
+2D alike.  The density p and the products A_kk p live inside a frame of ghost
+nodes that stays zero, the Dirichlet boundary outside the box.  Along each
+axis the step takes a conservative flux on the n+1 cell faces, upwinded by
+the sign of the face velocity (the mean drift of the two nodes beside the
+face; a boundary face uses the drift of its one node), the difference of that
+flux, and the centered second difference of A_kk p across the frame.  In 2D the cross term
+adds centered mixed differences of A_12 p.  Every operator telescopes over
+the grid, so the mass lost per step equals the flux through the boundary
+faces plus the frame terms of the differences; that is tracked as cumulative
+boundary flux, and mass plus flux staying at 1 is a live consistency check of
+the implementation.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,14 +144,19 @@ def build_fp_problem(model: CoefficientModel, law: InitialLaw,
                      dt=dt, snapshot_times=tuple(sorted(set(float(t) for t in snapshot_times))))
 
 
-def _eval_fields(model: CoefficientModel, t: float, coords: np.ndarray,
-                 grid_shape: tuple[int, ...], s: np.ndarray):
-    """Drift and diffusion-matrix fields on flattened node coordinates."""
+def _drift(model: CoefficientModel, t: float, coords: np.ndarray,
+           grid_shape: tuple[int, ...], s: np.ndarray) -> np.ndarray:
+    """Drift field (grid..., d) on flattened node coordinates."""
+    return np.asarray(model.b(t, coords, s), dtype=float).reshape(grid_shape + (model.d,))
+
+
+def _diffusion(model: CoefficientModel, t: float, coords: np.ndarray,
+               grid_shape: tuple[int, ...], s: np.ndarray) -> np.ndarray:
+    """Diffusion-matrix field A = sigma sigma^T (grid..., d, d), symmetrized."""
     d = model.d
-    b = np.asarray(model.b(t, coords, s), dtype=float).reshape(grid_shape + (d,))
     sig = np.asarray(model.sigma(t, coords, s), dtype=float)
     a = np.einsum("...ik,...jk->...ij", sig, sig).reshape(grid_shape + (d, d))
-    return b, 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def derive_fp_coefficients(model: CoefficientModel, t: float,
@@ -156,24 +168,8 @@ def derive_fp_coefficients(model: CoefficientModel, t: float,
         raise ValueError("density lives on a different grid than the requested axes")
     s = grid_statistics(p, model.functionals)
     shape = tuple(ax.n for ax in axes)
-    return _eval_fields(model, t, p.node_coords(), shape, s)
-
-
-class _Recorder:
-    """Growable float buffer for per-step curves."""
-
-    def __init__(self, cap: int = 4096):
-        self._a = np.empty(cap)
-        self._n = 0
-
-    def push(self, v: float) -> None:
-        if self._n == self._a.size:
-            self._a = np.concatenate([self._a, np.empty(self._a.size)])
-        self._a[self._n] = v
-        self._n += 1
-
-    def data(self) -> np.ndarray:
-        return self._a[:self._n].copy()
+    coords = p.node_coords()
+    return _drift(model, t, coords, shape, s), _diffusion(model, t, coords, shape, s)
 
 
 def _plan_events(problem: FPProblem) -> list[float]:
@@ -181,6 +177,48 @@ def _plan_events(problem: FPProblem) -> list[float]:
     if not events or events[-1] < problem.horizon:
         events.append(float(problem.horizon))
     return events
+
+
+def _statistic_rows(model: CoefficientModel, dens: GridDensity) -> np.ndarray:
+    """Rows r_k with s_k = r_k . p.ravel(): trapezoid weights times phi."""
+    w = dens.node_weights().ravel()
+    coords = dens.node_coords()
+    return np.array([w * np.asarray(f.phi(coords), dtype=float)
+                     for f in model.functionals]).reshape(model.q, w.size)
+
+
+def _along(d: int, k: int, s, rest=slice(None)) -> tuple:
+    """Index of a d-axis array taking ``s`` on axis k and ``rest`` on the others."""
+    return tuple(s if j == k else rest for j in range(d))
+
+
+class _Cuts(NamedTuple):
+    """Index tuples that cut one axis of an array and keep the others whole."""
+
+    head: tuple   # all but the last entry
+    tail: tuple   # all but the first entry
+    inner: tuple  # all but both end entries
+    first: tuple  # the first entry
+    last: tuple   # the last entry
+
+
+def _cuts(d: int, k: int) -> _Cuts:
+    return _Cuts(*(_along(d, k, s) for s in
+                   (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
+
+
+def _upwind_parts(bk: np.ndarray, k: int, cut: _Cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative parts of drift component ``bk`` on the n+1 faces
+    of axis k: inner faces average their two nodes, a boundary face takes the
+    drift of its one node."""
+    shape = list(bk.shape)
+    shape[k] += 1
+    bf = np.empty(shape)
+    bf[cut.first], bf[cut.last] = bk[cut.first], bk[cut.last]
+    inner = bf[cut.inner]
+    np.add(bk[cut.head], bk[cut.tail], out=inner)
+    inner *= 0.5
+    return np.maximum(bf, 0.0), np.minimum(bf, 0.0)
 
 
 def solve_fp(problem: FPProblem) -> FPSolution:
@@ -198,214 +236,68 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     NumericError
         if the density stops being finite.
     """
-    if len(problem.axes) == 1:
-        return _solve_1d(problem)
-    return _solve_2d(problem)
-
-
-def _statistic_rows(model: CoefficientModel, dens: GridDensity) -> np.ndarray:
-    """Rows r_k with s_k = r_k . p.ravel(): trapezoid weights times phi."""
-    w = dens.node_weights().ravel()
-    coords = dens.node_coords()
-    return np.array([w * np.asarray(f.phi(coords), dtype=float)
-                     for f in model.functionals]).reshape(model.q, w.size)
-
-
-def _solve_1d(problem: FPProblem) -> FPSolution:
     model = problem.model
-    ax = problem.axes[0]
-    n, dx = ax.n, ax.spacing
-    coords = ax.nodes()[:, None]
-    p = problem.p0.values.copy()
+    axes = problem.axes
+    d = len(axes)
+    shape = tuple(ax.n for ax in axes)
+    hs = [ax.spacing for ax in axes]
+    cell = math.prod(hs)
+    # area of a face across axis k, and the centered second-difference weight
+    face_area = [math.prod(h for j, h in enumerate(hs) if j != k) for k in range(d)]
+    half_h2 = [0.5 / h ** 2 for h in hs]
+    coords = problem.p0.node_coords()
     phi_rows = _statistic_rows(model, problem.p0)
     fixed_dt = None if problem.dt == "auto" else float(problem.dt)
 
-    s = phi_rows @ p if model.q else np.zeros(0)
-    b_cache = a_cache = None
-    if model.b_static:
-        b_cache = np.asarray(model.b(0.0, coords, s), dtype=float).reshape(n)
-    if model.sigma_static:
-        sig = np.asarray(model.sigma(0.0, coords, s), dtype=float).reshape(n, 1, 1)
-        a_cache = (sig[:, 0, 0] ** 2)
-
-    events = _plan_events(problem)
-    snapshots: list[GridDensity] = []
-    snap_times: list[float] = []
-    want_zero = any(t == 0.0 for t in problem.snapshot_times)
-    if want_zero:
-        snapshots.append(GridDensity((ax,), p.copy(), time=0.0,
-                                     mass_tol=_SNAPSHOT_MASS_TOL))
-        snap_times.append(0.0)
-    snap_set = set(float(t) for t in problem.snapshot_times)
-
-    rec_t, rec_mass, rec_min, rec_flux = _Recorder(), _Recorder(), _Recorder(), _Recorder()
-    rec_stats: list[np.ndarray] = []
-    mass = float(p.sum() * dx)
-    rec_t.push(0.0)
-    rec_mass.push(mass)
-    rec_min.push(float(p.min()))
-    rec_flux.push(0.0)
-    if model.q:
-        rec_stats.append(s.copy())
-
-    t = 0.0
-    flux_cum = 0.0
-    ev_i = 0
-    steps = 0
-    while ev_i < len(events):
-        target = events[ev_i]
-        if model.q:
-            s = phi_rows @ p
-        b = b_cache if b_cache is not None else \
-            np.asarray(model.b(t, coords, s), dtype=float).reshape(n)
-        a = a_cache
-        if a is None:
-            sig = np.asarray(model.sigma(t, coords, s), dtype=float).reshape(n, 1, 1)
-            a = sig[:, 0, 0] ** 2
-
-        denom = 2.0 * float(a.max()) / dx ** 2 + float(np.abs(b).max()) / dx
-        if denom <= 0:
-            dt = target - t
-        else:
-            limit = 1.0 / denom
-            if fixed_dt is not None:
-                if fixed_dt > limit * (1 + 1e-12):
-                    raise StabilityError(
-                        f"fixed dt {fixed_dt} exceeds stability limit {limit:.3e} at t={t:.6g}")
-                dt = fixed_dt
-            else:
-                dt = 0.9 * limit
-        if dt <= 1e-15:
-            raise StabilityError(f"step size collapsed to {dt} at t={t:.6g}")
-        hit = False
-        if t + dt >= target - 1e-15:
-            dt = target - t
-            hit = True
-
-        w = a * p
-        bf = 0.5 * (b[:-1] + b[1:])
-        F = np.maximum(bf, 0.0) * p[:-1] + np.minimum(bf, 0.0) * p[1:]
-        f_left = min(b[0], 0.0) * p[0]
-        f_right = max(b[-1], 0.0) * p[-1]
-        upd = np.empty(n)
-        upd[0] = f_left - F[0]
-        upd[1:-1] = F[:-1] - F[1:]
-        upd[-1] = F[-1] - f_right
-        upd /= dx
-        half_dx2 = 0.5 / dx ** 2
-        upd[0] += half_dx2 * (w[1] - 2.0 * w[0])
-        upd[1:-1] += half_dx2 * (w[2:] - 2.0 * w[1:-1] + w[:-2])
-        upd[-1] += half_dx2 * (w[-2] - 2.0 * w[-1])
-
-        outflux = (f_right - f_left) + (w[0] + w[-1]) / (2.0 * dx)
-
-        p += dt * upd
-        flux_cum += dt * outflux
-        t = target if hit else t + dt
-        steps += 1
-
-        if not np.all(np.isfinite(p)):
-            raise NumericError(f"density became non-finite at t={t:.6g} (step {steps})")
-        mass = float(p.sum() * dx)
-        pmin = float(p.min())
-        if pmin < _POSITIVITY_FLOOR:
-            raise PositivityError(
-                f"density undershot to {pmin:.3e} at t={t:.6g} (step {steps})")
-        if abs(mass + flux_cum - 1.0) > _CONSERVATION_TOL:
-            raise ConservationError(
-                f"mass {mass:.8f} plus boundary flux {flux_cum:.8f} drifted from 1 "
-                f"at t={t:.6g} (step {steps})")
-        rec_t.push(t)
-        rec_mass.push(mass)
-        rec_min.push(pmin)
-        rec_flux.push(flux_cum)
-        if model.q:
-            rec_stats.append((phi_rows @ p).copy())
-        if steps > _MAX_STEPS:
-            raise StabilityError(f"exceeded {_MAX_STEPS} steps before the horizon")
-
-        if hit:
-            if target in snap_set:
-                snapshots.append(GridDensity((ax,), p.copy(), time=target,
-                                             mass_tol=_SNAPSHOT_MASS_TOL))
-                snap_times.append(target)
-            ev_i += 1
-
-    stat_curve = np.array(rec_stats) if rec_stats else np.zeros((steps + 1, 0))
-    return FPSolution(snapshots=snapshots, snapshot_times=tuple(snap_times),
-                      times=rec_t.data(), mass_curve=rec_mass.data(),
-                      min_value_curve=rec_min.data(),
-                      boundary_flux_curve=rec_flux.data(),
-                      stat_curve=stat_curve, n_steps=steps)
-
-
-def _solve_2d(problem: FPProblem) -> FPSolution:
-    model = problem.model
-    ax1, ax2 = problem.axes
-    n1, n2 = ax1.n, ax2.n
-    dx, dy = ax1.spacing, ax2.spacing
-    shape = (n1, n2)
-    dens0 = problem.p0
-    coords = dens0.node_coords()
-    p = dens0.values.copy()
-    phi_rows = _statistic_rows(model, dens0)
-    fixed_dt = None if problem.dt == "auto" else float(problem.dt)
-
-    s = phi_rows @ p.ravel() if model.q else np.zeros(0)
-    b_cache = a_cache = None
-    if model.b_static:
-        b_cache = np.asarray(model.b(0.0, coords, s), dtype=float).reshape(n1, n2, 2)
-    if model.sigma_static:
-        sig = np.asarray(model.sigma(0.0, coords, s), dtype=float)
-        a = np.einsum("...ik,...jk->...ij", sig, sig).reshape(n1, n2, 2, 2)
-        a_cache = 0.5 * (a + np.swapaxes(a, -1, -2))
+    # p and w (A_kk p, then A_12 p) sit inside a frame of ghost nodes that
+    # stays zero: the Dirichlet boundary outside the box
+    mid = slice(1, -1)
+    P = np.zeros(tuple(n + 2 for n in shape))
+    W = np.zeros_like(P)
+    p, w = P[(mid,) * d], W[(mid,) * d]
+    p[...] = problem.p0.values
+    upd = np.empty(shape)
+    cuts = [_cuts(d, k) for k in range(d)]
+    # frame neighbours along axis k: of each of the n+1 faces, and of each node
+    below = [P[_along(d, k, slice(None, -1), mid)] for k in range(d)]
+    above = [P[_along(d, k, slice(1, None), mid)] for k in range(d)]
+    w_below = [W[_along(d, k, slice(None, -2), mid)] for k in range(d)]
+    w_above = [W[_along(d, k, slice(2, None), mid)] for k in range(d)]
 
     events = _plan_events(problem)
     snapshots: list[GridDensity] = []
     snap_times: list[float] = []
     if any(t == 0.0 for t in problem.snapshot_times):
-        snapshots.append(GridDensity((ax1, ax2), p.copy(), time=0.0,
+        snapshots.append(GridDensity(axes, p.copy(), time=0.0,
                                      mass_tol=_SNAPSHOT_MASS_TOL))
         snap_times.append(0.0)
     snap_set = set(float(t) for t in problem.snapshot_times)
 
-    rec_t, rec_mass, rec_min, rec_flux = _Recorder(), _Recorder(), _Recorder(), _Recorder()
-    rec_stats: list[np.ndarray] = []
-    cell = dx * dy
-    mass = float(p.sum() * cell)
-    rec_t.push(0.0)
-    rec_mass.push(mass)
-    rec_min.push(float(p.min()))
-    rec_flux.push(0.0)
-    if model.q:
-        rec_stats.append(s.copy())
+    s = phi_rows @ p.ravel()
+    curves = [array("d") for _ in range(4)]  # t, mass, min value, boundary flux
+    stats = array("d", s)
+    for c, v in zip(curves, (0.0, float(p.sum() * cell), float(p.min()), 0.0)):
+        c.append(v)
 
     t = 0.0
     flux_cum = 0.0
     ev_i = 0
     steps = 0
+    b = a = None
     while ev_i < len(events):
         target = events[ev_i]
-        if model.q:
-            s = phi_rows @ p.ravel()
-        if b_cache is not None:
-            b = b_cache
-        else:
-            b = np.asarray(model.b(t, coords, s), dtype=float).reshape(n1, n2, 2)
-        if a_cache is not None:
-            a = a_cache
-        else:
-            sig = np.asarray(model.sigma(t, coords, s), dtype=float)
-            a = np.einsum("...ik,...jk->...ij", sig, sig).reshape(n1, n2, 2, 2)
-            a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        b1, b2 = b[:, :, 0], b[:, :, 1]
-        a11, a22, a12 = a[:, :, 0, 0], a[:, :, 1, 1], a[:, :, 0, 1]
+        if b is None or not model.b_static:
+            b = _drift(model, t, coords, shape, s)
+            upwind = [_upwind_parts(b[..., k], k, cuts[k]) for k in range(d)]
+            b_bound = [float(np.abs(b[..., k]).max()) / h for k, h in enumerate(hs)]
+        if a is None or not model.sigma_static:
+            a = _diffusion(model, t, coords, shape, s)
+            a_bound = ([2.0 * float(a[..., k, k].max()) / h ** 2 for k, h in enumerate(hs)]
+                       + [2.0 * float(np.abs(a[..., j, k]).max()) / (hs[j] * hs[k])
+                          for j in range(d) for k in range(j + 1, d)])
 
-        denom = (2.0 * float(a11.max()) / dx ** 2
-                 + 2.0 * float(a22.max()) / dy ** 2
-                 + 2.0 * float(np.abs(a12).max()) / (dx * dy)
-                 + float(np.abs(b1).max()) / dx
-                 + float(np.abs(b2).max()) / dy)
+        # summed in one fixed order (diagonal diffusion, cross, drift) so dt keeps its bits
+        denom = sum(a_bound + b_bound)
         if denom <= 0:
             dt = target - t
         else:
@@ -424,49 +316,22 @@ def _solve_2d(problem: FPProblem) -> FPSolution:
             dt = target - t
             hit = True
 
-        upd = np.zeros(shape)
-
-        # advection along x
-        bfx = 0.5 * (b1[:-1, :] + b1[1:, :])
-        Fx = np.maximum(bfx, 0.0) * p[:-1, :] + np.minimum(bfx, 0.0) * p[1:, :]
-        f_top = np.minimum(b1[0, :], 0.0) * p[0, :]
-        f_bot = np.maximum(b1[-1, :], 0.0) * p[-1, :]
-        upd[0, :] += (f_top - Fx[0, :]) / dx
-        upd[1:-1, :] += (Fx[:-1, :] - Fx[1:, :]) / dx
-        upd[-1, :] += (Fx[-1, :] - f_bot) / dx
-        out_adv_x = float((f_bot - f_top).sum() * dy)
-
-        # advection along y
-        bfy = 0.5 * (b2[:, :-1] + b2[:, 1:])
-        Fy = np.maximum(bfy, 0.0) * p[:, :-1] + np.minimum(bfy, 0.0) * p[:, 1:]
-        f_lef = np.minimum(b2[:, 0], 0.0) * p[:, 0]
-        f_rig = np.maximum(b2[:, -1], 0.0) * p[:, -1]
-        upd[:, 0] += (f_lef - Fy[:, 0]) / dy
-        upd[:, 1:-1] += (Fy[:, :-1] - Fy[:, 1:]) / dy
-        upd[:, -1] += (Fy[:, -1] - f_rig) / dy
-        out_adv_y = float((f_rig - f_lef).sum() * dx)
-
-        # diagonal diffusion
-        wxx = a11 * p
-        upd[0, :] += 0.5 * (wxx[1, :] - 2.0 * wxx[0, :]) / dx ** 2
-        upd[1:-1, :] += 0.5 * (wxx[2:, :] - 2.0 * wxx[1:-1, :] + wxx[:-2, :]) / dx ** 2
-        upd[-1, :] += 0.5 * (wxx[-2, :] - 2.0 * wxx[-1, :]) / dx ** 2
-        out_diff_x = float((wxx[0, :] + wxx[-1, :]).sum() * dy / (2.0 * dx))
-
-        wyy = a22 * p
-        upd[:, 0] += 0.5 * (wyy[:, 1] - 2.0 * wyy[:, 0]) / dy ** 2
-        upd[:, 1:-1] += 0.5 * (wyy[:, 2:] - 2.0 * wyy[:, 1:-1] + wyy[:, :-2]) / dy ** 2
-        upd[:, -1] += 0.5 * (wyy[:, -2] - 2.0 * wyy[:, -1]) / dy ** 2
-        out_diff_y = float((wyy[:, 0] + wyy[:, -1]).sum() * dx / (2.0 * dy))
-
-        # mixed term d1 d2 (A12 p), both off-diagonal halves combined
-        wxy = a12 * p
-        wp = np.zeros((n1 + 2, n2 + 2))
-        wp[1:-1, 1:-1] = wxy
-        upd += (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * dx * dy)
-        out_cross = -(wxy[0, 0] - wxy[0, -1] - wxy[-1, 0] + wxy[-1, -1]) / 4.0
-
-        outflux = out_adv_x + out_adv_y + out_diff_x + out_diff_y + out_cross
+        upd[...] = 0.0
+        outflux = 0.0
+        for k, h in enumerate(hs):
+            cut = cuts[k]
+            pos, neg = upwind[k]
+            F = pos * below[k] + neg * above[k]
+            upd += (F[cut.head] - F[cut.tail]) / h
+            np.multiply(a[..., k, k], p, out=w)
+            upd += half_h2[k] * (w_above[k] - 2.0 * w + w_below[k])
+            outflux += float((F[cut.last] - F[cut.first]).sum() * face_area[k])
+            outflux += float((w[cut.first] + w[cut.last]).sum() * face_area[k] / (2.0 * h))
+        if d == 2:
+            # mixed term d_1 d_2 (A_12 p), both off-diagonal halves combined
+            np.multiply(a[..., 0, 1], p, out=w)
+            upd += (W[2:, 2:] - W[2:, :-2] - W[:-2, 2:] + W[:-2, :-2]) / (4.0 * hs[0] * hs[1])
+            outflux -= (w[0, 0] - w[0, -1] - w[-1, 0] + w[-1, -1]) / 4.0
 
         p += dt * upd
         flux_cum += dt * outflux
@@ -484,28 +349,26 @@ def _solve_2d(problem: FPProblem) -> FPSolution:
             raise ConservationError(
                 f"mass {mass:.8f} plus boundary flux {flux_cum:.8f} drifted from 1 "
                 f"at t={t:.6g} (step {steps})")
-        rec_t.push(t)
-        rec_mass.push(mass)
-        rec_min.push(pmin)
-        rec_flux.push(flux_cum)
-        if model.q:
-            rec_stats.append((phi_rows @ p.ravel()).copy())
+        s = phi_rows @ p.ravel()
+        for c, v in zip(curves, (t, mass, pmin, flux_cum)):
+            c.append(v)
+        stats.extend(s)
         if steps > _MAX_STEPS:
             raise StabilityError(f"exceeded {_MAX_STEPS} steps before the horizon")
 
         if hit:
             if target in snap_set:
-                snapshots.append(GridDensity((ax1, ax2), p.copy(), time=target,
+                snapshots.append(GridDensity(axes, p.copy(), time=target,
                                              mass_tol=_SNAPSHOT_MASS_TOL))
                 snap_times.append(target)
             ev_i += 1
 
-    stat_curve = np.array(rec_stats) if rec_stats else np.zeros((steps + 1, 0))
+    times, mass_curve, min_curve, flux_curve = (np.array(c) for c in curves)
     return FPSolution(snapshots=snapshots, snapshot_times=tuple(snap_times),
-                      times=rec_t.data(), mass_curve=rec_mass.data(),
-                      min_value_curve=rec_min.data(),
-                      boundary_flux_curve=rec_flux.data(),
-                      stat_curve=stat_curve, n_steps=steps)
+                      times=times, mass_curve=mass_curve, min_value_curve=min_curve,
+                      boundary_flux_curve=flux_curve,
+                      stat_curve=np.array(stats).reshape(steps + 1, model.q),
+                      n_steps=steps)
 
 
 def fp_statistics_curve(solution: FPSolution, functionals) -> np.ndarray:

@@ -376,7 +376,8 @@ class _Experiment:
         self.picard = picard_run(self.model, self.law, self.grid, cfg.n_particles,
                                  cfg.seed, tol=cfg.picard_tol,
                                  max_iters=cfg.picard_max_iters,
-                                 checkpoints=self.snapshot_times)
+                                 checkpoints=self.snapshot_times,
+                                 n_slices=cfg.picard_n_slices)
         d = self._dir("picard")
         emit_plotdata(self.picard, d, self.preset.name, "picard")
         for t, mu in zip(self.picard.checkpoint_times, self.picard.final_clouds):

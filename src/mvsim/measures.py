@@ -153,28 +153,31 @@ class StatisticFlow:
         return self.stats.shape[1]
 
 
-def empirical_statistics(mu: EmpiricalMeasure, functionals) -> np.ndarray:
-    """s_k = sum_i w_i phi_k(x_i), shape (q,)."""
+def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals,
+                         unit: str = "particle") -> np.ndarray:
+    """s_k = sum_i w_i phi_k(x_i), shape (q,); a non-finite phi_k(x_i) is an
+    error naming the functional and the ``unit`` (particle or node) i."""
     out = np.empty(len(functionals))
     for k, f in enumerate(functionals):
-        vals = np.asarray(f.phi(mu.points), dtype=float)
+        vals = np.asarray(f.phi(points), dtype=float)
         bad = ~np.isfinite(vals)
         if bad.any():
             i = int(np.argmax(bad))
             raise NumericError(
-                f"functional {f.id!r} is non-finite at particle {i}")
-        out[k] = float(np.dot(mu.weights, vals))
+                f"functional {f.id!r} is non-finite at {unit} {i}")
+        out[k] = float(np.dot(weights, vals))
     return out
+
+
+def empirical_statistics(mu: EmpiricalMeasure, functionals) -> np.ndarray:
+    """s_k = sum_i w_i phi_k(x_i), shape (q,)."""
+    return _weighted_statistics(mu.points, mu.weights, functionals)
 
 
 def grid_statistics(p: GridDensity, functionals) -> np.ndarray:
     """s_k = trapezoid integral of phi_k(x) p(x), shape (q,)."""
-    w = (p.node_weights() * p.values).ravel()
-    coords = p.node_coords()
-    out = np.empty(len(functionals))
-    for k, f in enumerate(functionals):
-        out[k] = float(np.dot(w, np.asarray(f.phi(coords), dtype=float)))
-    return out
+    return _weighted_statistics(p.node_coords(), (p.node_weights() * p.values).ravel(),
+                                functionals, unit="node")
 
 
 def silverman_bandwidth(mu: EmpiricalMeasure) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .measures import EmpiricalMeasure, StatisticFlow
+from .measures import EmpiricalMeasure, StatisticFlow, _weighted_statistics
 
 # stream id for initial-condition sampling; particle ids stay below 2**63
 _INIT_STREAM = np.uint64(1) << np.uint64(63)
@@ -166,13 +166,6 @@ class PathBundle:
                             self.increments[:, i, :].copy(), i)
 
 
-def _stats_of(points: np.ndarray, weights: np.ndarray, functionals) -> np.ndarray:
-    out = np.empty(len(functionals))
-    for k, f in enumerate(functionals):
-        out[k] = float(np.dot(weights, np.asarray(f.phi(points), dtype=float)))
-    return out
-
-
 def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
                 flow: StatisticFlow | None = None, seed: int = 0) -> PathBundle:
     """Core Euler-Maruyama sweep over a particle block.
@@ -206,7 +199,7 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
     x = x0.copy()
     states[0] = x
     for k in range(grid.steps):
-        realized[k] = _stats_of(x, uw, model.functionals)
+        realized[k] = _weighted_statistics(x, uw, model.functionals)
         s = flow.stats[k] if flow is not None else realized[k]
         t = float(times[k])
         drift = model.b(t, x, s)
@@ -219,7 +212,7 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
                 f"state became non-finite at step {k + 1}, particle {i}",
                 step=k + 1, particle=i)
         states[k + 1] = x
-    realized[grid.steps] = _stats_of(x, uw, model.functionals)
+    realized[grid.steps] = _weighted_statistics(x, uw, model.functionals)
     return PathBundle(grid=grid, states=states, increments=increments, seed=seed,
                       realized_flow=StatisticFlow(times, realized))
 
@@ -253,17 +246,3 @@ def moment_curve(bundle: PathBundle, p: float) -> np.ndarray:
         r = np.sqrt(np.sum(bundle.states[k] ** 2, axis=1))
         out[k] = float(np.mean(r ** p))
     return out
-
-
-def trajectories_to_csv(bundle: PathBundle, path, particle_indices=None) -> None:
-    """Long-format trajectory dump: t, particle, x1[, x2, ...]."""
-    idx = range(bundle.n) if particle_indices is None else particle_indices
-    times = bundle.grid.times()
-    cols = ",".join(f"x{i + 1}" for i in range(bundle.states.shape[2]))
-    lines = [f"t,particle,{cols}"]
-    for i in idx:
-        for k, t in enumerate(times):
-            vals = ",".join(repr(float(v)) for v in bundle.states[k, i])
-            lines.append(f"{repr(float(t))},{i},{vals}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -66,11 +66,12 @@ def convergence_gap(a: list[EmpiricalMeasure], b: list[EmpiricalMeasure],
 
 def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
                tol: float, max_iters: int,
-               checkpoints: tuple[float, ...]) -> PicardRun:
+               checkpoints: tuple[float, ...], n_slices: int = 64) -> PicardRun:
     """Iterate frozen-flow solves until the checkpoint W2 gap drops below tol.
 
     Stops after the first pair of consecutive solves whose gap is <= ``tol``
     (``converged=True``) or after ``max_iters`` solves (``converged=False``).
+    Above 1D the gap is sliced W2 over ``n_slices`` directions.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -101,7 +102,7 @@ def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
         flows.append(bundle.realized_flow)
         all_clouds.append(clouds)
         if prev_clouds is not None:
-            gap = convergence_gap(prev_clouds, clouds)
+            gap = convergence_gap(prev_clouds, clouds, n_slices=n_slices)
             gaps.append(gap)
             if gap <= tol:
                 converged = True

@@ -12,6 +12,7 @@ from mvsim import (
     NumericError,
     PositivityError,
     StabilityError,
+    StatisticFunctional,
     build_fp_problem,
     derive_fp_coefficients,
     fp_statistics_curve,
@@ -243,6 +244,46 @@ class TestSolve2D:
                               (41, 41), 0.5)
         with pytest.raises(PositivityError, match="undershot"):
             solve_fp(pr)
+
+    @pytest.mark.parametrize("live", [0, 1])
+    def test_inert_axis_reproduces_the_1d_solve(self, live):
+        # b_2 = A_22 = A_12 = 0 on the inert axis and a product initial
+        # density: every grid line along the live axis evolves as the 1D
+        # problem does, scaled by its inert-axis factor
+        def model(d, k):
+            def b(t, x, s):
+                out = np.zeros_like(x)
+                out[..., k] = 0.5 + 0.1 * x[..., k]  # outflow at both ends
+                return out
+
+            def sigma(t, x, s):
+                out = np.zeros(x.shape + (1,))
+                out[..., k, 0] = 0.8 + 0.2 * np.tanh(x[..., k])
+                return out
+
+            mean = StatisticFunctional("mean", lambda x: x[:, k])
+            return CoefficientModel(d=d, m=1, functionals=(mean,), b=b, sigma=sigma,
+                                    sigma_static=True)
+
+        line, inert = GridAxis(-4.5, 5.5, 101), GridAxis(-10.0, 10.0, 41)
+        q = gaussian_on_grid(InitialLaw.gaussian([0.5], [[0.5]]), (line,))
+        r = np.exp(-0.5 * inert.nodes() ** 2)
+        r /= r.sum() * inert.spacing
+        axes = (line, inert) if live == 0 else (inert, line)
+        vals = np.outer(q.values, r) if live == 0 else np.outer(r, q.values)
+        marks = (0.15, 0.3)
+        one = solve_fp(FPProblem(model(1, 0), (line,), q, 0.3, snapshot_times=marks))
+        two = solve_fp(FPProblem(model(2, live), axes, GridDensity(axes, vals), 0.3,
+                                 snapshot_times=marks))
+
+        assert two.n_steps == one.n_steps
+        np.testing.assert_array_equal(two.times, one.times)
+        for s1, s2 in zip(one.snapshots, two.snapshots):
+            got = s2.values if live == 0 else s2.values.T
+            np.testing.assert_allclose(got, np.outer(s1.values, r), rtol=1e-10)
+        for curve in ("mass_curve", "boundary_flux_curve", "stat_curve"):
+            np.testing.assert_allclose(getattr(two, curve), getattr(one, curve),
+                                       rtol=1e-10)
 
 
 class TestFailureModes:

@@ -162,6 +162,19 @@ class TestRunExperiment:
         on_disk = json.loads((tmp_path / "bm" / "report.json").read_text())
         assert on_disk["comparisons"]["t=1"] == pytest.approx(entry)
 
+    def test_picard_gap_uses_configured_slices(self, tmp_path):
+        # a 2D Picard gap is sliced W2 over picard.n_slices directions
+        cfg = {"preset": "example5-2", "methods": ["picard"], "n_particles": 200,
+               "steps": 10, "seed": 3, "snapshot_times": [1.0],
+               "picard": {"tol": 1e-12, "max_iters": 3, "n_slices": 4}}
+        gaps = run_experiment(cfg, outdir=tmp_path)["methods"]["picard"]["gaps"]
+        inst = get_preset("example5-2")
+        kw = dict(n=200, seed=3, tol=1e-12, max_iters=3, checkpoints=(1.0,))
+        four = picard_run(inst.model, inst.law, TimeGrid(1.0, 10), n_slices=4, **kw)
+        default = picard_run(inst.model, inst.law, TimeGrid(1.0, 10), **kw)
+        assert gaps == [float(g) for g in four.gaps]
+        assert four.gaps != default.gaps
+
     def test_config_echo_strips_location_keys(self, tmp_path):
         cfg = _base_config(outdir=str(tmp_path), threads=2)
         report = run_experiment(cfg)
