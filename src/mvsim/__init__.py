@@ -15,9 +15,9 @@ from .fokkerplanck import (FPProblem, FPSolution, build_fp_problem,
 from .harness import (ExperimentConfig, emit_plotdata, list_presets,
                       run_experiment, validate_config)
 from .malliavin import (EllipticityBoundReport, FirstVariationPath,
-                        MalliavinCovariance, covariance_curve,
-                        ellipticity_bound_check, malliavin_covariance,
-                        malliavin_derivative, path_diagnostics,
+                        MalliavinCovariance, bundle_diagnostics,
+                        covariance_curve, ellipticity_bound_check,
+                        malliavin_covariance, malliavin_derivative,
                         simulate_first_variation, zy_residual)
 from .measures import (EmpiricalMeasure, GridAxis, GridDensity, StatisticFlow,
                        empirical_statistics, grid_statistics, kde_1d,
@@ -48,7 +48,7 @@ __all__ = [
     "FirstVariationPath", "MalliavinCovariance", "EllipticityBoundReport",
     "simulate_first_variation", "zy_residual", "malliavin_derivative",
     "malliavin_covariance", "covariance_curve", "ellipticity_bound_check",
-    "path_diagnostics",
+    "bundle_diagnostics",
     "FPProblem", "FPSolution", "build_fp_problem", "gaussian_on_grid",
     "derive_fp_coefficients", "solve_fp", "fp_statistics_curve",
     "PresetInstance", "get_preset", "preset_names", "preset_defaults",

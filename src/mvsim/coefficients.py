@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from ._linalg import sym_eig_min
+from ._linalg import sym_eigvals
 from .errors import NumericError
 
 
@@ -155,7 +155,8 @@ def check_ellipticity(model: CoefficientModel,
     arg = (t_lo, x_lo, np.asarray(s_samples[0], dtype=float))
     for t, x in zip(ts, xs):
         for s in s_samples:
-            lam = sym_eig_min(diffusion_matrix(model, float(t), x, np.asarray(s, dtype=float)))
+            lam = float(sym_eigvals(diffusion_matrix(model, float(t), x,
+                                                   np.asarray(s, dtype=float)))[0])
             if lam < best:
                 best = lam
                 arg = (float(t), x.copy(), np.asarray(s, dtype=float))

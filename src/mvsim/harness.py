@@ -8,7 +8,8 @@ returns the report as a dict.  A method failure is recorded in the report and
 does not abort the others.
 
 Everything written is a pure function of the config: no wall-clock content,
-sorted JSON keys, repr-formatted floats, and thread count never changes bytes.
+sorted JSON keys, repr-formatted floats.  ``threads`` is accepted and changes
+nothing: the Malliavin paths run as one batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,14 +27,13 @@ import scipy
 from .coefficients import CoefficientModel
 from .errors import ConfigError
 from .fokkerplanck import FPSolution, build_fp_problem, solve_fp
-from .malliavin import (covariance_curve, ellipticity_bound_check,
-                        simulate_first_variation, zy_residual)
+from .malliavin import bundle_diagnostics
 from .measures import (EmpiricalMeasure, GridAxis, GridDensity, _fmt,
                        empirical_to_csv, grid_density_to_csv, grid_marginal,
                        grid_radial_moment, empirical_radial_moment, kde_1d,
                        l1_grid_distance, w2_cloud_vs_density_1d,
                        w2_empirical_1d, w2_sliced)
-from .particle import InitialLaw, PathBundle, TimeGrid, simulate_interacting
+from .particle import InitialLaw, TimeGrid, simulate_interacting
 from .picard import PicardRun, picard_run
 from .presets import get_preset, preset_defaults, preset_names
 
@@ -292,9 +291,8 @@ def _marginal_cloud(mu: EmpiricalMeasure, axis_index: int) -> EmpiricalMeasure:
 class _Experiment:
     """One run_experiment invocation; holds resolved objects between methods."""
 
-    def __init__(self, cfg: ExperimentConfig, outdir: Path, threads: int):
+    def __init__(self, cfg: ExperimentConfig, outdir: Path):
         self.cfg = cfg
-        self.threads = threads
         preset = get_preset(cfg.preset, cfg.overrides)
         self.preset = preset
         self.model: CoefficientModel = preset.model
@@ -325,7 +323,8 @@ class _Experiment:
         self.axes = tuple(GridAxis(float(lo), float(hi), int(n))
                           for (lo, hi), n in zip(self.fp_domain, self.fp_nodes))
         self.base = outdir / preset.name
-        self.bundle: PathBundle | None = None
+        self.clouds: dict[float, EmpiricalMeasure] = {}
+        self.kdes: dict[float, list[GridDensity]] = {}
         self.picard: PicardRun | None = None
         self.fp: FPSolution | None = None
 
@@ -338,38 +337,35 @@ class _Experiment:
 
     def run_particles(self) -> dict:
         cfg = self.cfg
-        self.bundle = simulate_interacting(self.model, self.law, self.grid,
-                                           cfg.n_particles, cfg.seed)
+        bundle = simulate_interacting(self.model, self.law, self.grid,
+                                      cfg.n_particles, cfg.seed)
         d = self._dir("particles")
-        clouds = {}
         for t in self.snapshot_times:
-            mu = self.bundle.snapshot(self.grid.index_of(t))
-            clouds[t] = mu
+            mu = bundle.snapshot(self.grid.index_of(t))
+            self.clouds[t] = mu
             emit_plotdata((t, mu), d, self.preset.name, "particles")
-            self._write_kde(d, t, mu)
+            self.kdes[t] = self._write_kde(d, t, mu)
         mom_times = sorted({0.0} | set(self.snapshot_times))
-        mom_objs = [clouds.get(t) or self.bundle.snapshot(self.grid.index_of(t))
+        mom_objs = [self.clouds.get(t) or bundle.snapshot(self.grid.index_of(t))
                     for t in mom_times]
         table = _moment_table(mom_times, mom_objs)
         _moments_csv(d / "moments.csv", table, mom_times)
         if self.model.q:
-            flow = self.bundle.realized_flow
+            flow = bundle.realized_flow
             head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
             _write_csv(d / "statistics.csv", head,
                        [(float(t),) + tuple(float(v) for v in row)
                         for t, row in zip(flow.times, flow.stats)])
         return {"status": "ok", "n_particles": cfg.n_particles, "moments": table}
 
-    def _write_kde(self, d: Path, t: float, mu: EmpiricalMeasure) -> None:
-        if self.model.d == 1:
-            dens = kde_1d(mu, self.axes[0], time=t)
-            _publish(d / f"{self.preset.name}_particles_kde_t{t:g}.csv",
-                     lambda p: grid_density_to_csv(dens, p))
-        else:
-            for i, ax in enumerate(self.axes):
-                dens = kde_1d(_marginal_cloud(mu, i), ax, time=t)
-                _publish(d / f"{self.preset.name}_particles_kde_x{i + 1}_t{t:g}.csv",
-                         lambda p: grid_density_to_csv(dens, p))
+    def _write_kde(self, d: Path, t: float, mu: EmpiricalMeasure) -> list[GridDensity]:
+        """Write the KDE of each marginal (in 1D, of the cloud) and return them."""
+        dens = [kde_1d(_marginal_cloud(mu, i), ax, time=t) for i, ax in enumerate(self.axes)]
+        for i, den in enumerate(dens):
+            tag = f"x{i + 1}_" if self.model.d > 1 else ""
+            _publish(d / f"{self.preset.name}_particles_kde_{tag}t{t:g}.csv",
+                     lambda p: grid_density_to_csv(den, p))
+        return dens
 
     def run_picard(self) -> dict:
         cfg = self.cfg
@@ -425,35 +421,19 @@ class _Experiment:
         n_paths = cfg.malliavin_paths
         bundle = simulate_interacting(self.model, self.law, self.grid,
                                       n_paths, cfg.seed)
-        flow = bundle.realized_flow
-        last = self.grid.steps
-
-        def work(i: int):
-            path = bundle.path(i)
-            fv = simulate_first_variation(self.model, path, flow)
-            res = float(zy_residual(fv).max())
-            cov = covariance_curve(fv, path, self.model, flow, lam=lam)[last]
-            rep = ellipticity_bound_check(cov, slack_factor=cfg.malliavin_slack)
-            return (cov.lambda_min, cov.gamma, rep.bound, rep.margin,
-                    rep.holds, res)
-
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                rows = list(ex.map(work, range(n_paths)))
-        else:
-            rows = [work(i) for i in range(n_paths)]
-
+        diag = bundle_diagnostics(self.model, bundle, lam, cfg.malliavin_slack)
         d = self._dir("malliavin")
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
-                   [(i, float(r[0]), float(r[1]), float(r[2]), float(r[3]),
-                     int(r[4]), float(r[5])) for i, r in enumerate(rows)])
-        all_hold = all(r[4] for r in rows)
+                   [(i, float(lm), float(g), float(b), float(mg), int(h), float(zy))
+                    for i, (lm, g, b, mg, h, zy) in enumerate(zip(
+                        diag["lambda_min"], diag["gamma"], diag["bound"],
+                        diag["margin"], diag["holds"], diag["zy_max"]))])
         return {"status": "ok", "n_paths": n_paths, "lambda": float(lam),
                 "lambda_degenerate": lam <= 0.0,
-                "min_lambda_min": float(min(r[0] for r in rows)),
-                "min_margin": float(min(r[3] for r in rows)),
-                "max_zy_residual": float(max(r[5] for r in rows)),
-                "all_bounds_hold": bool(all_hold)}
+                "min_lambda_min": float(diag["lambda_min"].min()),
+                "min_margin": float(diag["margin"].min()),
+                "max_zy_residual": float(diag["zy_max"].max()),
+                "all_bounds_hold": bool(diag["holds"].all())}
 
     def comparisons(self) -> dict:
         out: dict = {}
@@ -464,19 +444,15 @@ class _Experiment:
                 for p in self.fp.snapshots:
                     if p.time == t:
                         fp_snap = p
-            cloud = None
-            if self.bundle is not None:
-                cloud = self.bundle.snapshot(self.grid.index_of(t))
-            if cloud is not None and fp_snap is not None:
+            cloud, kdes = self.clouds.get(t), self.kdes.get(t)
+            if kdes is not None and fp_snap is not None:
                 if self.model.d == 1:
-                    entry["l1_kde_vs_fp"] = l1_grid_distance(
-                        kde_1d(cloud, self.axes[0], time=t), fp_snap)
+                    entry["l1_kde_vs_fp"] = l1_grid_distance(kdes[0], fp_snap)
                     entry["w2_particles_vs_fp"] = w2_cloud_vs_density_1d(cloud, fp_snap)
                 else:
                     for i in range(2):
                         entry[f"l1_kde_vs_fp_x{i + 1}"] = l1_grid_distance(
-                            kde_1d(_marginal_cloud(cloud, i), self.axes[i], time=t),
-                            grid_marginal(fp_snap, i))
+                            kdes[i], grid_marginal(fp_snap, i))
             if cloud is not None and self.picard is not None \
                     and t in self.picard.checkpoint_times:
                 mu = self.picard.final_clouds[self.picard.checkpoint_times.index(t)]
@@ -495,9 +471,9 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
     """Run the configured methods, write artifacts, and return the report.
 
     ``config`` is an ExperimentConfig, a raw dict, or a path to a JSON file.
-    Keyword overrides take precedence over the config document.  A method
-    failure is recorded under ``methods.<name>.status`` and does not stop the
-    remaining methods.
+    Keyword overrides take precedence over the config document; ``threads``
+    is accepted and changes nothing.  A method failure is recorded under
+    ``methods.<name>.status`` and does not stop the remaining methods.
     """
     if isinstance(config, (str, Path)):
         cfg = ExperimentConfig.from_file(config)
@@ -511,14 +487,12 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
         cfg.seed = int(seed)
     if as_printed is not None:
         cfg.as_printed = bool(as_printed)
-    if threads is None:
-        threads = cfg.threads
     out = outdir if outdir is not None else cfg.outdir
     if out is None:
         out = os.environ.get(_ENV_OUTDIR, "mvsim-out")
     out = Path(out)
 
-    exp = _Experiment(cfg, out, threads)
+    exp = _Experiment(cfg, out)
     runners = {"particles": exp.run_particles, "picard": exp.run_picard,
                "fp": exp.run_fp, "malliavin": exp.run_malliavin}
     methods: dict = {}

@@ -1,6 +1,6 @@
-"""First-variation processes and Malliavin covariance along single paths.
+"""First-variation processes and Malliavin covariance over stacks of paths.
 
-For a simulated trajectory X the pair (Y, Z) solves, discretized along the
+For each simulated trajectory X the pair (Y, Z) solves, discretized along the
 increments that drove X,
 
     dY = Db Y dt + sum_j Dsig_j Y dW_j,                    Y(0) = I
@@ -31,7 +31,8 @@ The Malliavin covariance at time t is assembled as
 
 with A = sigma sigma^T, and its smallest eigenvalue is compared against the
 spectral floor t * lambda / gamma^4, where gamma is the realized sup of the
-operator norms of Y and Y^-1 up to t.
+operator norms of Y and Y^-1 up to t.  One core runs all of this on
+``(paths, d, d)`` stacks; the per-path functions are batches of one.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import operator_norm, singular_extremes, sym_eig_min
+from ._linalg import operator_norm, singular_extremes, sym_eigvals
 from .coefficients import CoefficientModel, diffusion_matrix
 from .errors import ConditioningError, NumericError
 from .measures import StatisticFlow
-from .particle import ParticlePath, TimeGrid
+from .particle import ParticlePath, PathBundle, TimeGrid
 
 _COND_FLOOR = 1e-12
 
@@ -80,11 +81,87 @@ class EllipticityBoundReport:
     lambda_degenerate: bool
 
 
-def _flow_check(model: CoefficientModel, path: ParticlePath, flow: StatisticFlow):
-    if flow.stats.shape != (path.grid.steps + 1, model.q):
+def _flow_check(model: CoefficientModel, grid: TimeGrid, flow: StatisticFlow):
+    if flow.stats.shape != (grid.steps + 1, model.q):
         raise ValueError(
             f"flow shape {flow.stats.shape} does not match grid/model "
-            f"{(path.grid.steps + 1, model.q)}")
+            f"{(grid.steps + 1, model.q)}")
+
+
+def _sweep(model: CoefficientModel, grid: TimeGrid, states: np.ndarray,
+           increments: np.ndarray, flow: StatisticFlow, paths) -> tuple:
+    """(Y, Z), each (steps + 1, P, d, d), along states (steps + 1, P, d) and
+    increments (steps, P, m); ``paths`` names the P paths in errors."""
+    if model.db_dx is None or model.dsigma_dx is None:
+        raise ValueError("model does not provide state Jacobians")
+    _flow_check(model, grid, flow)
+    M, P, d = grid.steps, states.shape[1], model.d
+    dt = grid.dt
+    times = grid.times()
+    Y = np.empty((M + 1, P, d, d))
+    Z = np.empty((M + 1, P, d, d))
+    Y[0] = Z[0] = np.eye(d)
+    for k in range(M):
+        x, s, t = states[k], flow.stats[k], float(times[k])
+        B = np.asarray(model.db_dx(t, x, s), dtype=float).reshape(P, d, d)
+        S = np.asarray(model.dsigma_dx(t, x, s), dtype=float).reshape(P, model.m, d, d)
+        noise = np.einsum("pj,pjab->pab", increments[k], S)
+        Y[k + 1] = Y[k] + (B @ Y[k]) * dt + noise @ Y[k]
+        zn = Z[k] @ noise
+        Z[k + 1] = Z[k] - (Z[k] @ B) * dt - zn + zn @ noise
+        bad = ~(np.isfinite(Y[k + 1]) & np.isfinite(Z[k + 1])).all(axis=(1, 2))
+        if bad.any():
+            raise NumericError(f"first-variation pair became non-finite at step "
+                               f"{k + 1}, path {paths[np.argmax(bad)]}")
+    return Y, Z
+
+
+def _invertible(Y: np.ndarray, paths, first: int = 0) -> tuple:
+    """Singular extremes of Y (times, P, d, d); ConditioningError names the
+    first path singular to tolerance and its first such index from ``first``."""
+    smin, smax = singular_extremes(Y)
+    bad = smin <= smax * _COND_FLOOR
+    if bad.any():
+        p = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, p]))
+        cond = float(np.inf if smin[k, p] == 0.0 else smax[k, p] / smin[k, p])
+        raise ConditioningError(
+            f"first-variation matrix of path {paths[p]} at index {first + k} is "
+            f"singular to tolerance (condition estimate {cond:.3e})",
+            cond_estimate=cond)
+    return smin, smax
+
+
+def _covariance(model: CoefficientModel, grid: TimeGrid, states: np.ndarray,
+                flow: StatisticFlow, Y: np.ndarray, paths) -> tuple:
+    """Q (steps + 1, P, d, d), with lambda_min(Q) and gamma (steps + 1, P)."""
+    _flow_check(model, grid, flow)
+    A = np.stack([diffusion_matrix(model, float(t), x, s)
+                  for t, x, s in zip(grid.times(), states, flow.stats)])
+    smin, smax = _invertible(Y, paths)
+    gamma = np.maximum.accumulate(np.maximum(smax, 1.0 / smin), axis=0)
+    G = np.linalg.solve(Y, np.linalg.solve(Y, A).swapaxes(-1, -2))
+    G = 0.5 * (G + G.swapaxes(-1, -2))
+    trapezoids = 0.5 * grid.dt * (G[:-1] + G[1:])
+    P = np.cumsum(np.concatenate([np.zeros_like(G[:1]), trapezoids]), axis=0)
+    Q = Y @ P @ Y.swapaxes(-1, -2)
+    Q = 0.5 * (Q + Q.swapaxes(-1, -2))
+    return Q, sym_eigvals(Q)[..., 0], gamma
+
+
+def _zy(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    prod = np.einsum("...ab,...bc->...ac", Z, Y) - np.eye(Y.shape[-1])
+    return np.sqrt(np.sum(prod ** 2, axis=(-2, -1)))
+
+
+def _bound(t, lam, gamma, lambda_min, Q, dt, slack_factor) -> tuple:
+    """(floor, margin, slack, holds); the floor t lam / gamma^4 is 0 unless gamma > 0."""
+    gamma = np.asarray(gamma, dtype=float)
+    # libm's pow, as for a scalar ``gamma ** 4``
+    bound = np.divide(t * lam, np.float_power(gamma, 4), out=np.zeros(gamma.shape),
+                      where=gamma > 0)
+    slack = slack_factor * dt * operator_norm(Q)
+    return bound, lambda_min - bound, slack, lambda_min >= bound - slack
 
 
 def simulate_first_variation(model: CoefficientModel, path: ParticlePath,
@@ -94,49 +171,15 @@ def simulate_first_variation(model: CoefficientModel, path: ParticlePath,
     Y takes the Euler step; Z uses the realized dW_i dW_j in its Ito
     correction (see the module docstring).
     """
-    if model.db_dx is None or model.dsigma_dx is None:
-        raise ValueError("model does not provide state Jacobians")
-    _flow_check(model, path, flow)
-    d = model.d
-    M = path.grid.steps
-    dt = path.grid.dt
-    times = path.grid.times()
-    eye = np.eye(d)
-    Y = np.empty((M + 1, d, d))
-    Z = np.empty((M + 1, d, d))
-    Y[0] = eye
-    Z[0] = eye
-    for k in range(M):
-        x = path.states[k]
-        s = flow.stats[k]
-        t = float(times[k])
-        B = np.asarray(model.db_dx(t, x, s), dtype=float).reshape(d, d)
-        S = np.asarray(model.dsigma_dx(t, x, s), dtype=float).reshape(model.m, d, d)
-        dw = path.increments[k]
-        noise = np.einsum("j,jab->ab", dw, S)
-        Y[k + 1] = Y[k] + (B @ Y[k]) * dt + noise @ Y[k]
-        zn = Z[k] @ noise
-        Z[k + 1] = Z[k] - (Z[k] @ B) * dt - zn + zn @ noise
-        if not (np.all(np.isfinite(Y[k + 1])) and np.all(np.isfinite(Z[k + 1]))):
-            raise NumericError(f"first-variation pair became non-finite at step {k + 1}")
-    return FirstVariationPath(grid=path.grid, Y=Y, Z=Z, path_index=path.index)
+    Y, Z = _sweep(model, path.grid, path.states[:, None], path.increments[:, None],
+                  flow, (path.index,))
+    return FirstVariationPath(grid=path.grid, Y=Y[:, 0], Z=Z[:, 0],
+                              path_index=path.index)
 
 
 def zy_residual(fv: FirstVariationPath) -> np.ndarray:
     """Frobenius norm of Z_k Y_k - I at every grid time."""
-    d = fv.Y.shape[1]
-    prod = np.einsum("kab,kbc->kac", fv.Z, fv.Y) - np.eye(d)
-    return np.sqrt(np.sum(prod ** 2, axis=(1, 2)))
-
-
-def _solve_against(Y_r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    smin, smax = singular_extremes(Y_r)
-    if smin <= smax * _COND_FLOOR:
-        cond = np.inf if smin == 0.0 else smax / smin
-        raise ConditioningError(
-            f"first-variation matrix is singular to tolerance "
-            f"(condition estimate {cond:.3e})", cond_estimate=cond)
-    return np.linalg.solve(Y_r, rhs)
+    return _zy(fv.Z, fv.Y)
 
 
 def malliavin_derivative(fv: FirstVariationPath, path: ParticlePath,
@@ -146,7 +189,7 @@ def malliavin_derivative(fv: FirstVariationPath, path: ParticlePath,
 
     ``Y(r)`` is applied through a linear solve, never an explicit inverse.
     """
-    _flow_check(model, path, flow)
+    _flow_check(model, path.grid, flow)
     M = path.grid.steps
     if not (0 <= r_index <= M and 0 <= t_index <= M):
         raise ValueError(f"time indices must lie in [0, {M}]")
@@ -157,8 +200,8 @@ def malliavin_derivative(fv: FirstVariationPath, path: ParticlePath,
     t_r = float(path.grid.times()[r_index])
     sig = np.asarray(model.sigma(t_r, path.states[r_index], flow.stats[r_index]),
                      dtype=float).reshape(model.d, model.m)
-    v = _solve_against(fv.Y[r_index], sig[:, j])
-    return fv.Y[t_index] @ v
+    _invertible(fv.Y[r_index][None, None], (fv.path_index,), first=r_index)
+    return fv.Y[t_index] @ np.linalg.solve(fv.Y[r_index], sig[:, j])
 
 
 def covariance_curve(fv: FirstVariationPath, path: ParticlePath,
@@ -171,36 +214,12 @@ def covariance_curve(fv: FirstVariationPath, path: ParticlePath,
     at each output time.  ``gamma`` at time t is the realized sup over r <= t
     of max(||Y(r)||, ||Y(r)^-1||) in operator norm.
     """
-    _flow_check(model, path, flow)
-    d = model.d
-    M = path.grid.steps
-    dt = path.grid.dt
-    times = path.grid.times()
-    out: list[MalliavinCovariance] = []
-    P = np.zeros((d, d))
-    G_prev = None
-    gamma = 0.0
-    for k in range(M + 1):
-        t = float(times[k])
-        A = diffusion_matrix(model, t, path.states[k], flow.stats[k])
-        smin, smax = singular_extremes(fv.Y[k])
-        if smin <= smax * _COND_FLOOR:
-            cond = np.inf if smin == 0.0 else smax / smin
-            raise ConditioningError(
-                f"first-variation matrix at index {k} is singular to tolerance "
-                f"(condition estimate {cond:.3e})", cond_estimate=cond)
-        gamma = max(gamma, smax, 1.0 / smin)
-        G = np.linalg.solve(fv.Y[k], np.linalg.solve(fv.Y[k], A).T)
-        G = 0.5 * (G + G.T)
-        if G_prev is not None:
-            P = P + 0.5 * dt * (G_prev + G)
-        G_prev = G
-        Q = fv.Y[k] @ P @ fv.Y[k].T
-        Q = 0.5 * (Q + Q.T)
-        out.append(MalliavinCovariance(
-            t=t, Q=Q, lambda_min=sym_eig_min(Q), gamma=gamma,
-            lam=float(lam), dt=dt))
-    return out
+    Q, lambda_min, gamma = _covariance(model, path.grid, path.states[:, None], flow,
+                                       fv.Y[:, None], (path.index,))
+    return [MalliavinCovariance(t=float(t), Q=q, lambda_min=float(lm), gamma=float(g),
+                                lam=float(lam), dt=path.grid.dt)
+            for t, q, lm, g in zip(path.grid.times(), Q[:, 0], lambda_min[:, 0],
+                                   gamma[:, 0])]
 
 
 def malliavin_covariance(fv: FirstVariationPath, path: ParticlePath,
@@ -220,27 +239,26 @@ def ellipticity_bound_check(cov: MalliavinCovariance,
     The slack absorbs quadrature error: ``slack_factor * dt * ||Q||``.  A
     nonpositive lambda makes the floor trivial and is flagged.
     """
-    bound = cov.t * cov.lam / cov.gamma ** 4 if cov.gamma > 0 else 0.0
-    slack = slack_factor * cov.dt * operator_norm(cov.Q)
+    bound, margin, slack, holds = _bound(cov.t, cov.lam, cov.gamma, cov.lambda_min,
+                                         cov.Q, cov.dt, slack_factor)
     return EllipticityBoundReport(
-        holds=bool(cov.lambda_min >= bound - slack),
-        margin=float(cov.lambda_min - bound),
-        bound=float(bound),
-        slack=float(slack),
-        lambda_degenerate=bool(cov.lam <= 0.0))
+        holds=bool(holds), margin=float(margin), bound=float(bound),
+        slack=float(slack), lambda_degenerate=bool(cov.lam <= 0.0))
 
 
-def path_diagnostics(model: CoefficientModel, path: ParticlePath,
-                     flow: StatisticFlow, lam: float = 0.0) -> dict:
-    """Per-time diagnostic arrays for one path.
+def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
+                       lam: float = 0.0, slack_factor: float = 10.0) -> dict:
+    """Horizon diagnostics of every path of a bundle under its realized flow.
 
-    Returns ``times``, ``lambda_min`` of Q, the spectral floor
-    ``t lambda / gamma^4``, and the ZY residual, each of length steps + 1.
+    Returns arrays over the paths: ``lambda_min`` and ``gamma`` of Q; the
+    ``bound``, ``margin`` and ``holds`` of ``ellipticity_bound_check``; and
+    ``zy_max``, the largest ZY residual along the path.
     """
-    fv = simulate_first_variation(model, path, flow)
-    curve = covariance_curve(fv, path, model, flow, lam=lam)
-    times = path.grid.times()
-    lam_min = np.array([c.lambda_min for c in curve])
-    floor = np.array([c.t * c.lam / c.gamma ** 4 if c.gamma > 0 else 0.0 for c in curve])
-    return {"times": times, "lambda_min": lam_min, "bound": floor,
-            "zy_residual": zy_residual(fv), "fv": fv, "curve": curve}
+    grid, flow = bundle.grid, bundle.realized_flow
+    paths = np.arange(bundle.n)
+    Y, Z = _sweep(model, grid, bundle.states, bundle.increments, flow, paths)
+    Q, lambda_min, gamma = _covariance(model, grid, bundle.states, flow, Y, paths)
+    bound, margin, _, holds = _bound(float(grid.times()[-1]), float(lam), gamma[-1],
+                                     lambda_min[-1], Q[-1], grid.dt, slack_factor)
+    return {"lambda_min": lambda_min[-1], "gamma": gamma[-1], "bound": bound,
+            "margin": margin, "holds": holds, "zy_max": _zy(Z, Y).max(axis=0)}

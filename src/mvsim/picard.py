@@ -118,10 +118,15 @@ def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
 
 def picard_vs_direct(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
                      tol: float, max_iters: int,
-                     checkpoints: tuple[float, ...]) -> float:
+                     checkpoints: tuple[float, ...], n_slices: int = 64) -> float:
     """Sup-over-checkpoints W2 between the converged iterate and the
-    interacting system run with the same seed (hence the same noise)."""
-    run = picard_run(model, law, grid, n, seed, tol, max_iters, checkpoints)
+    interacting system run with the same seed (hence the same noise).
+
+    Above 1D every gap, the iteration's and this one, is sliced W2 over
+    ``n_slices`` directions.
+    """
+    run = picard_run(model, law, grid, n, seed, tol, max_iters, checkpoints,
+                     n_slices=n_slices)
     direct = simulate_interacting(model, law, grid, n, seed)
     direct_clouds = [direct.snapshot(grid.index_of(t)) for t in checkpoints]
-    return convergence_gap(run.final_clouds, direct_clouds)
+    return convergence_gap(run.final_clouds, direct_clouds, n_slices=n_slices)

@@ -10,8 +10,13 @@ from mvsim import (
     CoefficientModel,
     ConditioningError,
     InitialLaw,
+    NumericError,
+    PathBundle,
+    StatisticFlow,
     TimeGrid,
+    bundle_diagnostics,
     covariance_curve,
+    diffusion_matrix,
     ellipticity_bound_check,
     get_preset,
     malliavin_covariance,
@@ -20,6 +25,8 @@ from mvsim import (
     simulate_interacting,
     zy_residual,
 )
+from mvsim._linalg import sym_eigvals
+from mvsim.malliavin import _covariance, _sweep
 from mvsim.particle import coarsen_increments, euler_paths
 
 SIGMA_2D = np.array([[2.0, 1.0], [1.0, 2.0]]) / math.sqrt(10.0)
@@ -360,3 +367,129 @@ class TestBoundCheck:
             rep = ellipticity_bound_check(cov)
             assert rep.holds, f"path {i}"
             assert rep.margin > 0.0
+
+
+def _kinked_model(slope):
+    # 1D, unit noise; the drift Jacobian is ``slope`` above x = 0.5, else 0
+    return CoefficientModel(
+        d=1, m=1, functionals=(),
+        b=lambda t, x, s: np.zeros_like(x),
+        sigma=lambda t, x, s: np.ones(x.shape[:-1] + (1, 1)),
+        db_dx=lambda t, x, s: np.where(x > 0.5, slope, 0.0)[..., None],
+        dsigma_dx=lambda t, x, s: np.zeros(x.shape[:-1] + (1, 1, 1)))
+
+
+def _bundle_with_one_kink(steps=10, n=4, path=2, step=3):
+    # every path rests at 0 except ``path``, which sits at 1 at ``step``
+    grid = TimeGrid(1.0, steps)
+    states = np.zeros((steps + 1, n, 1))
+    states[step, path, 0] = 1.0
+    return PathBundle(grid=grid, states=states,
+                      increments=np.zeros((steps, n, 1)), seed=0,
+                      realized_flow=StatisticFlow(grid.times(),
+                                                  np.zeros((steps + 1, 0))))
+
+
+def _scalar_eigvals(a):
+    """Closed-form 2x2 (or 1x1) symmetric eigenvalues in scalar arithmetic."""
+    if a.shape[-1] == 1:
+        return [float(a[0, 0])]
+    half_tr = 0.5 * (a[0, 0] + a[1, 1])
+    disc = 0.25 * (a[0, 0] - a[1, 1]) ** 2 + a[0, 1] * a[1, 0]
+    root = math.sqrt(max(float(disc), 0.0))
+    return [half_tr - root, half_tr + root]
+
+
+def _per_path_loops(model, path, flow):
+    """Y, Z, Q, lambda_min and gamma from one path's step loops in scalar
+    arithmetic: the reference the batched core must match bit for bit."""
+    d, M, dt = model.d, path.grid.steps, path.grid.dt
+    times = path.grid.times()
+    Y, Z = [np.eye(d)], [np.eye(d)]
+    for k in range(M):
+        x, s, t = path.states[k], flow.stats[k], float(times[k])
+        B = np.asarray(model.db_dx(t, x, s), dtype=float).reshape(d, d)
+        S = np.asarray(model.dsigma_dx(t, x, s), dtype=float).reshape(model.m, d, d)
+        noise = np.einsum("j,jab->ab", path.increments[k], S)
+        Y.append(Y[k] + (B @ Y[k]) * dt + noise @ Y[k])
+        zn = Z[k] @ noise
+        Z.append(Z[k] - (Z[k] @ B) * dt - zn + zn @ noise)
+
+    P, G_prev, gamma, Q, lam_min, gammas = np.zeros((d, d)), None, 0.0, [], [], []
+    for k in range(M + 1):
+        A = diffusion_matrix(model, float(times[k]), path.states[k], flow.stats[k])
+        vals = _scalar_eigvals(Y[k].T @ Y[k])
+        smin, smax = (math.sqrt(max(float(v), 0.0)) for v in (vals[0], vals[-1]))
+        gamma = max(gamma, smax, 1.0 / smin)
+        G = np.linalg.solve(Y[k], np.linalg.solve(Y[k], A).T)
+        G = 0.5 * (G + G.T)
+        if G_prev is not None:
+            P = P + 0.5 * dt * (G_prev + G)
+        G_prev = G
+        q = Y[k] @ P @ Y[k].T
+        Q.append(0.5 * (q + q.T))
+        lam_min.append(_scalar_eigvals(Q[-1])[0])
+        gammas.append(gamma)
+    return tuple(np.array(v) for v in (Y, Z, Q, lam_min, gammas))
+
+
+class TestBundleDiagnostics:
+    def test_stacked_eigenvalues_match_scalar_arithmetic(self):
+        # a stack must give each matrix the bits of its scalar closed form;
+        # numpy's array square differs from the scalar ``** 2`` in rare cases
+        a = np.random.default_rng(0).standard_normal((20000, 2, 2))
+        a = a.swapaxes(-1, -2) @ a
+        assert np.array_equal(sym_eigvals(a), [_scalar_eigvals(m) for m in a])
+
+    @pytest.mark.parametrize("name,lam", [("example5-2", 0.1), ("gbm", 0.0)])
+    def test_batch_equals_per_path_bit_for_bit(self, name, lam):
+        inst = get_preset(name)
+        bundle = simulate_interacting(inst.model, inst.law, TimeGrid(1.0, 40),
+                                      40, seed=7)
+        flow = bundle.realized_flow
+        paths = np.arange(bundle.n)
+        Y, Z = _sweep(inst.model, bundle.grid, bundle.states,
+                      bundle.increments, flow, paths)
+        Q, lam_min, gamma = _covariance(inst.model, bundle.grid, bundle.states,
+                                        flow, Y, paths)
+        diag = bundle_diagnostics(inst.model, bundle, lam=lam)
+        for i in paths:
+            path = bundle.path(i)
+            fv = simulate_first_variation(inst.model, path, flow)
+            curve = covariance_curve(fv, path, inst.model, flow, lam=lam)
+            rep = ellipticity_bound_check(curve[-1])
+            ref = _per_path_loops(inst.model, path, flow)
+            for got, want in zip((Y, Z, Q, lam_min, gamma), ref):
+                assert np.array_equal(got[:, i], want)
+            assert diag["bound"][i] == 1.0 * lam / ref[-1][-1] ** 4
+            assert np.array_equal(Y[:, i], fv.Y) and np.array_equal(Z[:, i], fv.Z)
+            assert np.array_equal(Q[:, i], np.stack([c.Q for c in curve]))
+            assert np.array_equal(lam_min[:, i], [c.lambda_min for c in curve])
+            assert np.array_equal(gamma[:, i], [c.gamma for c in curve])
+            assert diag["lambda_min"][i] == curve[-1].lambda_min
+            assert diag["gamma"][i] == curve[-1].gamma
+            assert diag["zy_max"][i] == zy_residual(fv).max()
+            assert (diag["bound"][i], diag["margin"][i], diag["holds"][i]) \
+                == (rep.bound, rep.margin, rep.holds)
+
+    def test_singular_path_is_named_with_its_index(self):
+        # the drift slope -1/dt zeroes path 2's Euler factor at step 3
+        model = _kinked_model(-10.0)
+        bundle = _bundle_with_one_kink()
+        flow = bundle.realized_flow
+        with pytest.raises(ConditioningError, match="path 2 at index 4 is singular"):
+            bundle_diagnostics(model, bundle, lam=1.0)
+        healthy, kinked = bundle.path(1), bundle.path(2)
+        covariance_curve(simulate_first_variation(model, healthy, flow), healthy,
+                         model, flow)
+        with pytest.raises(ConditioningError, match="path 2 at index 4"):
+            covariance_curve(simulate_first_variation(model, kinked, flow), kinked,
+                             model, flow)
+
+    def test_non_finite_path_is_named_with_its_step(self):
+        bundle = _bundle_with_one_kink(path=1, step=5)
+        with pytest.raises(NumericError, match="non-finite at step 6, path 1"):
+            bundle_diagnostics(_kinked_model(np.inf), bundle)
+        fv = simulate_first_variation(_kinked_model(np.inf), bundle.path(0),
+                                      bundle.realized_flow)
+        assert np.all(fv.Y == 1.0)

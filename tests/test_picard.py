@@ -15,6 +15,7 @@ from mvsim import (
     picard_run,
     picard_vs_direct,
     simulate_frozen_flow,
+    simulate_interacting,
 )
 
 
@@ -173,3 +174,16 @@ class TestPicardVsDirect:
                                  tol=1e-3, **kw)
         assert np.isfinite(loose) and np.isfinite(tight)
         assert tight <= loose + 1e-12
+
+    def test_gaps_use_the_given_slices_in_2d(self):
+        # above 1D the iteration's gaps and the final gap are sliced W2 over
+        # n_slices directions; the default of 64 gives different numbers
+        inst = get_preset("example5-2")
+        grid = TimeGrid(1.0, 10)
+        kw = dict(n=200, seed=3, tol=1e-12, max_iters=3, checkpoints=(1.0,))
+        d = picard_vs_direct(inst.model, inst.law, grid, n_slices=4, **kw)
+        run = picard_run(inst.model, inst.law, grid, n_slices=4, **kw)
+        direct = simulate_interacting(inst.model, inst.law, grid, 200, 3)
+        assert d == convergence_gap(run.final_clouds, [direct.snapshot(10)],
+                                    n_slices=4)
+        assert d != picard_vs_direct(inst.model, inst.law, grid, **kw)
