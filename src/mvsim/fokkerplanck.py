@@ -7,16 +7,22 @@ The density equation is always derived from the SDE coefficients,
 with the statistic vector s recomputed from the evolving density each step, so
 the nonlocal coupling is carried through the drift/diffusion fields.
 
-Scheme: explicit Euler in time, stepped by one loop over the axes for 1D and
-2D alike.  The density p and the products A_kk p live inside a frame of ghost
-nodes that stays zero, the Dirichlet boundary outside the box.  Along each
-axis the step takes a conservative flux on the n+1 cell faces, upwinded by
-the sign of the face velocity (the mean drift of the two nodes beside the
-face; a boundary face uses the drift of its one node), the difference of that
-flux, and the centered second difference of A_kk p across the frame.  In 2D the cross term
-adds centered mixed differences of A_12 p.  Every operator telescopes over
-the grid, so the mass lost per step equals the flux through the boundary
-faces plus the frame terms of the differences; that is tracked as cumulative
+Scheme: explicit Euler in time, stepped by one loop for 1D and 2D alike.  The
+density p lives inside a frame of ghost nodes that stays zero, the Dirichlet
+boundary outside the box, and the operator is a stencil on that frame: each
+offset (the node itself, -1 and +1 along each axis and, in 2D, the four
+corners of the mixed term) has an array of coefficients, and a step adds up
+each array times p shifted by its offset.  The coefficients are those of a
+conservative flux on the n+1 cell faces of each axis, upwinded by the sign of
+the face velocity (the mean drift of the two nodes beside the face; a boundary
+face uses the drift of its one node), and its difference; of the centered
+second difference of A_kk p; and in 2D of the centered mixed differences of
+A_12 p.  The drift part and the diffusion part are assembled in place when
+their field is computed: once per solve for a field the model declares static
+(``b_static``, ``sigma_static``), every step otherwise.  Every operator
+telescopes over the grid, so the mass lost per step is g . p for a weight
+array g on the nodes next to the frame (the flux through the boundary faces
+plus the frame terms of the differences); that is tracked as cumulative
 boundary flux, and mass plus flux staying at 1 is a live consistency check of
 the implementation.
 """
@@ -207,18 +213,127 @@ def _cuts(d: int, k: int) -> _Cuts:
                    (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
 
 
-def _upwind_parts(bk: np.ndarray, k: int, cut: _Cuts) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative parts of drift component ``bk`` on the n+1 faces
-    of axis k: inner faces average their two nodes, a boundary face takes the
-    drift of its one node."""
-    shape = list(bk.shape)
-    shape[k] += 1
-    bf = np.empty(shape)
-    bf[cut.first], bf[cut.last] = bk[cut.first], bk[cut.last]
-    inner = bf[cut.inner]
-    np.add(bk[cut.head], bk[cut.tail], out=inner)
-    inner *= 0.5
-    return np.maximum(bf, 0.0), np.minimum(bf, 0.0)
+def _offsets(d: int) -> list[tuple[int, ...]]:
+    """Stencil offsets: the node itself, then -1 and +1 along each axis, then
+    in 2D the four corners of the mixed term."""
+    offs = [(0,) * d]
+    for k in range(d):
+        offs += [_along(d, k, -1, 0), _along(d, k, 1, 0)]
+    if d == 2:
+        offs += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    return offs
+
+
+def _shifted(frame: np.ndarray, offsets) -> list[np.ndarray]:
+    """Views of a ghost-framed array at the grid nodes moved by each offset."""
+    return [frame[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, frame.shape))]
+            for off in offsets]
+
+
+class _Stencil:
+    """The explicit operator as coefficients on the zero ghost frame ``P``:
+    ``upd = sum_off C[off] * P[nodes + off]`` and ``outflux = g . p``.
+
+    ``C`` and ``g`` sum a drift part and a diffusion part.  Each part is
+    rewritten in place only when its field is recomputed, and ``_assemble``
+    then sums them.
+    """
+
+    def __init__(self, P: np.ndarray, hs: list[float]):
+        d = P.ndim
+        shape = tuple(n - 2 for n in P.shape)
+        offsets = _offsets(d)
+        self.hs = hs
+        self.cell = math.prod(hs)
+        self.frame = P
+        self.views = _shifted(P, offsets)
+        self.cuts = [_cuts(d, k) for k in range(d)]
+        self.C = np.zeros((len(offsets),) + shape)
+        self.g = np.zeros(shape)
+        # drift part: the positive and negative parts of the drift over h on
+        # the n+1 faces of each axis
+        self.up = [np.zeros(shape[:k] + (n + 1,) + shape[k + 1:])
+                   for k, n in enumerate(shape)]
+        self.down = [np.zeros_like(u) for u in self.up]
+        # diffusion part at the node and its axis neighbours; the corners of
+        # the mixed term carry no drift and are written to C directly
+        self.diffusion_C = np.zeros((1 + 2 * d,) + shape)
+        self.diffusion_g = np.zeros(shape)
+        # a field on a zero ghost frame of its own, read at every offset
+        self.field_at = _shifted(np.zeros_like(P), offsets)
+        # g vanishes off the nodes next to the frame; outflux reads only those
+        inner = np.zeros(P.shape, dtype=bool)
+        inner[(slice(1, -1),) * d] = True
+        edge = inner.copy()
+        edge[(slice(2, -2),) * d] = False
+        self.edge_P = np.flatnonzero(edge)
+        self.edge = np.flatnonzero(edge[inner])
+        self.tmp = np.empty(shape)
+
+    def set_drift(self, b: np.ndarray) -> None:
+        """Upwind fluxes of the drift ``b`` (grid..., d): an inner face takes
+        the mean drift of its two nodes, a boundary face that of its one node."""
+        for k, (h, cut, up, down) in enumerate(zip(self.hs, self.cuts, self.up, self.down)):
+            bk = b[..., k]
+            # the face velocities over h, in ``down`` until split into parts
+            np.add(bk[cut.head], bk[cut.tail], out=down[cut.inner])
+            down[cut.inner] *= 0.5 / h
+            down[cut.first], down[cut.last] = bk[cut.first] / h, bk[cut.last] / h
+            np.maximum(down, 0.0, out=up)
+            np.minimum(down, 0.0, out=down)
+        self._assemble()
+
+    def set_diffusion(self, a: np.ndarray) -> None:
+        """Centered second differences of A_kk p and, in 2D, mixed differences
+        of A_12 p, for the diffusion matrix ``a`` (grid..., d, d)."""
+        C, g, at = self.diffusion_C, self.diffusion_g, self.field_at
+        C[0] = 0.0
+        g[...] = 0.0
+        for k, (h, cut) in enumerate(zip(self.hs, self.cuts)):
+            akk = at[0]
+            akk[...] = a[..., k, k]
+            C[0] -= akk / h ** 2
+            np.multiply(at[1 + 2 * k], 0.5 / h ** 2, out=C[1 + 2 * k])
+            np.multiply(at[2 + 2 * k], 0.5 / h ** 2, out=C[2 + 2 * k])
+            g[cut.first] += akk[cut.first] * (self.cell / (2.0 * h ** 2))
+            g[cut.last] += akk[cut.last] * (self.cell / (2.0 * h ** 2))
+        if len(self.hs) == 2:
+            a12 = at[0]
+            a12[...] = a[..., 0, 1]
+            scale = 1.0 / (4.0 * self.hs[0] * self.hs[1])
+            # corners (+,+), (+,-), (-,+), (-,-): the product of the offsets
+            signs = (1.0, -1.0, -1.0, 1.0)
+            for i, sign in zip(range(5, 9), signs):
+                np.multiply(at[i], sign * scale, out=self.C[i])
+            for corner, sign in zip(((0, 0), (0, -1), (-1, 0), (-1, -1)), signs):
+                g[corner] -= sign * a12[corner] / 4.0
+        self._assemble()
+
+    def _assemble(self) -> None:
+        C, dc = self.C, self.diffusion_C
+        np.copyto(C[0], dc[0])
+        np.copyto(self.g, self.diffusion_g)
+        for k, (cut, up, down) in enumerate(zip(self.cuts, self.up, self.down)):
+            # inflow from the node below and from the node above, outflow from the node
+            np.add(dc[1 + 2 * k], up[cut.head], out=C[1 + 2 * k])
+            np.subtract(dc[2 + 2 * k], down[cut.tail], out=C[2 + 2 * k])
+            C[0] += down[cut.head]
+            C[0] -= up[cut.tail]
+            self.g[cut.first] -= down[cut.first] * self.cell
+            self.g[cut.last] += up[cut.last] * self.cell
+        self.g_edge = self.g.take(self.edge)
+
+    def apply(self, upd: np.ndarray) -> None:
+        """Write the operator applied to the framed density into ``upd``."""
+        np.multiply(self.C[0], self.views[0], out=upd)
+        for c, v in zip(self.C[1:], self.views[1:]):
+            np.multiply(c, v, out=self.tmp)
+            upd += self.tmp
+
+    def outflux(self) -> float:
+        """Mass leaving the box per unit time: the flux through the boundary
+        faces plus the frame terms of the differences."""
+        return float(self.g_edge @ self.frame.take(self.edge_P))
 
 
 def solve_fp(problem: FPProblem) -> FPSolution:
@@ -242,27 +357,17 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     shape = tuple(ax.n for ax in axes)
     hs = [ax.spacing for ax in axes]
     cell = math.prod(hs)
-    # area of a face across axis k, and the centered second-difference weight
-    face_area = [math.prod(h for j, h in enumerate(hs) if j != k) for k in range(d)]
-    half_h2 = [0.5 / h ** 2 for h in hs]
     coords = problem.p0.node_coords()
     phi_rows = _statistic_rows(model, problem.p0)
     fixed_dt = None if problem.dt == "auto" else float(problem.dt)
 
-    # p and w (A_kk p, then A_12 p) sit inside a frame of ghost nodes that
-    # stays zero: the Dirichlet boundary outside the box
-    mid = slice(1, -1)
+    # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
+    # boundary outside the box
     P = np.zeros(tuple(n + 2 for n in shape))
-    W = np.zeros_like(P)
-    p, w = P[(mid,) * d], W[(mid,) * d]
+    p = P[(slice(1, -1),) * d]
     p[...] = problem.p0.values
     upd = np.empty(shape)
-    cuts = [_cuts(d, k) for k in range(d)]
-    # frame neighbours along axis k: of each of the n+1 faces, and of each node
-    below = [P[_along(d, k, slice(None, -1), mid)] for k in range(d)]
-    above = [P[_along(d, k, slice(1, None), mid)] for k in range(d)]
-    w_below = [W[_along(d, k, slice(None, -2), mid)] for k in range(d)]
-    w_above = [W[_along(d, k, slice(2, None), mid)] for k in range(d)]
+    op = _Stencil(P, hs)
 
     events = _plan_events(problem)
     snapshots: list[GridDensity] = []
@@ -288,10 +393,11 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         target = events[ev_i]
         if b is None or not model.b_static:
             b = _drift(model, t, coords, shape, s)
-            upwind = [_upwind_parts(b[..., k], k, cuts[k]) for k in range(d)]
+            op.set_drift(b)
             b_bound = [float(np.abs(b[..., k]).max()) / h for k, h in enumerate(hs)]
         if a is None or not model.sigma_static:
             a = _diffusion(model, t, coords, shape, s)
+            op.set_diffusion(a)
             a_bound = ([2.0 * float(a[..., k, k].max()) / h ** 2 for k, h in enumerate(hs)]
                        + [2.0 * float(np.abs(a[..., j, k]).max()) / (hs[j] * hs[k])
                           for j in range(d) for k in range(j + 1, d)])
@@ -316,31 +422,17 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             dt = target - t
             hit = True
 
-        upd[...] = 0.0
-        outflux = 0.0
-        for k, h in enumerate(hs):
-            cut = cuts[k]
-            pos, neg = upwind[k]
-            F = pos * below[k] + neg * above[k]
-            upd += (F[cut.head] - F[cut.tail]) / h
-            np.multiply(a[..., k, k], p, out=w)
-            upd += half_h2[k] * (w_above[k] - 2.0 * w + w_below[k])
-            outflux += float((F[cut.last] - F[cut.first]).sum() * face_area[k])
-            outflux += float((w[cut.first] + w[cut.last]).sum() * face_area[k] / (2.0 * h))
-        if d == 2:
-            # mixed term d_1 d_2 (A_12 p), both off-diagonal halves combined
-            np.multiply(a[..., 0, 1], p, out=w)
-            upd += (W[2:, 2:] - W[2:, :-2] - W[:-2, 2:] + W[:-2, :-2]) / (4.0 * hs[0] * hs[1])
-            outflux -= (w[0, 0] - w[0, -1] - w[-1, 0] + w[-1, -1]) / 4.0
-
-        p += dt * upd
-        flux_cum += dt * outflux
+        op.apply(upd)
+        flux_cum += dt * op.outflux()
+        upd *= dt
+        p += upd
         t = target if hit else t + dt
         steps += 1
 
-        if not np.all(np.isfinite(p)):
-            raise NumericError(f"density became non-finite at t={t:.6g} (step {steps})")
+        # any non-finite node makes the sum non-finite, so only then scan
         mass = float(p.sum() * cell)
+        if not math.isfinite(mass) and not np.all(np.isfinite(p)):
+            raise NumericError(f"density became non-finite at t={t:.6g} (step {steps})")
         pmin = float(p.min())
         if pmin < _POSITIVITY_FLOOR:
             raise PositivityError(

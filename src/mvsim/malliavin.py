@@ -134,7 +134,8 @@ def _invertible(Y: np.ndarray, paths, first: int = 0) -> tuple:
 
 def _covariance(model: CoefficientModel, grid: TimeGrid, states: np.ndarray,
                 flow: StatisticFlow, Y: np.ndarray, paths) -> tuple:
-    """Q (steps + 1, P, d, d), with lambda_min(Q) and gamma (steps + 1, P)."""
+    """Q (K, P, d, d), with lambda_min(Q) and gamma (K, P), at the first K grid
+    times, where states (K, P, d) and Y (K, P, d, d) cover those times."""
     _flow_check(model, grid, flow)
     A = np.stack([diffusion_matrix(model, float(t), x, s)
                   for t, x, s in zip(grid.times(), states, flow.stats)])
@@ -225,11 +226,19 @@ def covariance_curve(fv: FirstVariationPath, path: ParticlePath,
 def malliavin_covariance(fv: FirstVariationPath, path: ParticlePath,
                          model: CoefficientModel, flow: StatisticFlow,
                          t_index: int, lam: float = 0.0) -> MalliavinCovariance:
-    """Covariance at one grid time (see ``covariance_curve``)."""
+    """Covariance at one grid time (see ``covariance_curve``), accumulated
+    only up to that time."""
     M = path.grid.steps
     if not 1 <= t_index <= M:
         raise ValueError(f"time index must lie in [1, {M}]")
-    return covariance_curve(fv, path, model, flow, lam=lam)[t_index]
+    # a Y singular anywhere on the path fails the snapshot as it fails the curve
+    _invertible(fv.Y[:, None], (path.index,))
+    k = t_index + 1
+    Q, lambda_min, gamma = _covariance(model, path.grid, path.states[:k, None], flow,
+                                       fv.Y[:k, None], (path.index,))
+    return MalliavinCovariance(t=float(path.grid.times()[t_index]), Q=Q[-1, 0],
+                               lambda_min=float(lambda_min[-1, 0]),
+                               gamma=float(gamma[-1, 0]), lam=float(lam), dt=path.grid.dt)
 
 
 def ellipticity_bound_check(cov: MalliavinCovariance,

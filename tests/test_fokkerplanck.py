@@ -1,5 +1,6 @@
 """Density evolution: grid setup, derived coefficients, and the FTCS march."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats as sps
 
 from mvsim import (
     CoefficientModel,
+    ConservationError,
     InitialLaw,
     NumericError,
     PositivityError,
@@ -22,7 +24,7 @@ from mvsim import (
     l1_grid_distance,
     solve_fp,
 )
-from mvsim.fokkerplanck import FPProblem
+from mvsim.fokkerplanck import FPProblem, _Stencil
 from mvsim.measures import GridAxis, GridDensity
 
 STD_LAW = InitialLaw.gaussian([0.0], [[1.0]])
@@ -46,6 +48,61 @@ def _gauss_exact(axis, var, mean=0.0):
     x = axis.nodes()
     v = np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
     return GridDensity((axis,), v, time=0.0)
+
+
+def _flux_form(p, b, a, hs):
+    """The explicit operator in flux form, the reference for the stencil:
+    along each axis the difference of the upwind flux on the n+1 faces (an
+    inner face takes the mean drift of its two nodes, a boundary face that of
+    its one node) and the centered second difference of A_kk p; in 2D the
+    centered mixed difference of A_12 p.  The density is zero outside the box.
+    Returns dp/dt and the mass leaving the box per unit time."""
+    cell = math.prod(hs)
+    upd = np.zeros_like(p)
+    outflux = 0.0
+    for k, h in enumerate(hs):
+        q = np.moveaxis(p, k, 0)
+        bk = np.moveaxis(b[..., k], k, 0)
+        zero = np.zeros_like(q[:1])
+        faces = np.concatenate([bk[:1], 0.5 * (bk[:-1] + bk[1:]), bk[-1:]])
+        qf = np.concatenate([zero, q, zero])
+        flux = np.maximum(faces, 0.0) * qf[:-1] + np.minimum(faces, 0.0) * qf[1:]
+        w = np.moveaxis(a[..., k, k], k, 0) * q
+        wf = np.concatenate([zero, w, zero])
+        du = (flux[:-1] - flux[1:]) / h + (wf[2:] - 2.0 * wf[1:-1] + wf[:-2]) / (2 * h ** 2)
+        upd += np.moveaxis(du, 0, k)
+        outflux += (flux[-1].sum() - flux[0].sum()) * cell / h
+        outflux += (w[0].sum() + w[-1].sum()) * cell / (2 * h ** 2)
+    if p.ndim == 2:
+        w = a[..., 0, 1] * p
+        W = np.pad(w, 1)
+        upd += (W[2:, 2:] - W[2:, :-2] - W[:-2, 2:] + W[:-2, :-2]) / (4 * hs[0] * hs[1])
+        outflux -= (w[0, 0] - w[0, -1] - w[-1, 0] + w[-1, -1]) / 4
+    return upd, outflux
+
+
+class TestStencil:
+    @pytest.mark.parametrize("shape,hs", [((57,), [0.05]), ((23, 31), [0.1, 0.07])])
+    def test_one_step_matches_the_flux_form(self, shape, hs):
+        rng = np.random.default_rng(5)
+        d = len(shape)
+        p = rng.uniform(0.1, 1.0, shape)
+        b = rng.standard_normal(shape + (d,))
+        sig = rng.standard_normal(shape + (d, d))
+        a = sig @ np.swapaxes(sig, -1, -2)
+        assert d == 1 or np.abs(a[..., 0, 1]).min() > 0
+        P = np.zeros(tuple(n + 2 for n in shape))
+        P[(slice(1, -1),) * d] = p
+        op = _Stencil(P, hs)
+        op.set_drift(b)
+        op.set_diffusion(a)
+        upd = np.empty(shape)
+        op.apply(upd)
+        want, want_out = _flux_form(p, b, a, hs)
+        np.testing.assert_allclose(upd, want, rtol=1e-13)
+        assert op.outflux() == pytest.approx(want_out, rel=1e-13)
+        # every operator telescopes: the outflux is the mass the step loses
+        assert op.outflux() == pytest.approx(-upd.sum() * math.prod(hs), rel=1e-12)
 
 
 class TestGaussianOnGrid:
@@ -286,6 +343,22 @@ class TestSolve2D:
                                        rtol=1e-10)
 
 
+@pytest.mark.parametrize("name,nodes,horizon", [("ou", (401,), 0.2),
+                                                ("example5-2", (81, 81), 0.1)])
+def test_static_flags_are_only_hints(name, nodes, horizon):
+    # a stale or half-rebuilt stencil would part the two runs
+    inst = get_preset(name)
+    live = dataclasses.replace(inst.model, b_static=False, sigma_static=False)
+    runs = [solve_fp(build_fp_problem(model, inst.law, inst.fp_domain, nodes, horizon,
+                                      snapshot_times=(horizon / 2, horizon)))
+            for model in (inst.model, live)]
+    assert runs[0].n_steps == runs[1].n_steps
+    for s1, s2 in zip(runs[0].snapshots, runs[1].snapshots):
+        assert np.array_equal(s1.values, s2.values)
+    for curve in ("times", "mass_curve", "boundary_flux_curve"):
+        assert np.array_equal(getattr(runs[0], curve), getattr(runs[1], curve))
+
+
 class TestFailureModes:
     def test_oversized_fixed_dt(self):
         pr = build_fp_problem(_const_model(a=2.0), STD_LAW, ((-10.0, 10.0),),
@@ -302,6 +375,42 @@ class TestFailureModes:
         pr = build_fp_problem(model, STD_LAW, ((-8.0, 8.0),), (201,), 0.5)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="non-finite"):
+                solve_fp(pr)
+
+    def test_nan_sigma_at_one_node_detected(self):
+        # the fixed dt keeps the NaN to the node and its neighbours
+        def sigma(t, x, s):
+            return np.where(np.abs(x) < 0.04, np.nan, 1.0)[..., None]
+
+        model = CoefficientModel(d=1, m=1, functionals=(),
+                                 b=lambda t, x, s: np.zeros_like(x), sigma=sigma,
+                                 b_static=True, sigma_static=True)
+        pr = build_fp_problem(model, STD_LAW, ((-8.0, 8.0),), (201,), 0.5, dt=1e-4)
+        with pytest.raises(NumericError, match=r"non-finite .*\(step 1\)"):
+            solve_fp(pr)
+
+    def test_overflow_at_one_node_detected(self):
+        axes = (GridAxis(-8.0, 8.0, 201),)
+        vals = gaussian_on_grid(STD_LAW, axes).values
+        vals[60] = 1e308
+        pr = FPProblem(_const_model(a=2.0), axes, GridDensity(axes, vals, mass_tol=math.inf),
+                       horizon=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"non-finite .*\(step 1\)"):
+                solve_fp(pr)
+
+    def test_finite_density_whose_sum_overflows_fails_conservation(self):
+        # no drift, no noise: one step to the horizon leaves p as it was
+        model = CoefficientModel(
+            d=1, m=1, functionals=(), b=lambda t, x, s: np.zeros_like(x),
+            sigma=lambda t, x, s: np.zeros(x.shape[:-1] + (1, 1)),
+            b_static=True, sigma_static=True)
+        axes = (GridAxis(-8.0, 8.0, 201),)
+        vals = np.zeros(201)
+        vals[[60, 140]] = 1e308
+        pr = FPProblem(model, axes, GridDensity(axes, vals, mass_tol=math.inf), horizon=0.5)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConservationError, match=r"\(step 1\)"):
                 solve_fp(pr)
 
     def test_unbounded_drift_collapses_the_step(self):

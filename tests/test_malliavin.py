@@ -322,6 +322,27 @@ class TestCovariance:
         with pytest.raises(ConditioningError, match="singular to tolerance"):
             covariance_curve(fv, bundle.path(0), model, bundle.realized_flow)
 
+    @pytest.mark.parametrize("name", ["example5-2", "gbm"])
+    def test_snapshot_is_the_curve_entry(self, name):
+        # the snapshot accumulates only up to its time, with the curve's bits
+        inst, bundle, path, fv = _fv(name, steps=60, seed=3)
+        flow = bundle.realized_flow
+        curve = covariance_curve(fv, path, inst.model, flow, lam=0.1)
+        for k in (1, 2, 17, 59, 60):
+            cov = malliavin_covariance(fv, path, inst.model, flow, t_index=k, lam=0.1)
+            assert np.array_equal(cov.Q, curve[k].Q)
+            assert np.array_equal(cov.lambda_min, curve[k].lambda_min)
+            assert np.array_equal(cov.gamma, curve[k].gamma)
+            assert (cov.t, cov.lam, cov.dt) == (curve[k].t, curve[k].lam, curve[k].dt)
+
+    def test_singular_step_after_the_snapshot_still_fails_it(self):
+        model = _kinked_model(-10.0)
+        bundle = _bundle_with_one_kink()
+        kinked = bundle.path(2)
+        fv = simulate_first_variation(model, kinked, bundle.realized_flow)
+        with pytest.raises(ConditioningError, match="path 2 at index 4"):
+            malliavin_covariance(fv, kinked, model, bundle.realized_flow, t_index=2)
+
     def test_lam_is_recorded_not_added(self):
         inst, bundle, path, fv = _fv("example5-2", steps=50, seed=1)
         plain = malliavin_covariance(fv, path, inst.model,
