@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._linalg import sym_eigvals
 from .errors import NumericError
@@ -145,6 +144,9 @@ def check_ellipticity(model: CoefficientModel,
         raise ValueError("region bounds are inverted")
     if s_samples is None:
         s_samples = [np.zeros(model.q)]
+
+    # scipy.stats takes about a second to import; only this function needs it
+    from scipy.stats import qmc
 
     sampler = qmc.Halton(d=1 + model.d, scramble=True, seed=seed)
     unit = sampler.random(n)

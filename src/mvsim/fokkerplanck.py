@@ -349,7 +349,8 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     ConservationError
         if mass drifts from 1 by more than 1e-4 net of boundary flux.
     NumericError
-        if the density stops being finite.
+        if the density stops being finite, or a NaN in the drift or diffusion
+        field makes the stability limit NaN (checked before the step).
     """
     model = problem.model
     axes = problem.axes
@@ -404,6 +405,10 @@ def solve_fp(problem: FPProblem) -> FPSolution:
 
         # summed in one fixed order (diagonal diffusion, cross, drift) so dt keeps its bits
         denom = sum(a_bound + b_bound)
+        if math.isnan(denom):
+            field = "drift" if math.isnan(sum(b_bound)) else "diffusion"
+            raise NumericError(
+                f"non-finite {field} field at t={t:.6g} (step {steps + 1})")
         if denom <= 0:
             dt = target - t
         else:

@@ -8,8 +8,9 @@ returns the report as a dict.  A method failure is recorded in the report and
 does not abort the others.
 
 Everything written is a pure function of the config: no wall-clock content,
-sorted JSON keys, repr-formatted floats.  ``threads`` is accepted and changes
-nothing: the Malliavin paths run as one batch.
+sorted JSON keys, and every CSV value written by the one writer
+``measures.write_csv`` as Python's ``repr``.  ``threads`` is accepted and
+changes nothing: the Malliavin paths run as one batch.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import jsonschema
@@ -28,11 +29,11 @@ from .coefficients import CoefficientModel
 from .errors import ConfigError
 from .fokkerplanck import FPSolution, build_fp_problem, solve_fp
 from .malliavin import bundle_diagnostics
-from .measures import (EmpiricalMeasure, GridAxis, GridDensity, _fmt,
+from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
                        empirical_to_csv, grid_density_to_csv, grid_marginal,
                        grid_radial_moment, empirical_radial_moment, kde_1d,
                        l1_grid_distance, w2_cloud_vs_density_1d,
-                       w2_empirical_1d, w2_sliced)
+                       w2_empirical_1d, w2_sliced, write_csv)
 from .particle import InitialLaw, TimeGrid, simulate_interacting
 from .picard import PicardRun, picard_run
 from .presets import get_preset, preset_defaults, preset_names
@@ -214,14 +215,8 @@ def _publish(path: Path, writer) -> None:
         raise OSError(f"failed writing {path}: {e}") from e
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    def w(p):
-        with open(p, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
-    _publish(path, w)
+def _write_csv(path: Path, header: str, columns) -> None:
+    _publish(path, lambda p: write_csv(p, header, columns))
 
 
 def _tkey(t: float) -> str:
@@ -243,8 +238,8 @@ def emit_plotdata(artifact, outdir, preset: str, method: str) -> list[Path]:
         written.append(dest)
     elif isinstance(artifact, PicardRun):
         dest = out / f"{preset}_{method}_gaps.csv"
-        _write_csv(dest, "iter,gap",
-                   [(i + 2, float(g)) for i, g in enumerate(artifact.gaps)])
+        gaps = np.asarray(artifact.gaps, dtype=float)
+        _write_csv(dest, "iter,gap", [range(2, gaps.size + 2), gaps])
         written.append(dest)
     elif isinstance(artifact, tuple) and len(artifact) == 2 \
             and isinstance(artifact[1], EmpiricalMeasure):
@@ -272,9 +267,10 @@ def _moment_table(times, measures_or_grids) -> dict:
 
 
 def _moments_csv(path: Path, table: dict, times) -> None:
-    rows = [(float(t), table[_tkey(t)]["order1"], table[_tkey(t)]["order2"],
-             table[_tkey(t)]["order4"]) for t in times]
-    _write_csv(path, "t,order1,order2,order4", rows)
+    orders = ("order1", "order2", "order4")
+    _write_csv(path, "t," + ",".join(orders),
+               [np.asarray(times, dtype=float)]
+               + [[table[_tkey(t)][k] for t in times] for k in orders])
 
 
 def _downsample(n: int, cap: int = 4097) -> np.ndarray:
@@ -353,9 +349,7 @@ class _Experiment:
         if self.model.q:
             flow = bundle.realized_flow
             head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
-            _write_csv(d / "statistics.csv", head,
-                       [(float(t),) + tuple(float(v) for v in row)
-                        for t, row in zip(flow.times, flow.stats)])
+            _write_csv(d / "statistics.csv", head, [flow.times, *flow.stats.T])
         return {"status": "ok", "n_particles": cfg.n_particles, "moments": table}
 
     def _write_kde(self, d: Path, t: float, mu: EmpiricalMeasure) -> list[GridDensity]:
@@ -395,14 +389,12 @@ class _Experiment:
         emit_plotdata(sol.snapshots, d, self.preset.name, "fp")
         idx = _downsample(sol.times.size)
         _write_csv(d / "accounting.csv", "t,mass,min_value,boundary_flux",
-                   [(float(sol.times[i]), float(sol.mass_curve[i]),
-                     float(sol.min_value_curve[i]), float(sol.boundary_flux_curve[i]))
-                    for i in idx])
+                   [c[idx] for c in (sol.times, sol.mass_curve, sol.min_value_curve,
+                                     sol.boundary_flux_curve)])
         if self.model.q:
             head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
             _write_csv(d / "statistics.csv", head,
-                       [(float(sol.times[i]),) + tuple(float(v) for v in sol.stat_curve[i])
-                        for i in idx])
+                       [sol.times[idx], *sol.stat_curve[idx].T])
         table = _moment_table(sol.snapshot_times, sol.snapshots)
         _moments_csv(d / "moments.csv", table, sol.snapshot_times)
         defect = np.abs(sol.mass_curve + sol.boundary_flux_curve - 1.0)
@@ -424,10 +416,8 @@ class _Experiment:
         diag = bundle_diagnostics(self.model, bundle, lam, cfg.malliavin_slack)
         d = self._dir("malliavin")
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
-                   [(i, float(lm), float(g), float(b), float(mg), int(h), float(zy))
-                    for i, (lm, g, b, mg, h, zy) in enumerate(zip(
-                        diag["lambda_min"], diag["gamma"], diag["bound"],
-                        diag["margin"], diag["holds"], diag["zy_max"]))])
+                   [range(n_paths), diag["lambda_min"], diag["gamma"], diag["bound"],
+                    diag["margin"], diag["holds"].astype(int), diag["zy_max"]])
         return {"status": "ok", "n_paths": n_paths, "lambda": float(lam),
                 "lambda_degenerate": lam <= 0.0,
                 "min_lambda_min": float(diag["lambda_min"].min()),
@@ -471,9 +461,10 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
     """Run the configured methods, write artifacts, and return the report.
 
     ``config`` is an ExperimentConfig, a raw dict, or a path to a JSON file.
-    Keyword overrides take precedence over the config document; ``threads``
-    is accepted and changes nothing.  A method failure is recorded under
-    ``methods.<name>.status`` and does not stop the remaining methods.
+    Keyword overrides take precedence over the config document and leave an
+    ExperimentConfig passed in unchanged; ``threads`` is accepted and changes
+    nothing.  A method failure is recorded under ``methods.<name>.status``
+    and does not stop the remaining methods.
     """
     if isinstance(config, (str, Path)):
         cfg = ExperimentConfig.from_file(config)
@@ -484,9 +475,9 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
     if seed is not None:
         if not 0 <= seed < 1 << 63:
             raise ConfigError("seed must be in [0, 2**63)", field_path="seed")
-        cfg.seed = int(seed)
+        cfg = replace(cfg, seed=int(seed))
     if as_printed is not None:
-        cfg.as_printed = bool(as_printed)
+        cfg = replace(cfg, as_printed=bool(as_printed))
     out = outdir if outdir is not None else cfg.outdir
     if out is None:
         out = os.environ.get(_ENV_OUTDIR, "mvsim-out")

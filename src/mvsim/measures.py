@@ -5,6 +5,10 @@ Two representations are used throughout: weighted particle clouds
 (``GridDensity``, dimensions 1 and 2).  Distances follow the quadratic
 Wasserstein metric: exact quantile coupling in one dimension, a sliced
 reduction above it, and L1 for same-grid densities.
+
+Every CSV value the package writes goes through one writer, ``write_csv``,
+which formats each column once and writes each value as Python's ``repr``
+of the plain int or float, so the round trip through text is exact.
 """
 
 from __future__ import annotations
@@ -348,36 +352,28 @@ def grid_radial_moment(p: GridDensity, order: float) -> float:
     return float(np.dot((p.node_weights() * p.values).ravel(), r ** order))
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and then line i joining entry i of every column.
+
+    Each column is formatted once, every value as Python's ``repr`` of the
+    plain int or float (``.tolist()`` drops the numpy scalar type), so the
+    bytes depend only on the values.  Boolean columns must be cast to int.
+    """
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def grid_density_to_csv(p: GridDensity, path) -> None:
     """Write ``x,p`` (1D) or ``x,y,p`` (2D, row-major) rows."""
-    lines = []
-    if p.dim == 1:
-        lines.append("x,p")
-        for x, v in zip(p.axes[0].nodes(), p.values):
-            lines.append(f"{_fmt(x)},{_fmt(v)}")
-    else:
-        lines.append("x,y,p")
-        xs = p.axes[0].nodes()
-        ys = p.axes[1].nodes()
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(p.values[i, j])}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("x,p", "x,y,p")[p.dim - 1],
+              [*p.node_coords().T, p.values.ravel()])
 
 
 def empirical_to_csv(mu: EmpiricalMeasure, path) -> None:
     """Write ``w,x1[,x2,...]`` rows."""
-    cols = ",".join(f"x{i + 1}" for i in range(mu.d))
-    lines = [f"w,{cols}"]
-    for w, row in zip(mu.weights, mu.points):
-        lines.append(",".join([_fmt(w)] + [_fmt(v) for v in row]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ",".join(["w"] + [f"x{i + 1}" for i in range(mu.d)]),
+              [mu.weights, *mu.points.T])
 
 
 def grid_density_from_csv(path, time: float = 0.0, mass_tol: float = 1e-6) -> GridDensity:

@@ -1,8 +1,13 @@
 """Coefficient model evaluation, ellipticity probing, Jacobian audits."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mvsim
 from mvsim import (
     CoefficientModel,
     NumericError,
@@ -211,3 +216,13 @@ def test_preset_registry_roundtrip():
     inst = get_preset("ou", {"theta": 2.0})
     x = np.array([[1.0]])
     assert eval_drift(inst.model, 0.0, x, np.zeros(0))[0, 0] == -2.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second; only check_ellipticity imports it
+    src = str(Path(mvsim.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mvsim; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -389,6 +389,24 @@ class TestFailureModes:
         with pytest.raises(NumericError, match=r"non-finite .*\(step 1\)"):
             solve_fp(pr)
 
+    @pytest.mark.parametrize("field", ["drift", "diffusion"])
+    def test_nan_field_at_one_node_is_named(self, field):
+        # the fixed dt would step on; the NaN stability limit stops it first
+        def at_origin(x, other):
+            return np.where(np.abs(x) < 0.04, np.nan, other)
+
+        def b(t, x, s):
+            return at_origin(x, 0.0) if field == "drift" else np.zeros_like(x)
+
+        def sigma(t, x, s):
+            return (at_origin(x, 1.0) if field == "diffusion" else np.ones_like(x))[..., None]
+
+        model = CoefficientModel(d=1, m=1, functionals=(), b=b, sigma=sigma,
+                                 b_static=True, sigma_static=True)
+        pr = build_fp_problem(model, STD_LAW, ((-8.0, 8.0),), (201,), 0.5, dt=1e-4)
+        with pytest.raises(NumericError, match=rf"non-finite {field} field at t=0 \(step 1\)"):
+            solve_fp(pr)
+
     def test_overflow_at_one_node_detected(self):
         axes = (GridAxis(-8.0, 8.0, 201),)
         vals = gaussian_on_grid(STD_LAW, axes).values

@@ -1,5 +1,6 @@
 """Config validation, experiment orchestration, artifact layout, CLI."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -204,6 +205,14 @@ class TestRunExperiment:
         report = run_experiment(cfg, outdir=tmp_path / "a", seed=77)
         assert report["config"]["seed"] == 77
 
+    def test_overrides_leave_the_callers_config_unchanged(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(_base_config(seed=1))
+        before = dataclasses.asdict(cfg)
+        report = run_experiment(cfg, outdir=tmp_path / "a", seed=77, as_printed=True)
+        assert dataclasses.asdict(cfg) == before
+        assert report["config"]["seed"] == 77
+        assert report["config"]["as_printed"] is True
+
     def test_env_var_supplies_outdir(self, tmp_path, monkeypatch):
         dest = tmp_path / "from-env"
         monkeypatch.setenv("MVSIM_OUTDIR", str(dest))
@@ -220,6 +229,37 @@ class TestRunExperiment:
         m1 = plain["methods"]["particles"]["moments"]["t=1"]["order2"]
         m2 = printed["methods"]["particles"]["moments"]["t=1"]["order2"]
         assert m1 != m2
+
+    def test_csv_fields_are_plain_numbers(self, tmp_path):
+        cfg = {"preset": "meanfield-ou",
+               "methods": ["particles", "picard", "fp", "malliavin"],
+               "n_particles": 200, "steps": 20, "seed": 3,
+               "snapshot_times": [0.5, 1.0],
+               "picard": {"tol": 1e-3, "max_iters": 3},
+               "fp": {"nodes": [101]},
+               "malliavin": {"n_paths": 5}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        assert all(m["status"] == "ok" for m in report["methods"].values())
+        base = tmp_path / "meanfield-ou"
+        csvs = sorted(base.rglob("*.csv"))
+        assert len(csvs) > 10
+        for path in csvs:
+            for line in path.read_text().splitlines()[1:]:
+                assert not any(f.startswith("np.") for f in line.split(",")), path
+
+        def is_int(f):
+            return f == str(int(f))
+
+        def is_float(f):
+            return f == repr(float(f))
+
+        kinds = (is_int,) + (is_float,) * 4 + (is_int, is_float)
+        rows = (base / "malliavin" / "paths.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for i, line in enumerate(rows):
+            fields = line.split(",")
+            assert len(fields) == len(kinds) and int(fields[0]) == i
+            assert all(ok(f) for ok, f in zip(kinds, fields)), line
 
     def test_full_tree_bytes_ignore_threads(self, tmp_path):
         cfg = {"preset": "meanfield-ou",

@@ -31,6 +31,7 @@ from mvsim.measures import (
     grid_marginal,
     sliced_directions,
     w2_cloud_vs_density_1d,
+    write_csv,
 )
 
 SIN_KERNEL = StatisticFunctional(
@@ -334,7 +335,56 @@ class TestContainers:
         np.testing.assert_allclose(np.diff(ax.nodes()), 1.0)
 
 
+def _row_csv(header, rows):
+    """Reference serialization, one row at a time: a float cell (numpy
+    floats included) as ``repr(float(v))``, any other cell as ``str(v)``."""
+    return "".join([header + "\n"] + [
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows])
+
+
 class TestSerialization:
+    def test_density_csv_bytes_1d(self, tmp_path):
+        p = _gaussian_grid(GridAxis(-5.0, 5.0, 201))
+        path = tmp_path / "p.csv"
+        grid_density_to_csv(p, path)
+        want = _row_csv("x,p", zip(p.axes[0].nodes(), p.values))
+        assert path.read_bytes() == want.encode()
+
+    def test_density_csv_bytes_2d_non_square(self, tmp_path):
+        # 7 x 5 nodes on different ranges: a swapped axis changes the bytes
+        axes = (GridAxis(-1.5, 2.0, 7), GridAxis(0.25, 3.0, 5))
+        vals = np.random.default_rng(4).random((7, 5))
+        p = GridDensity(axes, vals, mass_tol=math.inf)
+        path = tmp_path / "p2.csv"
+        grid_density_to_csv(p, path)
+        want = _row_csv("x,y,p", [(x, y, vals[i, j])
+                                  for i, x in enumerate(axes[0].nodes())
+                                  for j, y in enumerate(axes[1].nodes())])
+        assert path.read_bytes() == want.encode()
+
+    def test_empirical_csv_bytes_three_columns(self, tmp_path):
+        mu = EmpiricalMeasure.from_samples(np.random.default_rng(5).normal(size=(11, 3)))
+        path = tmp_path / "mu.csv"
+        empirical_to_csv(mu, path)
+        want = _row_csv("w,x1,x2,x3", [(w, *row) for w, row in zip(mu.weights, mu.points)])
+        assert path.read_bytes() == want.encode()
+
+    def test_mixed_table_bytes(self, tmp_path):
+        a = np.array([0.1, -0.0, 1 / 3, 5e-324, 1e300, np.nan, -np.inf])
+        b = np.linspace(-1.0, 1.0, a.size, dtype=np.float32)
+        flag = a > 0.2
+        path = tmp_path / "t.csv"
+        write_csv(path, "i,a,flag,b", [range(a.size), a, flag.astype(int), b])
+        want = _row_csv("i,a,flag,b", [(i, float(x), int(h), float(y))
+                                       for i, (x, h, y) in enumerate(zip(a, flag, b))])
+        assert path.read_bytes() == want.encode()
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_csv(path, "iter,gap", [range(0), np.empty(0)])
+        assert path.read_bytes() == b"iter,gap\n"
+
     def test_density_csv_roundtrip_1d(self, tmp_path):
         p = _gaussian_grid(GridAxis(-5.0, 5.0, 201))
         path = tmp_path / "p.csv"
