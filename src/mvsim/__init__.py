@@ -24,10 +24,12 @@ from .measures import (EmpiricalMeasure, GridAxis, GridDensity, StatisticFlow,
                        l1_grid_distance, silverman_bandwidth, w2_empirical_1d,
                        w2_sliced, w2_to_dirac0)
 from .particle import (InitialLaw, ParticlePath, PathBundle, TimeGrid,
-                       coarsen_increments, euler_paths, generate_brownian,
-                       initial_states, moment_curve, particle_stream,
-                       simulate_frozen_flow, simulate_interacting)
-from .picard import PicardRun, convergence_gap, picard_run, picard_vs_direct
+                       coarsen_increments, draw_noise, euler_paths,
+                       generate_brownian, initial_states, moment_curve,
+                       particle_stream, simulate_frozen_flow,
+                       simulate_interacting)
+from .picard import (PicardRun, convergence_gap, iterate_frozen_flow, picard_run,
+                     picard_vs_direct)
 from .presets import PresetInstance, get_preset, preset_defaults, preset_names
 
 __version__ = "0.1.0"
@@ -42,9 +44,10 @@ __all__ = [
     "empirical_statistics", "grid_statistics", "kde_1d", "silverman_bandwidth",
     "l1_grid_distance", "w2_empirical_1d", "w2_sliced", "w2_to_dirac0",
     "InitialLaw", "TimeGrid", "ParticlePath", "PathBundle", "particle_stream",
-    "generate_brownian", "coarsen_increments", "initial_states", "euler_paths",
-    "simulate_interacting", "simulate_frozen_flow", "moment_curve",
-    "PicardRun", "convergence_gap", "picard_run", "picard_vs_direct",
+    "generate_brownian", "coarsen_increments", "initial_states", "draw_noise",
+    "euler_paths", "simulate_interacting", "simulate_frozen_flow", "moment_curve",
+    "PicardRun", "convergence_gap", "picard_run", "iterate_frozen_flow",
+    "picard_vs_direct",
     "FirstVariationPath", "MalliavinCovariance", "EllipticityBoundReport",
     "simulate_first_variation", "zy_residual", "malliavin_derivative",
     "malliavin_covariance", "covariance_curve", "ellipticity_bound_check",

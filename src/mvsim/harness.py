@@ -7,23 +7,22 @@ under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them, and
 returns the report as a dict.  A method failure is recorded in the report and
 does not abort the others.
 
-Everything written is a pure function of the config: no wall-clock content,
-sorted JSON keys, and every CSV value written by the one writer
-``measures.write_csv`` as Python's ``repr``.  ``threads`` is accepted and
-changes nothing: the Malliavin paths run as one batch.
+Everything written is a pure function of the config: no wall-clock content
+or host data, sorted JSON keys, and every CSV value written by the one writer
+``measures.write_csv`` as Python's ``repr``.  The particle and Picard methods
+run on one draw of the initial cloud and Brownian increments.  ``threads`` is
+accepted and changes nothing: the Malliavin paths run as one batch.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import jsonschema
 import numpy as np
-import scipy
 
 from .coefficients import CoefficientModel
 from .errors import ConfigError
@@ -34,8 +33,9 @@ from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
                        grid_radial_moment, empirical_radial_moment, kde_1d,
                        l1_grid_distance, w2_cloud_vs_density_1d,
                        w2_empirical_1d, w2_sliced, write_csv)
-from .particle import InitialLaw, TimeGrid, simulate_interacting
-from .picard import PicardRun, picard_run
+from .particle import (InitialLaw, TimeGrid, draw_noise, euler_paths,
+                       simulate_interacting)
+from .picard import PicardRun, iterate_frozen_flow
 from .presets import get_preset, preset_defaults, preset_names
 
 _METHODS = ("particles", "picard", "fp", "malliavin")
@@ -289,6 +289,10 @@ class _Experiment:
 
     def __init__(self, cfg: ExperimentConfig, outdir: Path):
         self.cfg = cfg
+        unknown = [k for k in cfg.overrides if k not in preset_defaults(cfg.preset)]
+        if unknown:
+            raise ConfigError(f"preset {cfg.preset!r} has no parameter {unknown[0]!r}",
+                              field_path=f"overrides.{unknown[0]}")
         preset = get_preset(cfg.preset, cfg.overrides)
         self.preset = preset
         self.model: CoefficientModel = preset.model
@@ -316,25 +320,41 @@ class _Experiment:
         if len(self.fp_domain) != self.model.d or len(self.fp_nodes) != self.model.d:
             raise ConfigError("fp domain/nodes dimension does not match the preset",
                               field_path="fp")
-        self.axes = tuple(GridAxis(float(lo), float(hi), int(n))
-                          for (lo, hi), n in zip(self.fp_domain, self.fp_nodes))
+        try:
+            self.axes = tuple(GridAxis(float(lo), float(hi), int(n))
+                              for (lo, hi), n in zip(self.fp_domain, self.fp_nodes))
+        except ValueError as e:
+            raise ConfigError(str(e), field_path="fp.domain") from None
         self.base = outdir / preset.name
         self.clouds: dict[float, EmpiricalMeasure] = {}
         self.kdes: dict[float, list[GridDensity]] = {}
         self.picard: PicardRun | None = None
         self.fp: FPSolution | None = None
+        self.noise_users = [m for m in ("particles", "picard") if m in cfg.methods]
+        self.noise: tuple[np.ndarray, np.ndarray] | None = None
 
     def _dir(self, method: str) -> Path:
         d = self.base / method
         d.mkdir(parents=True, exist_ok=True)
         return d
 
+    def _take_noise(self, method: str) -> tuple[np.ndarray, np.ndarray]:
+        """The one ``(x0, increments)`` draw of the particle and Picard methods,
+        made on first use and released to the last of them that is configured."""
+        if self.noise is None:
+            self.noise = draw_noise(self.model, self.law, self.grid,
+                                    self.cfg.n_particles, self.cfg.seed)
+        noise = self.noise
+        if method == self.noise_users[-1]:
+            self.noise = None
+        return noise
+
     # method runners: each returns a report fragment
 
     def run_particles(self) -> dict:
         cfg = self.cfg
-        bundle = simulate_interacting(self.model, self.law, self.grid,
-                                      cfg.n_particles, cfg.seed)
+        x0, dw = self._take_noise("particles")
+        bundle = euler_paths(self.model, x0, self.grid, dw)
         d = self._dir("particles")
         for t in self.snapshot_times:
             mu = bundle.snapshot(self.grid.index_of(t))
@@ -363,11 +383,12 @@ class _Experiment:
 
     def run_picard(self) -> dict:
         cfg = self.cfg
-        self.picard = picard_run(self.model, self.law, self.grid, cfg.n_particles,
-                                 cfg.seed, tol=cfg.picard_tol,
-                                 max_iters=cfg.picard_max_iters,
-                                 checkpoints=self.snapshot_times,
-                                 n_slices=cfg.picard_n_slices)
+        x0, dw = self._take_noise("picard")
+        self.picard = iterate_frozen_flow(self.model, x0, dw, self.grid,
+                                          tol=cfg.picard_tol,
+                                          max_iters=cfg.picard_max_iters,
+                                          checkpoints=self.snapshot_times,
+                                          n_slices=cfg.picard_n_slices)
         d = self._dir("picard")
         emit_plotdata(self.picard, d, self.preset.name, "picard")
         for t, mu in zip(self.picard.checkpoint_times, self.picard.final_clouds):
@@ -510,8 +531,6 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
         "preset": {"name": exp.preset.name, "summary": exp.preset.summary,
                    "params": {k: exp.preset.params[k]
                               for k in sorted(exp.preset.params)}},
-        "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__, "scipy": scipy.__version__},
         "snapshot_times": [float(t) for t in exp.snapshot_times],
         "methods": methods,
         "comparisons": exp.comparisons(),

@@ -130,6 +130,18 @@ def initial_states(law: InitialLaw, n: int, seed: int) -> np.ndarray:
     return law.mean + z @ chol.T
 
 
+def draw_noise(model, law: InitialLaw, grid: TimeGrid, n: int,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The noise of one run: initial cloud (n, d) and increments (steps, n, m).
+
+    Every route that simulates ``n`` particles under ``seed`` starts from this
+    draw, so routes run on the same draw see common random numbers.
+    """
+    if law.d != model.d:
+        raise ValueError(f"initial law dimension {law.d}, model expects {model.d}")
+    return initial_states(law, n, seed), generate_brownian(seed, n, model.m, grid)
+
+
 @dataclass
 class ParticlePath:
     """One trajectory with its own increments, extracted from a bundle."""
@@ -220,20 +232,14 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
 def simulate_interacting(model, law: InitialLaw, grid: TimeGrid,
                          n: int, seed: int) -> PathBundle:
     """Interacting particle system: statistics read off the live cloud."""
-    if law.d != model.d:
-        raise ValueError(f"initial law dimension {law.d}, model expects {model.d}")
-    x0 = initial_states(law, n, seed)
-    dw = generate_brownian(seed, n, model.m, grid)
-    return euler_paths(model, x0, grid, dw, flow=None, seed=seed)
+    return simulate_frozen_flow(model, law, grid, n, seed, flow=None)
 
 
 def simulate_frozen_flow(model, law: InitialLaw, grid: TimeGrid, n: int,
-                         seed: int, flow: StatisticFlow) -> PathBundle:
-    """Particle system against a prescribed statistic flow (no interaction)."""
-    if law.d != model.d:
-        raise ValueError(f"initial law dimension {law.d}, model expects {model.d}")
-    x0 = initial_states(law, n, seed)
-    dw = generate_brownian(seed, n, model.m, grid)
+                         seed: int, flow: StatisticFlow | None) -> PathBundle:
+    """Particle system against a prescribed statistic flow (no interaction);
+    ``flow=None`` is the interacting system."""
+    x0, dw = draw_noise(model, law, grid, n, seed)
     return euler_paths(model, x0, grid, dw, flow=flow, seed=seed)
 
 

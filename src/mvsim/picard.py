@@ -5,6 +5,10 @@ by iteration n-1, starting from the flow of the initial cloud held constant in
 time.  All iterations share one initial cloud and one set of Brownian
 increments (common random numbers), so successive iterates differ only through
 the frozen flow and the gap between them is a clean contraction signal.
+
+That noise is one ``particle.draw_noise`` call, made by ``picard_run`` before
+``iterate_frozen_flow``; ``picard_vs_direct`` and the harness run the
+iteration and the interacting system on one such draw.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure, StatisticFlow, empirical_statistics, \
     w2_empirical_1d, w2_sliced
-from .particle import InitialLaw, TimeGrid, euler_paths, generate_brownian, \
-    initial_states, simulate_interacting
+from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 
 
 @dataclass
@@ -67,9 +70,20 @@ def convergence_gap(a: list[EmpiricalMeasure], b: list[EmpiricalMeasure],
 def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
                tol: float, max_iters: int,
                checkpoints: tuple[float, ...], n_slices: int = 64) -> PicardRun:
+    """Draw the noise of ``n`` particles under ``seed``, then iterate on it."""
+    x0, dw = draw_noise(model, law, grid, n, seed)
+    return iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints,
+                               n_slices=n_slices)
+
+
+def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
+                        grid: TimeGrid, tol: float, max_iters: int,
+                        checkpoints: tuple[float, ...],
+                        n_slices: int = 64) -> PicardRun:
     """Iterate frozen-flow solves until the checkpoint W2 gap drops below tol.
 
-    Stops after the first pair of consecutive solves whose gap is <= ``tol``
+    Every solve starts from ``x0`` and is driven by ``increments``.  Stops
+    after the first pair of consecutive solves whose gap is <= ``tol``
     (``converged=True``) or after ``max_iters`` solves (``converged=False``).
     Above 1D the gap is sliced W2 over ``n_slices`` directions.
     """
@@ -81,8 +95,6 @@ def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
         raise ValueError("need at least one checkpoint time")
     ck_idx = [grid.index_of(t) for t in checkpoints]
 
-    x0 = initial_states(law, n, seed)
-    dw = generate_brownian(seed, n, model.m, grid)
     times = grid.times()
     s0 = empirical_statistics(EmpiricalMeasure.from_samples(x0), model.functionals)
     initial_flow = StatisticFlow(times, np.tile(s0, (grid.steps + 1, 1)))
@@ -96,7 +108,7 @@ def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
     prev_clouds: list[EmpiricalMeasure] | None = None
     for _ in range(max_iters):
         t0 = time.perf_counter()
-        bundle = euler_paths(model, x0, grid, dw, flow=frozen, seed=seed)
+        bundle = euler_paths(model, x0, grid, increments, flow=frozen)
         walls.append(time.perf_counter() - t0)
         clouds = [bundle.snapshot(k) for k in ck_idx]
         flows.append(bundle.realized_flow)
@@ -120,13 +132,14 @@ def picard_vs_direct(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
                      tol: float, max_iters: int,
                      checkpoints: tuple[float, ...], n_slices: int = 64) -> float:
     """Sup-over-checkpoints W2 between the converged iterate and the
-    interacting system run with the same seed (hence the same noise).
+    interacting system, both run on one draw of the noise.
 
     Above 1D every gap, the iteration's and this one, is sliced W2 over
     ``n_slices`` directions.
     """
-    run = picard_run(model, law, grid, n, seed, tol, max_iters, checkpoints,
-                     n_slices=n_slices)
-    direct = simulate_interacting(model, law, grid, n, seed)
+    x0, dw = draw_noise(model, law, grid, n, seed)
+    run = iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints,
+                              n_slices=n_slices)
+    direct = euler_paths(model, x0, grid, dw, flow=None)
     direct_clouds = [direct.snapshot(grid.index_of(t)) for t in checkpoints]
     return convergence_gap(run.final_clouds, direct_clouds, n_slices=n_slices)

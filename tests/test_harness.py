@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,50 @@ class TestRunExperiment:
             assert len(fields) == len(kinds) and int(fields[0]) == i
             assert all(ok(f) for ok, f in zip(kinds, fields)), line
 
+    def test_report_holds_no_host_data(self, tmp_path):
+        report = run_experiment(_base_config(), outdir=tmp_path)
+        assert set(report) == {"config", "preset", "snapshot_times", "methods",
+                               "comparisons"}
+
+        def strings(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from strings(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from strings(v)
+            elif isinstance(node, str):
+                yield node
+
+        on_disk = json.loads((tmp_path / "bm" / "report.json").read_text())
+        assert on_disk == report
+        host = {platform.python_version(), np.__version__, "environment"}
+        assert not host & set(strings(on_disk))
+
+    def test_unknown_override_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="no parameter 'nope'") as ei:
+            run_experiment(_base_config(overrides={"nope": 1.0}), outdir=tmp_path)
+        assert ei.value.field_path == "overrides.nope"
+
+    def test_inverted_fp_domain_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="inverted") as ei:
+            run_experiment(_base_config(fp={"domain": [[2.0, -2.0]]}), outdir=tmp_path)
+        assert ei.value.field_path == "fp.domain"
+
+    def test_particles_and_picard_draw_their_noise_once(self, tmp_path, brownian_calls):
+        cfg = {"preset": "meanfield-ou", "n_particles": 300, "steps": 20,
+               "seed": 4, "snapshot_times": [0.5, 1.0],
+               "picard": {"tol": 1e-3, "max_iters": 4}}
+        run_experiment(dict(cfg, methods=["particles", "picard"]),
+                       outdir=tmp_path / "both")
+        assert len(brownian_calls) == 1
+        for method in ("particles", "picard"):
+            run_experiment(dict(cfg, methods=[method]), outdir=tmp_path / method)
+            sub = Path("meanfield-ou") / method
+            alone = _tree_digest(tmp_path / method / sub)
+            assert alone and alone == _tree_digest(tmp_path / "both" / sub)
+
     def test_full_tree_bytes_ignore_threads(self, tmp_path):
         cfg = {"preset": "meanfield-ou",
                "methods": ["particles", "picard", "fp", "malliavin"],
@@ -292,6 +337,15 @@ class TestCli:
         p.write_text(json.dumps(_base_config(preset="nope")))
         assert cli_main(["run", str(p)]) == 2
         assert "unknown preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mistake", [{"overrides": {"nope": 1.0}},
+                                         {"fp": {"domain": [[2.0, -2.0]]}}])
+    def test_config_mistake_found_while_resolving_is_usage_error(
+            self, tmp_path, capsys, mistake):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(**mistake)))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_run_success(self, tmp_path, capsys):
         p = tmp_path / "c.json"

@@ -187,3 +187,20 @@ class TestPicardVsDirect:
         assert d == convergence_gap(run.final_clouds, [direct.snapshot(10)],
                                     n_slices=4)
         assert d != picard_vs_direct(inst.model, inst.law, grid, **kw)
+
+    @pytest.mark.parametrize("preset, grid, n_slices", [
+        ("example5-1", TimeGrid(1.0, 20), 64),
+        ("example5-2", TimeGrid(1.0, 10), 4),
+    ])
+    def test_draws_once_and_matches_the_two_routes(self, brownian_calls, preset,
+                                                   grid, n_slices):
+        # the iterate and the interacting system run on one draw of the
+        # noise, the same draw each makes on its own under this seed
+        inst = get_preset(preset)
+        kw = dict(n=300, seed=6, tol=1e-12, max_iters=3, checkpoints=(0.5, 1.0))
+        d = picard_vs_direct(inst.model, inst.law, grid, n_slices=n_slices, **kw)
+        assert len(brownian_calls) == 1
+        run = picard_run(inst.model, inst.law, grid, n_slices=n_slices, **kw)
+        direct = simulate_interacting(inst.model, inst.law, grid, 300, 6)
+        clouds = [direct.snapshot(grid.index_of(t)) for t in (0.5, 1.0)]
+        assert d == convergence_gap(run.final_clouds, clouds, n_slices=n_slices)
