@@ -7,24 +7,43 @@ The density equation is always derived from the SDE coefficients,
 with the statistic vector s recomputed from the evolving density each step, so
 the nonlocal coupling is carried through the drift/diffusion fields.
 
-Scheme: explicit Euler in time, stepped by one loop for 1D and 2D alike.  The
-density p lives inside a frame of ghost nodes that stays zero, the Dirichlet
-boundary outside the box, and the operator is a stencil on that frame: each
-offset (the node itself, -1 and +1 along each axis and, in 2D, the four
-corners of the mixed term) has an array of coefficients, and a step adds up
-each array times p shifted by its offset.  The coefficients are those of a
-conservative flux on the n+1 cell faces of each axis, upwinded by the sign of
-the face velocity (the mean drift of the two nodes beside the face; a boundary
-face uses the drift of its one node), and its difference; of the centered
-second difference of A_kk p; and in 2D of the centered mixed differences of
-A_12 p.  The drift part and the diffusion part are assembled in place when
-their field is computed: once per solve for a field the model declares static
-(``b_static``, ``sigma_static``), every step otherwise.  Every operator
-telescopes over the grid, so the mass lost per step is g . p for a weight
-array g on the nodes next to the frame (the flux through the boundary faces
-plus the frame terms of the differences); that is tracked as cumulative
-boundary flux, and mass plus flux staying at 1 is a live consistency check of
-the implementation.
+Scheme: Runge-Kutta-Legendre super-steps (RKL1; Meyer, Balsara & Aslam
+2014, J. Comput. Phys. 257:594-626), stepped by one loop for 1D and 2D alike.
+The density p lives inside a frame of ghost nodes that stays zero, the
+Dirichlet boundary outside the box, and the operator L is a stencil on that
+frame: each offset (the node itself, -1 and +1 along each axis and, in 2D,
+the four corners of the mixed term) has an array of coefficients, and an
+application adds up each array times p shifted by its offset.  The
+coefficients are those of a conservative flux on the n+1 cell faces of each
+axis, upwinded by the sign of the face velocity (the mean drift of the two
+nodes beside the face; a boundary face uses the drift of its one node), and
+its difference; of the centered second difference of A_kk p; and in 2D of the
+centered mixed differences of A_12 p.  The drift part and the diffusion part
+are assembled in place when their field is computed: once per solve for a
+field the model declares static (``b_static``, ``sigma_static``), once per
+step otherwise, so a nonlocal field and its statistic are read at the start
+of each step.
+
+A step of length tau runs s stages, Y_0 = p and
+
+    Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mut_j tau L Y_{j-1},
+    mu_j = (2j-1)/j,  nu_j = (1-j)/j,  mut_j = 2(2j-1)/(j(s^2+s)),
+
+each stage one application of the stencil; Y_s is the new density.  It is
+stable for tau up to (s^2+s)/2 times the Euler limit 1/(sum of the CFL terms),
+and s = 1 is the explicit Euler step.  ``stages`` fixes s, or under ``"auto"``
+a step is stretched only where the diffusion terms exceed the drift terms by
+the factor ``_STRETCH_RATIO``: tau is then 0.9 times the smaller of 1 over the
+drift terms and the limit of ``_MAX_STAGES`` stages (or the time to the next
+event, if sooner), and s the fewest stages whose limit covers tau.  Elsewhere
+s = 1 and dt is the Euler step, bit for bit.
+
+Every operator telescopes over the grid, so the mass L takes out of the box is
+g . p for a weight array g on the nodes next to the frame (the flux through
+the boundary faces plus the frame terms of the differences).  The cumulative
+boundary flux follows the stage recurrence, and mass plus flux staying at 1 is
+a live consistency check of the implementation.  Every stage is checked
+against the positivity floor.
 """
 
 from __future__ import annotations
@@ -46,6 +65,12 @@ _POSITIVITY_FLOOR = -1e-3
 _CONSERVATION_TOL = 1e-4
 _SNAPSHOT_MASS_TOL = 1e-2
 _MAX_STEPS = 50_000_000
+# under ``stages="auto"`` a step is stretched only where the diffusion terms of
+# the CFL sum exceed the drift terms by this factor, and to at most this many
+# stages: (s^2+s)/2 = 136 Euler limits, so that the first-order time error of
+# a stretched step shrinks like h^2, as the space error of the diffusion does
+_STRETCH_RATIO = 10.0
+_MAX_STAGES = 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +79,9 @@ class FPProblem:
 
     ``dt`` is either the string ``"auto"`` (step size from the stability
     bound each step, with a 0.9 safety factor) or a fixed positive float that
-    is checked against the bound before every step.
+    is checked against the bound before every step.  ``stages`` is the number
+    of RKL1 stages per step (1 is explicit Euler), or ``"auto"`` to stretch
+    diffusion-limited steps (see the module docstring).
     """
 
     model: CoefficientModel
@@ -63,6 +90,7 @@ class FPProblem:
     horizon: float
     dt: float | str = "auto"
     snapshot_times: tuple[float, ...] = ()
+    stages: int | str = 1
 
     def __post_init__(self):
         if len(self.axes) not in (1, 2):
@@ -79,6 +107,10 @@ class FPProblem:
                 raise ValueError(f"dt policy must be 'auto' or a float, got {self.dt!r}")
         elif not self.dt > 0:
             raise ValueError(f"fixed dt must be positive, got {self.dt}")
+        if self.stages != "auto" and (isinstance(self.stages, bool)
+                                      or not isinstance(self.stages, int)
+                                      or self.stages < 1):
+            raise ValueError(f"stages must be 'auto' or an integer >= 1, got {self.stages!r}")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.horizon + 1e-12:
                 raise ValueError(f"snapshot time {t} outside [0, {self.horizon}]")
@@ -86,7 +118,11 @@ class FPProblem:
 
 @dataclass
 class FPSolution:
-    """Solver output: snapshots plus per-step accounting curves."""
+    """Solver output: snapshots plus per-step accounting curves.
+
+    ``n_steps`` counts steps (super-steps when stretched) and
+    ``n_applications`` the stencil applications, one per stage.
+    """
 
     snapshots: list[GridDensity]
     snapshot_times: tuple[float, ...]
@@ -96,6 +132,7 @@ class FPSolution:
     boundary_flux_curve: np.ndarray
     stat_curve: np.ndarray
     n_steps: int
+    n_applications: int
 
 
 def gaussian_on_grid(law: InitialLaw, axes: tuple[GridAxis, ...]) -> GridDensity:
@@ -137,7 +174,7 @@ def build_fp_problem(model: CoefficientModel, law: InitialLaw,
                      domain: tuple[tuple[float, float], ...],
                      nodes: tuple[int, ...], horizon: float,
                      snapshot_times: tuple[float, ...] = (),
-                     dt: float | str = "auto") -> FPProblem:
+                     dt: float | str = "auto", stages: int | str = 1) -> FPProblem:
     """Convenience constructor: box + node counts + Gaussian initial law."""
     if len(domain) != len(nodes):
         raise ValueError("domain and nodes describe different dimensions")
@@ -147,7 +184,8 @@ def build_fp_problem(model: CoefficientModel, law: InitialLaw,
     if not snapshot_times:
         snapshot_times = (float(horizon),)
     return FPProblem(model=model, axes=axes, p0=p0, horizon=float(horizon),
-                     dt=dt, snapshot_times=tuple(sorted(set(float(t) for t in snapshot_times))))
+                     dt=dt, snapshot_times=tuple(sorted(set(float(t) for t in snapshot_times))),
+                     stages=stages)
 
 
 def _drift(model: CoefficientModel, t: float, coords: np.ndarray,
@@ -336,6 +374,25 @@ class _Stencil:
         return float(self.g_edge @ self.frame.take(self.edge_P))
 
 
+def _span(s: int) -> float:
+    """How many Euler limits an RKL1 step of s stages is stable for."""
+    return (s * s + s) / 2
+
+
+def _rkl1_stages(tau: float, limit: float) -> int:
+    """The fewest RKL1 stages whose stability limit covers a step of tau."""
+    s = max(1, math.ceil((math.sqrt(1.0 + 8.0 * tau / limit) - 1.0) / 2.0))
+    while _span(s) * limit < tau:
+        s += 1
+    return s
+
+
+def _check_floor(pmin: float, t: float, step: int, stage: int, n_stages: int) -> None:
+    if pmin < _POSITIVITY_FLOOR:
+        raise PositivityError(f"density undershot to {pmin:.3e} at t={t:.6g} "
+                              f"(step {step}, stage {stage} of {n_stages})")
+
+
 def solve_fp(problem: FPProblem) -> FPSolution:
     """March the density to the horizon, recording snapshots and accounting.
 
@@ -345,7 +402,8 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         if a fixed dt exceeds the stability limit (checked before stepping),
         or the automatic step size collapses.
     PositivityError
-        if the density undershoots below -1e-3 (values are never clamped).
+        if any stage of a step undershoots below -1e-3 (values are never
+        clamped); the message names the step and the stage.
     ConservationError
         if mass drifts from 1 by more than 1e-4 net of boundary flux.
     NumericError
@@ -361,6 +419,8 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     coords = problem.p0.node_coords()
     phi_rows = _statistic_rows(model, problem.p0)
     fixed_dt = None if problem.dt == "auto" else float(problem.dt)
+    auto_stages = problem.stages == "auto"
+    fixed_stages = 1 if auto_stages else problem.stages
 
     # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
     # boundary outside the box
@@ -368,6 +428,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     p = P[(slice(1, -1),) * d]
     p[...] = problem.p0.values
     upd = np.empty(shape)
+    prev = np.empty(shape)  # the stage before last, Y_{j-2}
     op = _Stencil(P, hs)
 
     events = _plan_events(problem)
@@ -389,6 +450,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     flux_cum = 0.0
     ev_i = 0
     steps = 0
+    applications = 0
     b = a = None
     while ev_i < len(events):
         target = events[ev_i]
@@ -409,39 +471,70 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             field = "drift" if math.isnan(sum(b_bound)) else "diffusion"
             raise NumericError(
                 f"non-finite {field} field at t={t:.6g} (step {steps + 1})")
+        stretch = False
         if denom <= 0:
             dt = target - t
         else:
             limit = 1.0 / denom
+            bound = limit * _span(fixed_stages)
+            if auto_stages:
+                drift = sum(b_bound)
+                stretch = sum(a_bound) > _STRETCH_RATIO * drift
+            if stretch:
+                bound = limit * _span(_MAX_STAGES)
+                if drift > 0:
+                    # the drift terms bound a stretched step as they bound an Euler step
+                    bound = min(bound, 1.0 / drift)
             if fixed_dt is not None:
-                if fixed_dt > limit * (1 + 1e-12):
+                if fixed_dt > bound * (1 + 1e-12):
                     raise StabilityError(
-                        f"fixed dt {fixed_dt} exceeds stability limit {limit:.3e} at t={t:.6g}")
+                        f"fixed dt {fixed_dt} exceeds stability limit {bound:.3e} at t={t:.6g}")
                 dt = fixed_dt
             else:
-                dt = 0.9 * limit
+                dt = 0.9 * bound
         if dt <= 1e-15:
             raise StabilityError(f"step size collapsed to {dt} at t={t:.6g}")
         hit = False
         if t + dt >= target - 1e-15:
             dt = target - t
             hit = True
-
-        op.apply(upd)
-        flux_cum += dt * op.outflux()
-        upd *= dt
-        p += upd
+        n_stages = _rkl1_stages(dt, limit) if stretch else fixed_stages
         t = target if hit else t + dt
         steps += 1
+
+        # RKL1 stages, mut_j dt = (2j-1)/j * dt/span; one stage is the Euler
+        # step p += dt L p
+        w = dt / _span(n_stages)
+        for j in range(1, n_stages + 1):
+            mu = (2 * j - 1) / j
+            op.apply(upd)
+            stage_dt = w * mu
+            stage_flux = stage_dt * op.outflux()
+            upd *= stage_dt
+            if j == 1:
+                if n_stages > 1:
+                    np.copyto(prev, p)
+                    flux_prev = flux_cum
+                flux_cum += stage_flux
+                p += upd
+            else:
+                nu = (1 - j) / j
+                flux_cum, flux_prev = mu * flux_cum + nu * flux_prev + stage_flux, flux_cum
+                prev *= nu
+                upd += prev
+                np.copyto(prev, p)
+                p *= mu
+                p += upd
+            if j < n_stages:
+                _check_floor(float(p.min()), t, steps, j, n_stages)
+        applications += n_stages
 
         # any non-finite node makes the sum non-finite, so only then scan
         mass = float(p.sum() * cell)
         if not math.isfinite(mass) and not np.all(np.isfinite(p)):
             raise NumericError(f"density became non-finite at t={t:.6g} (step {steps})")
         pmin = float(p.min())
-        if pmin < _POSITIVITY_FLOOR:
-            raise PositivityError(
-                f"density undershot to {pmin:.3e} at t={t:.6g} (step {steps})")
+        _check_floor(pmin, t, steps, n_stages, n_stages)
         if abs(mass + flux_cum - 1.0) > _CONSERVATION_TOL:
             raise ConservationError(
                 f"mass {mass:.8f} plus boundary flux {flux_cum:.8f} drifted from 1 "
@@ -465,7 +558,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
                       times=times, mass_curve=mass_curve, min_value_curve=min_curve,
                       boundary_flux_curve=flux_curve,
                       stat_curve=np.array(stats).reshape(steps + 1, model.q),
-                      n_steps=steps)
+                      n_steps=steps, n_applications=applications)
 
 
 def fp_statistics_curve(solution: FPSolution, functionals) -> np.ndarray:

@@ -10,8 +10,10 @@ does not abort the others.
 Everything written is a pure function of the config: no wall-clock content
 or host data, sorted JSON keys, and every CSV value written by the one writer
 ``measures.write_csv`` as Python's ``repr``.  The particle and Picard methods
-run on one draw of the initial cloud and Brownian increments.  ``threads`` is
-accepted and changes nothing: the Malliavin paths run as one batch.
+run on one draw of the initial cloud and Brownian increments, and the
+Malliavin paths on its first ``n_paths`` particles when there are no more
+paths than particles.  ``threads`` is accepted and changes nothing: the
+Malliavin paths run as one batch.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
                        grid_radial_moment, empirical_radial_moment, kde_1d,
                        l1_grid_distance, w2_cloud_vs_density_1d,
                        w2_empirical_1d, w2_sliced, write_csv)
-from .particle import (InitialLaw, TimeGrid, draw_noise, euler_paths,
-                       simulate_interacting)
+from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 from .picard import PicardRun, iterate_frozen_flow
 from .presets import get_preset, preset_defaults, preset_names
 
@@ -89,6 +90,8 @@ _CONFIG_SCHEMA = {
                 },
                 "dt": {"anyOf": [{"const": "auto"},
                                  {"type": "number", "exclusiveMinimum": 0}]},
+                "stages": {"anyOf": [{"const": "auto"},
+                                     {"type": "integer", "minimum": 1}]},
             },
         },
         "malliavin": {
@@ -140,6 +143,7 @@ class ExperimentConfig:
     fp_domain: tuple[tuple[float, float], ...] | None = None
     fp_nodes: tuple[int, ...] | None = None
     fp_dt: float | str = "auto"
+    fp_stages: int | str = "auto"
     malliavin_paths: int = 100
     malliavin_lambda: float | None = None
     malliavin_slack: float = 10.0
@@ -169,6 +173,7 @@ class ExperimentConfig:
             fp_domain=tuple(tuple(b) for b in fp["domain"]) if "domain" in fp else None,
             fp_nodes=tuple(fp["nodes"]) if "nodes" in fp else None,
             fp_dt=fp.get("dt", "auto"),
+            fp_stages=_stages(fp.get("stages", "auto")),
             malliavin_paths=mal.get("n_paths", 100),
             malliavin_lambda=mal.get("lambda"),
             malliavin_slack=mal.get("slack_factor", 10.0),
@@ -188,6 +193,11 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object", field_path=str(path))
         return cls.from_dict(data)
+
+
+def _stages(value) -> int | str:
+    # the schema's integer admits 2.0; the solver takes a Python int
+    return value if value == "auto" else int(value)
 
 
 def list_presets() -> list[dict]:
@@ -332,6 +342,7 @@ class _Experiment:
         self.fp: FPSolution | None = None
         self.noise_users = [m for m in ("particles", "picard") if m in cfg.methods]
         self.noise: tuple[np.ndarray, np.ndarray] | None = None
+        self.path_noise: tuple[np.ndarray, np.ndarray] | None = None
 
     def _dir(self, method: str) -> Path:
         d = self.base / method
@@ -340,13 +351,22 @@ class _Experiment:
 
     def _take_noise(self, method: str) -> tuple[np.ndarray, np.ndarray]:
         """The one ``(x0, increments)`` draw of the particle and Picard methods,
-        made on first use and released to the last of them that is configured."""
+        made on first use and released to the last of them that is configured.
+
+        The Malliavin paths keep a copy of its first ``n_paths`` particles: the
+        streams are per particle and the initial cloud is one row-major stream,
+        so that prefix is the draw of ``n_paths`` particles, byte for byte.
+        """
         if self.noise is None:
             self.noise = draw_noise(self.model, self.law, self.grid,
                                     self.cfg.n_particles, self.cfg.seed)
         noise = self.noise
         if method == self.noise_users[-1]:
             self.noise = None
+            n = self.cfg.malliavin_paths
+            if "malliavin" in self.cfg.methods and n <= self.cfg.n_particles:
+                x0, dw = noise
+                self.path_noise = (x0[:n].copy(), dw[:, :n].copy())
         return noise
 
     # method runners: each returns a report fragment
@@ -403,7 +423,7 @@ class _Experiment:
         problem = build_fp_problem(self.model, self.law, self.fp_domain,
                                    self.fp_nodes, self.grid.horizon,
                                    snapshot_times=self.snapshot_times,
-                                   dt=self.cfg.fp_dt)
+                                   dt=self.cfg.fp_dt, stages=self.cfg.fp_stages)
         self.fp = solve_fp(problem)
         sol = self.fp
         d = self._dir("fp")
@@ -420,6 +440,7 @@ class _Experiment:
         _moments_csv(d / "moments.csv", table, sol.snapshot_times)
         defect = np.abs(sol.mass_curve + sol.boundary_flux_curve - 1.0)
         return {"status": "ok", "n_steps": sol.n_steps,
+                "operator_applications": sol.n_applications,
                 "final_mass": float(sol.mass_curve[-1]),
                 "final_boundary_flux": float(sol.boundary_flux_curve[-1]),
                 "max_conservation_defect": float(defect.max()),
@@ -432,8 +453,10 @@ class _Experiment:
         if lam is None:
             lam = self.preset.ellipticity_lambda or 0.0
         n_paths = cfg.malliavin_paths
-        bundle = simulate_interacting(self.model, self.law, self.grid,
-                                      n_paths, cfg.seed)
+        x0, dw = self.path_noise or draw_noise(self.model, self.law, self.grid,
+                                               n_paths, cfg.seed)
+        self.path_noise = None
+        bundle = euler_paths(self.model, x0, self.grid, dw, seed=cfg.seed)
         diag = bundle_diagnostics(self.model, bundle, lam, cfg.malliavin_slack)
         d = self._dir("malliavin")
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",

@@ -452,3 +452,126 @@ def test_statistics_curve_shape_and_parity():
     stats = fp_statistics_curve(sol, inst.model.functionals)
     assert stats.shape == (3, 1)
     assert abs(stats[0, 0]) < 1e-12
+
+
+def _curves_equal(one, two):
+    assert one.n_steps == two.n_steps
+    assert one.n_applications == two.n_applications
+    assert len(one.snapshots) == len(two.snapshots)
+    for s1, s2 in zip(one.snapshots, two.snapshots):
+        assert np.array_equal(s1.values, s2.values)
+    for curve in ("times", "mass_curve", "min_value_curve", "boundary_flux_curve",
+                  "stat_curve"):
+        assert np.array_equal(getattr(one, curve), getattr(two, curve))
+
+
+class TestSuperSteps:
+    @pytest.mark.parametrize("name,nodes,horizon", [("ou", (401,), 0.2),
+                                                    ("example5-1", (201,), 0.2),
+                                                    ("example5-2", (81, 81), 0.1)])
+    def test_one_stage_is_the_default_euler_step(self, name, nodes, horizon):
+        inst = get_preset(name)
+        runs = [solve_fp(build_fp_problem(inst.model, inst.law, inst.fp_domain, nodes,
+                                          horizon, snapshot_times=(horizon / 2, horizon),
+                                          **kw))
+                for kw in ({}, {"stages": 1})]
+        _curves_equal(*runs)
+        assert runs[0].n_applications == runs[0].n_steps
+
+    def test_drift_limited_run_keeps_euler_under_auto(self):
+        # example5-2 at 121^2: the diffusion terms are about 1.4x the drift terms
+        inst = get_preset("example5-2")
+        runs = [solve_fp(build_fp_problem(inst.model, inst.law, ((-4.0, 6.0), (-4.0, 6.0)),
+                                          (121, 121), 0.25, snapshot_times=(0.1, 0.25),
+                                          stages=stages))
+                for stages in (1, "auto")]
+        _curves_equal(*runs)
+        assert runs[1].n_applications == runs[1].n_steps
+
+    def test_diffusion_limited_run_keeps_euler_accuracy(self):
+        # ou from its stationary law: the diffusion terms are ~111x the drift terms
+        inst = get_preset("ou")
+        marks = (0.25, 0.5)
+        euler, rkl = (solve_fp(build_fp_problem(inst.model, inst.law, inst.fp_domain,
+                                                (2001,), 0.5, snapshot_times=marks,
+                                                stages=stages))
+                      for stages in (1, "auto"))
+        exact = _gauss_exact(GridAxis(-6.0, 6.0, 2001), 1.0)
+        for pe, pr in zip(euler.snapshots, rkl.snapshots):
+            assert l1_grid_distance(pr, exact) <= 1.01 * l1_grid_distance(pe, exact)
+        assert np.abs(rkl.mass_curve + rkl.boundary_flux_curve - 1.0).max() < 1e-10
+        assert rkl.min_value_curve.min() >= 0.0
+        assert rkl.n_applications <= euler.n_steps / 5
+        assert rkl.n_applications > rkl.n_steps
+        assert rkl.times[-1] == 0.5 and rkl.snapshot_times == marks
+
+    def test_nonlocal_run_stays_close_to_euler(self):
+        # example5-1 at 801 nodes: a tenth of the 0.025-0.054 route distance
+        # between the particle KDE and the density
+        inst = get_preset("example5-1")
+        marks = (0.25, 0.5, 0.75, 1.0)
+        euler, rkl = (solve_fp(build_fp_problem(inst.model, inst.law, ((-8.0, 8.0),),
+                                                (801,), 1.0, snapshot_times=marks,
+                                                stages=stages))
+                      for stages in (1, "auto"))
+        assert rkl.n_applications < euler.n_steps / 5
+        for pe, pr in zip(euler.snapshots, rkl.snapshots):
+            assert l1_grid_distance(pr, pe) <= 2.5e-3
+        assert np.abs(rkl.mass_curve + rkl.boundary_flux_curve - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("drift,horizon,tau,stages", [
+        # drift terms 20, diffusion terms 400: tau = 0.9 / 20 takes six stages
+        # ((s^2+s)/2 = 21 >= 0.045 * 420); the last 0.03 takes five
+        (2.0, 0.3, 0.045, [6] * 6 + [5]),
+        # no drift: sixteen stages, tau = 0.9 * 136 / 400; the last 0.194
+        # takes twelve
+        (0.0, 0.5, 0.306, [16, 12])])
+    def test_auto_step_is_capped_by_the_drift_and_sixteen_stages(self, drift, horizon,
+                                                                 tau, stages):
+        model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, drift))
+        pr = build_fp_problem(model, STD_LAW, ((-10.0, 10.0),), (201,), horizon,
+                              stages="auto")
+        sol = solve_fp(pr)
+        dts = np.diff(sol.times)
+        np.testing.assert_allclose(dts[:-1], tau, rtol=1e-12)
+        assert sol.n_steps == len(stages)
+        assert sol.n_applications == sum(stages)
+
+    def test_flux_follows_the_stage_recurrence(self):
+        # pure outflow through both ends: mass plus flux stays 1 at every
+        # super-step only if the flux is carried through the stages
+        model = _const_model(a=1.0, drift=lambda t, x, st: 0.5 * x)
+        pr = build_fp_problem(model, STD_LAW, ((-6.0, 6.0),), (241,), 1.0, stages=7)
+        sol = solve_fp(pr)
+        assert sol.n_applications == 7 * sol.n_steps
+        assert sol.boundary_flux_curve[-1] > 1e-3
+        np.testing.assert_allclose(sol.mass_curve + sol.boundary_flux_curve,
+                                   sol.mass_curve[0], rtol=0, atol=1e-13)
+
+    def test_explicit_stages_stretch_the_fixed_dt_bound(self):
+        # the Euler bound at 201 nodes is dx^2 / (2 A) = 2.5e-3; two stages triple it
+        make = lambda dt, stages: build_fp_problem(  # noqa: E731
+            _const_model(a=2.0), STD_LAW, ((-10.0, 10.0),), (201,), 0.3, dt=dt,
+            stages=stages)
+        with pytest.raises(StabilityError, match="exceeds stability limit"):
+            solve_fp(make(3e-3, 1))
+        sol = solve_fp(make(3e-3, 2))
+        assert (sol.n_steps, sol.n_applications) == (100, 200)
+        with pytest.raises(StabilityError, match="exceeds stability limit"):
+            solve_fp(make(3e-3 * 3.1, 2))
+
+    def test_every_stage_is_checked_for_undershoot(self):
+        # a drift-dominated problem forced to six stages overshoots the upwind
+        # bound; an inner stage dips below the floor before the step ends
+        model = _const_model(a=0.02, drift=lambda t, x, st: np.full_like(x, 2.0))
+        make = lambda stages: build_fp_problem(  # noqa: E731
+            model, STD_LAW, ((-8.0, 8.0),), (201,), 0.5, stages=stages)
+        assert solve_fp(make(1)).min_value_curve.min() >= 0.0
+        with pytest.raises(PositivityError, match=r"undershot .*\(step 1, stage [1-5] of 6\)"):
+            solve_fp(make(6))
+
+    @pytest.mark.parametrize("stages", [0, -1, 2.0, True, "fast"])
+    def test_stage_policy_checked(self, stages):
+        with pytest.raises(ValueError, match="stages must be"):
+            build_fp_problem(_const_model(), STD_LAW, ((-10.0, 10.0),), (201,), 0.5,
+                             stages=stages)

@@ -64,6 +64,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(_base_config(methods=["particles", "magic"]))
 
+    @pytest.mark.parametrize("stages", [0, -2, 1.5, True, "fast", None, [2]])
+    def test_fp_stages_must_be_auto_or_a_positive_integer(self, stages):
+        with pytest.raises(ConfigError) as ei:
+            validate_config(_base_config(fp={"stages": stages}))
+        assert ei.value.field_path == "fp.stages"
+
+    @pytest.mark.parametrize("stages", ["auto", 1, 12])
+    def test_fp_stages_accepted(self, stages):
+        validate_config(_base_config(fp={"stages": stages}))
+
 
 class TestExperimentConfig:
     def test_defaults_resolved(self):
@@ -73,6 +83,11 @@ class TestExperimentConfig:
         assert cfg.malliavin_paths == 100
         assert cfg.fp_dt == "auto"
         assert cfg.threads == 1
+
+    def test_fp_stages_default_to_auto(self):
+        assert ExperimentConfig.from_dict(_base_config()).fp_stages == "auto"
+        cfg = ExperimentConfig.from_dict(_base_config(fp={"stages": 3.0}))
+        assert cfg.fp_stages == 3 and isinstance(cfg.fp_stages, int)
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -306,6 +321,31 @@ class TestRunExperiment:
             alone = _tree_digest(tmp_path / method / sub)
             assert alone and alone == _tree_digest(tmp_path / "both" / sub)
 
+    @pytest.mark.parametrize("name,n_particles", [("example5-1", 60), ("example5-2", 40),
+                                                  ("example5-2", 10)])
+    def test_malliavin_paths_reuse_the_particle_draw(self, tmp_path, brownian_calls,
+                                                     name, n_particles):
+        # 25 paths: a prefix of the particle draw when there are enough
+        # particles, a draw of their own otherwise
+        cfg = {"preset": name, "n_particles": n_particles, "steps": 16, "seed": 9,
+               "malliavin": {"n_paths": 25}}
+        run_experiment(dict(cfg, methods=["particles", "malliavin"]), outdir=tmp_path / "both")
+        assert len(brownian_calls) == (1 if n_particles >= 25 else 2)
+        run_experiment(dict(cfg, methods=["malliavin"]), outdir=tmp_path / "alone")
+        sub = Path(name) / "malliavin"
+        alone = _tree_digest(tmp_path / "alone" / sub)
+        assert alone and alone == _tree_digest(tmp_path / "both" / sub)
+
+    def test_fp_report_counts_operator_applications(self, tmp_path):
+        cfg = _base_config(methods=["fp"], fp={"nodes": [401]})
+        frags = [run_experiment(dict(cfg, fp=dict(cfg["fp"], stages=stages)),
+                                outdir=tmp_path / str(stages))["methods"]["fp"]
+                 for stages in (1, "auto")]
+        assert frags[0]["operator_applications"] == frags[0]["n_steps"]
+        # bm has no drift: every step of the default policy is stretched
+        assert frags[1]["operator_applications"] > frags[1]["n_steps"]
+        assert frags[1]["operator_applications"] < frags[0]["n_steps"] / 5
+
     def test_full_tree_bytes_ignore_threads(self, tmp_path):
         cfg = {"preset": "meanfield-ou",
                "methods": ["particles", "picard", "fp", "malliavin"],
@@ -344,6 +384,12 @@ class TestCli:
             self, tmp_path, capsys, mistake):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(_base_config(**mistake)))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_bad_fp_stages_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(methods=["fp"], fp={"stages": 0})))
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
 
