@@ -31,12 +31,16 @@ A step of length tau runs s stages, Y_0 = p and
 
 each stage one application of the stencil; Y_s is the new density.  It is
 stable for tau up to (s^2+s)/2 times the Euler limit 1/(sum of the CFL terms),
-and s = 1 is the explicit Euler step.  ``stages`` fixes s, or under ``"auto"``
-a step is stretched only where the diffusion terms exceed the drift terms by
-the factor ``_STRETCH_RATIO``: tau is then 0.9 times the smaller of 1 over the
-drift terms and the limit of ``_MAX_STAGES`` stages (or the time to the next
-event, if sooner), and s the fewest stages whose limit covers tau.  Elsewhere
-s = 1 and dt is the Euler step, bit for bit.
+and s = 1 is the explicit Euler step.  ``stages=1`` takes Euler steps
+throughout; under ``"auto"`` a step is stretched only where the drift terms
+are positive and the diffusion terms exceed them by the factor
+``_STRETCH_RATIO``: tau is then 0.9 times the smaller of 1 over the drift
+terms and the limit of ``_MAX_STAGES`` stages (or the time to the next event,
+if sooner), and s the fewest stages whose limit covers tau.  RKL1 is first
+order in time, and the drift cap keeps the advective time error of a stretched
+step on the scale of the first-order space error of the upwind drift.  A driftless problem has only the
+second-order space error of the diffusion, which a stretched step would swamp,
+so it keeps Euler steps.  Wherever s = 1, dt is the Euler step, bit for bit.
 
 Every operator telescopes over the grid, so the mass L takes out of the box is
 g . p for a weight array g on the nodes next to the frame (the flux through
@@ -66,9 +70,8 @@ _CONSERVATION_TOL = 1e-4
 _SNAPSHOT_MASS_TOL = 1e-2
 _MAX_STEPS = 50_000_000
 # under ``stages="auto"`` a step is stretched only where the diffusion terms of
-# the CFL sum exceed the drift terms by this factor, and to at most this many
-# stages: (s^2+s)/2 = 136 Euler limits, so that the first-order time error of
-# a stretched step shrinks like h^2, as the space error of the diffusion does
+# the CFL sum exceed the (positive) drift terms by this factor, and to at most
+# this many stages: (s^2+s)/2 = 136 Euler limits
 _STRETCH_RATIO = 10.0
 _MAX_STAGES = 16
 
@@ -79,9 +82,9 @@ class FPProblem:
 
     ``dt`` is either the string ``"auto"`` (step size from the stability
     bound each step, with a 0.9 safety factor) or a fixed positive float that
-    is checked against the bound before every step.  ``stages`` is the number
-    of RKL1 stages per step (1 is explicit Euler), or ``"auto"`` to stretch
-    diffusion-limited steps (see the module docstring).
+    is checked against the bound before every step.  ``stages`` is 1 for
+    explicit Euler steps throughout, or ``"auto"`` to stretch diffusion-limited
+    steps into RKL1 super-steps (see the module docstring).
     """
 
     model: CoefficientModel
@@ -107,10 +110,8 @@ class FPProblem:
                 raise ValueError(f"dt policy must be 'auto' or a float, got {self.dt!r}")
         elif not self.dt > 0:
             raise ValueError(f"fixed dt must be positive, got {self.dt}")
-        if self.stages != "auto" and (isinstance(self.stages, bool)
-                                      or not isinstance(self.stages, int)
-                                      or self.stages < 1):
-            raise ValueError(f"stages must be 'auto' or an integer >= 1, got {self.stages!r}")
+        if self.stages != "auto" and not (type(self.stages) is int and self.stages == 1):
+            raise ValueError(f"stages must be 1 or 'auto', got {self.stages!r}")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.horizon + 1e-12:
                 raise ValueError(f"snapshot time {t} outside [0, {self.horizon}]")
@@ -388,8 +389,11 @@ def _rkl1_stages(tau: float, limit: float) -> int:
 
 
 def _check_floor(pmin: float, t: float, step: int, stage: int, n_stages: int) -> None:
+    """Raise on an undershoot; t is the step's end after its last stage and
+    the step's start before it, since an inner stage lives at no time."""
     if pmin < _POSITIVITY_FLOOR:
-        raise PositivityError(f"density undershot to {pmin:.3e} at t={t:.6g} "
+        at = f"at t={t:.6g}" if stage == n_stages else f"in the step from t={t:.6g}"
+        raise PositivityError(f"density undershot to {pmin:.3e} {at} "
                               f"(step {step}, stage {stage} of {n_stages})")
 
 
@@ -420,7 +424,6 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     phi_rows = _statistic_rows(model, problem.p0)
     fixed_dt = None if problem.dt == "auto" else float(problem.dt)
     auto_stages = problem.stages == "auto"
-    fixed_stages = 1 if auto_stages else problem.stages
 
     # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
     # boundary outside the box
@@ -475,16 +478,13 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         if denom <= 0:
             dt = target - t
         else:
-            limit = 1.0 / denom
-            bound = limit * _span(fixed_stages)
+            limit = bound = 1.0 / denom
             if auto_stages:
                 drift = sum(b_bound)
-                stretch = sum(a_bound) > _STRETCH_RATIO * drift
+                stretch = 0.0 < _STRETCH_RATIO * drift < sum(a_bound)
             if stretch:
-                bound = limit * _span(_MAX_STAGES)
-                if drift > 0:
-                    # the drift terms bound a stretched step as they bound an Euler step
-                    bound = min(bound, 1.0 / drift)
+                # the drift terms bound a stretched step as they bound an Euler step
+                bound = min(limit * _span(_MAX_STAGES), 1.0 / drift)
             if fixed_dt is not None:
                 if fixed_dt > bound * (1 + 1e-12):
                     raise StabilityError(
@@ -498,8 +498,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         if t + dt >= target - 1e-15:
             dt = target - t
             hit = True
-        n_stages = _rkl1_stages(dt, limit) if stretch else fixed_stages
-        t = target if hit else t + dt
+        n_stages = _rkl1_stages(dt, limit) if stretch else 1
         steps += 1
 
         # RKL1 stages, mut_j dt = (2j-1)/j * dt/span; one stage is the Euler
@@ -528,6 +527,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             if j < n_stages:
                 _check_floor(float(p.min()), t, steps, j, n_stages)
         applications += n_stages
+        t = target if hit else t + dt
 
         # any non-finite node makes the sum non-finite, so only then scan
         mass = float(p.sum() * cell)

@@ -90,8 +90,6 @@ _CONFIG_SCHEMA = {
                 },
                 "dt": {"anyOf": [{"const": "auto"},
                                  {"type": "number", "exclusiveMinimum": 0}]},
-                "stages": {"anyOf": [{"const": "auto"},
-                                     {"type": "integer", "minimum": 1}]},
             },
         },
         "malliavin": {
@@ -143,7 +141,6 @@ class ExperimentConfig:
     fp_domain: tuple[tuple[float, float], ...] | None = None
     fp_nodes: tuple[int, ...] | None = None
     fp_dt: float | str = "auto"
-    fp_stages: int | str = "auto"
     malliavin_paths: int = 100
     malliavin_lambda: float | None = None
     malliavin_slack: float = 10.0
@@ -173,7 +170,6 @@ class ExperimentConfig:
             fp_domain=tuple(tuple(b) for b in fp["domain"]) if "domain" in fp else None,
             fp_nodes=tuple(fp["nodes"]) if "nodes" in fp else None,
             fp_dt=fp.get("dt", "auto"),
-            fp_stages=_stages(fp.get("stages", "auto")),
             malliavin_paths=mal.get("n_paths", 100),
             malliavin_lambda=mal.get("lambda"),
             malliavin_slack=mal.get("slack_factor", 10.0),
@@ -193,11 +189,6 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object", field_path=str(path))
         return cls.from_dict(data)
-
-
-def _stages(value) -> int | str:
-    # the schema's integer admits 2.0; the solver takes a Python int
-    return value if value == "auto" else int(value)
 
 
 def list_presets() -> list[dict]:
@@ -423,7 +414,7 @@ class _Experiment:
         problem = build_fp_problem(self.model, self.law, self.fp_domain,
                                    self.fp_nodes, self.grid.horizon,
                                    snapshot_times=self.snapshot_times,
-                                   dt=self.cfg.fp_dt, stages=self.cfg.fp_stages)
+                                   dt=self.cfg.fp_dt, stages="auto")
         self.fp = solve_fp(problem)
         sol = self.fp
         d = self._dir("fp")

@@ -523,9 +523,9 @@ class TestSuperSteps:
         # drift terms 20, diffusion terms 400: tau = 0.9 / 20 takes six stages
         # ((s^2+s)/2 = 21 >= 0.045 * 420); the last 0.03 takes five
         (2.0, 0.3, 0.045, [6] * 6 + [5]),
-        # no drift: sixteen stages, tau = 0.9 * 136 / 400; the last 0.194
-        # takes twelve
-        (0.0, 0.5, 0.306, [16, 12])])
+        # drift terms 0.5: 1 / 0.5 is beyond sixteen stages, so tau =
+        # 0.9 * 136 / 400.5; the last 0.194 takes twelve
+        (0.05, 0.5, 0.9 * 136 / 400.5, [16, 12])])
     def test_auto_step_is_capped_by_the_drift_and_sixteen_stages(self, drift, horizon,
                                                                  tau, stages):
         model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, drift))
@@ -537,40 +537,59 @@ class TestSuperSteps:
         assert sol.n_steps == len(stages)
         assert sol.n_applications == sum(stages)
 
+    def test_driftless_run_keeps_euler_under_auto(self):
+        # no drift bound caps a stretched step, and RKL1's first-order time
+        # error would swamp the second-order space error of the diffusion
+        make = lambda stages: build_fp_problem(  # noqa: E731
+            _const_model(a=2.0), STD_LAW, ((-10.0, 10.0),), (2001,), 0.5, stages=stages)
+        euler, auto = solve_fp(make(1)), solve_fp(make("auto"))
+        _curves_equal(euler, auto)
+        assert auto.n_applications == auto.n_steps
+        assert l1_grid_distance(auto.snapshots[-1],
+                                _gauss_exact(GridAxis(-10.0, 10.0, 2001), 2.0)) < 1e-5
+
     def test_flux_follows_the_stage_recurrence(self):
-        # pure outflow through both ends: mass plus flux stays 1 at every
-        # super-step only if the flux is carried through the stages
+        # outflow through both ends under stretched steps (drift terms 60,
+        # diffusion terms 800): mass plus flux stays 1 at every super-step only
+        # if the flux is carried through the stages
         model = _const_model(a=1.0, drift=lambda t, x, st: 0.5 * x)
-        pr = build_fp_problem(model, STD_LAW, ((-6.0, 6.0),), (241,), 1.0, stages=7)
+        pr = build_fp_problem(model, STD_LAW, ((-6.0, 6.0),), (241,), 1.0, stages="auto")
         sol = solve_fp(pr)
-        assert sol.n_applications == 7 * sol.n_steps
+        assert sol.n_applications >= 4 * sol.n_steps
         assert sol.boundary_flux_curve[-1] > 1e-3
         np.testing.assert_allclose(sol.mass_curve + sol.boundary_flux_curve,
                                    sol.mass_curve[0], rtol=0, atol=1e-13)
 
-    def test_explicit_stages_stretch_the_fixed_dt_bound(self):
-        # the Euler bound at 201 nodes is dx^2 / (2 A) = 2.5e-3; two stages triple it
+    def test_fixed_dt_is_checked_against_the_stretched_bound(self):
+        # drift terms 20, diffusion terms 400: the Euler bound is 1/420, the
+        # stretched one 1/20, and a step of 0.04 takes six stages
+        model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, 2.0))
         make = lambda dt, stages: build_fp_problem(  # noqa: E731
-            _const_model(a=2.0), STD_LAW, ((-10.0, 10.0),), (201,), 0.3, dt=dt,
-            stages=stages)
+            model, STD_LAW, ((-10.0, 10.0),), (201,), 0.32, dt=dt, stages=stages)
         with pytest.raises(StabilityError, match="exceeds stability limit"):
-            solve_fp(make(3e-3, 1))
-        sol = solve_fp(make(3e-3, 2))
-        assert (sol.n_steps, sol.n_applications) == (100, 200)
+            solve_fp(make(0.04, 1))
+        sol = solve_fp(make(0.04, "auto"))
+        assert (sol.n_steps, sol.n_applications) == (8, 48)
         with pytest.raises(StabilityError, match="exceeds stability limit"):
-            solve_fp(make(3e-3 * 3.1, 2))
+            solve_fp(make(0.051, "auto"))
 
     def test_every_stage_is_checked_for_undershoot(self):
-        # a drift-dominated problem forced to six stages overshoots the upwind
-        # bound; an inner stage dips below the floor before the step ends
-        model = _const_model(a=0.02, drift=lambda t, x, st: np.full_like(x, 2.0))
-        make = lambda stages: build_fp_problem(  # noqa: E731
-            model, STD_LAW, ((-8.0, 8.0),), (201,), 0.5, stages=stages)
+        # a one-node spike under a nine-stage step (drift terms 40, diffusion
+        # terms 1600): the upwind drift dips an inner stage to -2.3e-2, though
+        # the finished step is nonnegative; the error names the step's start
+        ax = GridAxis(-5.0, 5.0, 201)
+        spike = np.zeros(201)
+        spike[100] = 1.0 / ax.spacing
+        model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, 2.0))
+        make = lambda stages: FPProblem(  # noqa: E731
+            model=model, axes=(ax,), p0=GridDensity((ax,), spike, time=0.0), horizon=0.2,
+            stages=stages)
         assert solve_fp(make(1)).min_value_curve.min() >= 0.0
-        with pytest.raises(PositivityError, match=r"undershot .*\(step 1, stage [1-5] of 6\)"):
-            solve_fp(make(6))
+        with pytest.raises(PositivityError, match=r"undershot to -\S+ in the step from t=0 "
+                                                  r"\(step 1, stage [1-8] of 9\)"):
+            solve_fp(make("auto"))
 
-    @pytest.mark.parametrize("stages", [0, -1, 2.0, True, "fast"])
+    @pytest.mark.parametrize("stages", [0, -1, 2, 2.0, True, "fast"])
     def test_stage_policy_checked(self, stages):
         with pytest.raises(ValueError, match="stages must be"):
             build_fp_problem(_const_model(), STD_LAW, ((-10.0, 10.0),), (201,), 0.5,

@@ -13,7 +13,7 @@ import pytest
 from mvsim import ConfigError, get_preset, run_experiment, validate_config
 from mvsim.cli import main as cli_main
 from mvsim.harness import ExperimentConfig, emit_plotdata, list_presets
-from mvsim.measures import GridAxis, GridDensity, EmpiricalMeasure
+from mvsim.measures import GridAxis, GridDensity, EmpiricalMeasure, l1_grid_distance
 from mvsim.picard import picard_run
 from mvsim.particle import InitialLaw, TimeGrid
 
@@ -64,16 +64,6 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(_base_config(methods=["particles", "magic"]))
 
-    @pytest.mark.parametrize("stages", [0, -2, 1.5, True, "fast", None, [2]])
-    def test_fp_stages_must_be_auto_or_a_positive_integer(self, stages):
-        with pytest.raises(ConfigError) as ei:
-            validate_config(_base_config(fp={"stages": stages}))
-        assert ei.value.field_path == "fp.stages"
-
-    @pytest.mark.parametrize("stages", ["auto", 1, 12])
-    def test_fp_stages_accepted(self, stages):
-        validate_config(_base_config(fp={"stages": stages}))
-
 
 class TestExperimentConfig:
     def test_defaults_resolved(self):
@@ -83,11 +73,6 @@ class TestExperimentConfig:
         assert cfg.malliavin_paths == 100
         assert cfg.fp_dt == "auto"
         assert cfg.threads == 1
-
-    def test_fp_stages_default_to_auto(self):
-        assert ExperimentConfig.from_dict(_base_config()).fp_stages == "auto"
-        cfg = ExperimentConfig.from_dict(_base_config(fp={"stages": 3.0}))
-        assert cfg.fp_stages == 3 and isinstance(cfg.fp_stages, int)
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -337,14 +322,25 @@ class TestRunExperiment:
         assert alone and alone == _tree_digest(tmp_path / "both" / sub)
 
     def test_fp_report_counts_operator_applications(self, tmp_path):
-        cfg = _base_config(methods=["fp"], fp={"nodes": [401]})
-        frags = [run_experiment(dict(cfg, fp=dict(cfg["fp"], stages=stages)),
-                                outdir=tmp_path / str(stages))["methods"]["fp"]
-                 for stages in (1, "auto")]
-        assert frags[0]["operator_applications"] == frags[0]["n_steps"]
-        # bm has no drift: every step of the default policy is stretched
-        assert frags[1]["operator_applications"] > frags[1]["n_steps"]
-        assert frags[1]["operator_applications"] < frags[0]["n_steps"] / 5
+        # ou at 401 nodes is diffusion-limited, so its steps are stretched
+        frag = run_experiment(_base_config(preset="ou", methods=["fp"], fp={"nodes": [401]}),
+                              outdir=tmp_path)["methods"]["fp"]
+        assert frag["operator_applications"] > 4 * frag["n_steps"]
+
+    def test_driftless_fp_snapshots_match_the_exact_law(self, tmp_path):
+        # configs/bm.json has no drift to cap a stretched step, so it keeps
+        # Euler steps and their accuracy: the law at t is N(0, 1 + t)
+        cfg = json.loads(Path("configs/bm.json").read_text())
+        frag = run_experiment(dict(cfg, methods=["fp"]), outdir=tmp_path)["methods"]["fp"]
+        assert frag["operator_applications"] == frag["n_steps"]
+        axis = GridAxis(-10.0, 10.0, 1001)
+        for t in cfg["snapshot_times"]:
+            x, p = np.loadtxt(tmp_path / "bm" / "fp" / f"bm_fp_t{t:g}.csv", delimiter=",",
+                              skiprows=1).T
+            exact = np.exp(-0.5 * x ** 2 / (1 + t)) / math.sqrt(2 * math.pi * (1 + t))
+            assert np.array_equal(x, axis.nodes())
+            assert l1_grid_distance(GridDensity((axis,), p, time=t),
+                                    GridDensity((axis,), exact, time=t)) < 1e-5
 
     def test_full_tree_bytes_ignore_threads(self, tmp_path):
         cfg = {"preset": "meanfield-ou",
@@ -384,12 +380,6 @@ class TestCli:
             self, tmp_path, capsys, mistake):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(_base_config(**mistake)))
-        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
-        assert "config error:" in capsys.readouterr().err
-
-    def test_bad_fp_stages_is_usage_error(self, tmp_path, capsys):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(_base_config(methods=["fp"], fp={"stages": 0})))
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
 
