@@ -86,7 +86,8 @@ def _cmd_run(args, only: str | None = None) -> int:
         report = run_experiment(config, outdir=args.outdir, threads=args.threads,
                                 seed=args.seed, as_printed=args.as_printed)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
+        where = f" at {e.field_path}" if e.field_path else ""
+        print(f"config error{where}: {e}", file=sys.stderr)
         return 2
     _print_report(report)
     failed = [m for m, frag in report["methods"].items() if frag["status"] != "ok"]

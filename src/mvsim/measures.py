@@ -21,6 +21,12 @@ import numpy as np
 from .errors import NumericError
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+# kde_1d drops points beyond this many bandwidths from a node, where the
+# kernel is below exp(-0.5 * 8.5**2) = 2.1e-16 of its peak
+_KDE_CUTOFF = 8.5
+_KDE_BLOCK = 32
+# largest temporary a kernel builds at once, in float64 elements (32 MB)
+_CHUNK_ELEMENTS = 4_000_000
 
 
 @dataclass
@@ -203,8 +209,12 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
            bandwidth: float | str = "auto", time: float = 0.0) -> GridDensity:
     """Gaussian kernel density of a 1D cloud on grid nodes.
 
-    The result is renormalized to unit trapezoid mass, so tail mass beyond
-    the grid is folded back in.
+    Each node sums only the points within 8.5 bandwidths of it: the kernel
+    beyond is below exp(-36) of its peak, so the result differs from the
+    dense sum at rounding level.  Nodes go in blocks of ``_KDE_BLOCK``, each
+    over the union of its nodes' windows in the sorted cloud.  The result is
+    renormalized to unit trapezoid mass, so tail mass beyond the grid is
+    folded back in.
     """
     if mu.d != 1:
         raise ValueError("kde_1d expects a 1D cloud")
@@ -212,13 +222,23 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     nodes = axis.nodes()
+    order = np.argsort(mu.points[:, 0], kind="stable")
+    x = mu.points[order, 0]
+    w = mu.weights[order]
+    first = np.searchsorted(x, nodes - _KDE_CUTOFF * h, side="left")
+    stop = np.searchsorted(x, nodes + _KDE_CUTOFF * h, side="right")
     vals = np.zeros(axis.n)
-    x = mu.points[:, 0]
-    w = mu.weights
-    chunk = max(1, int(4_000_000 / axis.n))
-    for i in range(0, mu.n, chunk):
-        z = (nodes[None, :] - x[i:i + chunk, None]) / h
-        vals += w[i:i + chunk] @ np.exp(-0.5 * z * z)
+    chunk = _CHUNK_ELEMENTS // _KDE_BLOCK
+    for j in range(0, axis.n, _KDE_BLOCK):
+        k = min(j + _KDE_BLOCK, axis.n)
+        for a in range(first[j], stop[k - 1], chunk):
+            b = min(a + chunk, stop[k - 1])
+            z = np.subtract.outer(x[a:b], nodes[j:k])
+            z /= h
+            z *= z
+            z *= -0.5
+            np.exp(z, out=z)
+            vals[j:k] += w[a:b] @ z
     vals /= h * SQRT2PI
     total = float(np.dot(trapezoid_weights(axis), vals))
     if total <= 0:
@@ -273,7 +293,12 @@ def _project(mu: EmpiricalMeasure, direction: np.ndarray) -> EmpiricalMeasure:
 
 def w2_sliced(a: EmpiricalMeasure, b: EmpiricalMeasure,
               n_slices: int = 64, seed: int = 0) -> float:
-    """Sliced quadratic Wasserstein: RMS over random directions of 1D distances."""
+    """Sliced quadratic Wasserstein: RMS over random directions of 1D distances.
+
+    Two clouds of one size and equal weights are projected on all slices at
+    once and paired by rank after one sort per slice (Bonneel et al. 2015);
+    any other pair takes the quantile coupling slice by slice.
+    """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
     if n_slices < 1:
@@ -281,9 +306,25 @@ def w2_sliced(a: EmpiricalMeasure, b: EmpiricalMeasure,
     if a.d == 1:
         return w2_empirical_1d(a, b)
     dirs = sliced_directions(a.d, n_slices, seed)
+    if a.n == b.n and np.all(a.weights == a.weights[0]) \
+            and np.array_equal(a.weights, b.weights):
+        # equal weights: the quantile coupling pairs same-rank points over
+        # the pieces between consecutive cumulative weights, so every slice
+        # is one column of two sorted projections
+        lens = np.diff(np.cumsum(a.weights), prepend=0.0)
+        costs = np.empty(n_slices)
+        step = max(1, _CHUNK_ELEMENTS // a.n)
+        for s in range(0, n_slices, step):
+            pa = np.sort(a.points @ dirs[s:s + step].T, axis=0)
+            pb = np.sort(b.points @ dirs[s:s + step].T, axis=0)
+            pa -= pb
+            pa *= pa
+            costs[s:s + step] = lens @ pa
+    else:
+        costs = [w2_empirical_1d(_project(a, u), _project(b, u)) ** 2 for u in dirs]
     acc = 0.0
-    for u in dirs:
-        acc += w2_empirical_1d(_project(a, u), _project(b, u)) ** 2
+    for c in costs:
+        acc += float(c)
     return math.sqrt(acc / n_slices)
 
 

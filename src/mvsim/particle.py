@@ -98,10 +98,17 @@ def generate_brownian(seed: int, n_particles: int, m: int, grid: TimeGrid) -> np
         raise ValueError("need at least one particle")
     if m < 1:
         raise ValueError("noise dimension must be >= 1")
-    _check_seed(seed)
+    # one generator, rewound to stream (seed, i) for each particle: the
+    # state a fresh particle_stream(seed, i) starts from
+    bitgen = np.random.Philox(key=np.array([_check_seed(seed), 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     out = np.empty((grid.steps, n_particles, m))
     for i in range(n_particles):
-        out[:, i, :] = particle_stream(seed, i).standard_normal((grid.steps, m))
+        key[1] = i
+        bitgen.state = fresh
+        out[:, i, :] = gen.standard_normal((grid.steps, m))
     out *= math.sqrt(grid.dt)
     return out
 

@@ -177,6 +177,31 @@ class TestRunExperiment:
         assert gaps == [float(g) for g in four.gaps]
         assert four.gaps != default.gaps
 
+    # Picard on each shipped config as computed by the dense measures kernels
+    # (the per-slice sliced W2 loop): (n_iters, converged, gaps)
+    SHIPPED_PICARD = {
+        "bm": (2, True, [0.0]),
+        "example5-1": (2, True, [0.00037850406731830115]),
+        "example5-2": (4, True, [0.09742431813447805, 0.0013710696306886796,
+                                 1.8294496604159912e-05]),
+        "meanfield-ou": (5, True, [0.06464570521129717, 0.009701160730562498,
+                                   0.0011217194980980435, 0.00010466685548948916]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_PICARD))
+    def test_shipped_picard_iterations_keep_their_gaps(self, tmp_path, name):
+        # a gap near picard.tol could cross it, so the gaps are pinned too
+        cfg = json.loads((Path("configs") / f"{name}.json").read_text())
+        cfg["methods"] = ["picard"]
+        frag = run_experiment(cfg, outdir=tmp_path)["methods"]["picard"]
+        n_iters, converged, gaps = self.SHIPPED_PICARD[name]
+        assert (frag["n_iters"], frag["converged"]) == (n_iters, converged)
+        np.testing.assert_allclose(frag["gaps"], gaps, rtol=0.0, atol=1e-12)
+
+    def test_shipped_configs_are_all_pinned(self):
+        assert sorted(p.stem for p in Path("configs").glob("*.json")) \
+            == sorted(self.SHIPPED_PICARD)
+
     def test_config_echo_strips_location_keys(self, tmp_path):
         cfg = _base_config(outdir=str(tmp_path), threads=2)
         report = run_experiment(cfg)
@@ -381,7 +406,14 @@ class TestCli:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(_base_config(**mistake)))
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
-        assert "config error:" in capsys.readouterr().err
+        (top, inner), = mistake.items()
+        assert f"config error at {top}.{next(iter(inner))}: " in capsys.readouterr().err
+
+    def test_config_error_names_its_field(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(fp={"dt": 0})))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error at fp.dt: " in capsys.readouterr().err
 
     def test_run_success(self, tmp_path, capsys):
         p = tmp_path / "c.json"

@@ -24,6 +24,7 @@ from mvsim import (
     w2_sliced,
     w2_to_dirac0,
 )
+import mvsim.measures
 from mvsim.measures import (
     empirical_to_csv,
     grid_density_from_csv,
@@ -48,6 +49,28 @@ def _cloud(points):
 def _gaussian_grid(axis, mean=0.0, sd=1.0):
     vals = norm.pdf(axis.nodes(), loc=mean, scale=sd)
     return GridDensity((axis,), vals, mass_tol=1e-4)
+
+
+def _dense_kde(mu, axis, h):
+    """Every point against every node, renormalized to unit trapezoid mass."""
+    z = (axis.nodes()[None, :] - mu.points[:, :1]) / h
+    vals = mu.weights @ np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+    return vals / np.trapezoid(vals, axis.nodes())
+
+
+def _sliced_loop(a, b, n_slices, seed):
+    """Sliced W2 as the quantile coupling of each projection in turn."""
+    acc = 0.0
+    for u in sliced_directions(a.d, n_slices, seed):
+        pa = EmpiricalMeasure((a.points @ u)[:, None], a.weights)
+        pb = EmpiricalMeasure((b.points @ u)[:, None], b.weights)
+        acc += w2_empirical_1d(pa, pb) ** 2
+    return math.sqrt(acc / n_slices)
+
+
+def _weighted_cloud(points, rng):
+    w = rng.uniform(0.1, 1.0, size=len(points))
+    return EmpiricalMeasure(np.atleast_2d(points).reshape(len(points), -1), w / w.sum())
 
 
 def _two_atom_w2(a0, a1, b0, b1):
@@ -147,6 +170,52 @@ class TestKde:
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             kde_1d(_cloud([0.0]), GridAxis(-1.0, 1.0, 11), -0.1)
 
+    @pytest.mark.parametrize("case", [
+        "weighted", "unsorted", "beyond_grid", "narrow", "wide", "empty_blocks"])
+    def test_windowed_matches_dense(self, case):
+        rng = np.random.default_rng(31)
+        ax = GridAxis(-2.0, 2.0, 401)
+        if case == "weighted":
+            # weights must follow the sort: large weights on the right tail
+            x = np.sort(rng.normal(size=300))
+            w = np.exp(x)
+            mu, h = EmpiricalMeasure(x[:, None], w / w.sum()), 0.2
+        elif case == "unsorted":
+            mu, h = _weighted_cloud(rng.normal(size=500), rng), 0.1
+        elif case == "beyond_grid":
+            mu, h = _cloud(rng.uniform(-4.0, 4.0, size=400)), 0.15
+        elif case == "narrow":
+            # h below the node spacing of 0.01
+            mu, h = _cloud(rng.normal(scale=0.5, size=200)), 0.004
+        elif case == "wide":
+            mu, h = _cloud(rng.normal(size=200)), 10.0
+        else:
+            # every node past x = -1 is farther than 8.5 h from every point
+            ax = GridAxis(-2.0, 2.0, 801)
+            mu, h = _weighted_cloud(rng.normal(-1.7, 0.05, size=100), rng), 0.05
+        got = kde_1d(mu, ax, h).values
+        want = _dense_kde(mu, ax, h)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+    def test_windowed_matches_dense_across_point_chunks(self, monkeypatch):
+        # windows longer than one chunk of points are summed chunk by chunk
+        monkeypatch.setattr(mvsim.measures, "_CHUNK_ELEMENTS", 32 * 7)
+        rng = np.random.default_rng(8)
+        mu = _weighted_cloud(rng.normal(size=250), rng)
+        ax = GridAxis(-3.0, 3.0, 101)
+        want = _dense_kde(mu, ax, 0.3)
+        got = kde_1d(mu, ax, 0.3).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+    def test_cloud_out_of_reach_of_every_node(self):
+        # the dense kernel renormalized exp(-36)-sized tails here; the
+        # windowed one sees no point within 8.5 h of any node
+        mu = _cloud([1.0 + 8.6 * 0.1, 1.0 + 9.0 * 0.1])
+        with pytest.raises(ValueError, match="all kernel mass fell outside the grid"):
+            kde_1d(mu, GridAxis(-1.0, 1.0, 41), 0.1)
+        near = kde_1d(_cloud([1.0 + 8.4 * 0.1]), GridAxis(-1.0, 1.0, 41), 0.1)
+        assert near.values[-1] > 0.0
+
     def test_statistics_gap_shrinks_under_refinement(self):
         # gap between grid and empirical statistics is O(h^2) for smooth phi,
         # so refining the grid and halving the bandwidth cuts it by >= 2
@@ -224,6 +293,38 @@ class TestSlicedW2:
         pts = rng.normal(size=(20, 3))
         mu = EmpiricalMeasure(pts, np.full(20, 0.05))
         assert w2_sliced(mu, mu, 64, seed=0) == 0.0
+
+    @pytest.mark.parametrize("n,d,n_slices,seed", [(2000, 2, 64, 0), (37, 3, 5, 4),
+                                                   (1, 2, 16, 1), (500, 2, 128, 7)])
+    def test_equal_weights_match_the_coupling_loop(self, n, d, n_slices, seed):
+        rng = np.random.default_rng(n + seed)
+        a = EmpiricalMeasure.from_samples(rng.normal(size=(n, d)))
+        b = EmpiricalMeasure.from_samples(rng.normal(0.3, 1.5, size=(n, d)))
+        want = _sliced_loop(a, b, n_slices, seed)
+        assert w2_sliced(a, b, n_slices, seed) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_equal_weights_across_slice_chunks(self, monkeypatch):
+        # 3 slices per projection when the chunk holds 3 * 100 elements
+        monkeypatch.setattr(mvsim.measures, "_CHUNK_ELEMENTS", 300)
+        rng = np.random.default_rng(15)
+        a = EmpiricalMeasure.from_samples(rng.normal(size=(100, 2)))
+        b = EmpiricalMeasure.from_samples(rng.normal(size=(100, 2)) + 0.5)
+        want = _sliced_loop(a, b, 10, 2)
+        assert w2_sliced(a, b, 10, 2) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_unequal_sizes_take_the_coupling_loop(self):
+        rng = np.random.default_rng(23)
+        a = EmpiricalMeasure.from_samples(rng.normal(size=(40, 2)))
+        b = EmpiricalMeasure.from_samples(rng.normal(size=(55, 2)))
+        assert w2_sliced(a, b, 32, seed=3) == _sliced_loop(a, b, 32, 3)
+
+    def test_unequal_weights_take_the_coupling_loop(self):
+        rng = np.random.default_rng(24)
+        pts = rng.normal(size=(40, 2))
+        a = _weighted_cloud(pts, rng)
+        b = EmpiricalMeasure.from_samples(pts + 0.2)
+        assert w2_sliced(a, b, 32, seed=3) == _sliced_loop(a, b, 32, 3)
+        assert w2_sliced(a, a, 32, seed=3) == _sliced_loop(a, a, 32, 3)
 
     def test_translation_norm_over_sqrt_d(self):
         # E[(theta . v)^2] = |v|^2/d for uniform unit directions

@@ -79,6 +79,15 @@ class TestBrownianStreams:
         big = generate_brownian(3, 5, 1, g)
         assert np.array_equal(small, big[:, :3, :])
 
+    @pytest.mark.parametrize("seed,n,m,steps", [(7, 300, 1, 20), (3, 500, 2, 12),
+                                                (0, 1, 3, 5), ((1 << 63) - 1, 17, 2, 9)])
+    def test_matches_per_particle_streams(self, seed, n, m, steps):
+        # particle i's increments are the first draws of particle_stream(seed, i)
+        g = TimeGrid(1.0, steps)
+        ref = np.stack([particle_stream(seed, i).standard_normal((steps, m))
+                        for i in range(n)], axis=1) * math.sqrt(g.dt)
+        assert np.array_equal(generate_brownian(seed, n, m, g), ref)
+
     def test_stream_objects_are_independent(self):
         a = particle_stream(5, 0).standard_normal(8)
         b = particle_stream(5, 1).standard_normal(8)
