@@ -281,8 +281,10 @@ def _downsample(n: int, cap: int = 4097) -> np.ndarray:
 
 
 def _marginal_cloud(mu: EmpiricalMeasure, axis_index: int) -> EmpiricalMeasure:
-    return EmpiricalMeasure(mu.points[:, axis_index:axis_index + 1].copy(),
-                            mu.weights.copy())
+    """The cloud of one coordinate; a 1D cloud is its own, sort and all."""
+    if mu.d == 1:
+        return mu
+    return EmpiricalMeasure(mu.points[:, axis_index:axis_index + 1], mu.weights)
 
 
 class _Experiment:

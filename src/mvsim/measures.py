@@ -13,8 +13,11 @@ of the plain int or float, so the round trip through text is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,24 +32,37 @@ _KDE_BLOCK = 32
 _CHUNK_ELEMENTS = 4_000_000
 
 
-@dataclass
+def _owned(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``: nothing else can write to it or pin its base."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted particle cloud: ``points`` (N, d), ``weights`` (N,) summing to 1."""
+    """Weighted particle cloud: ``points`` (N, d), ``weights`` (N,) summing to 1.
+
+    The cloud owns its arrays and they are read-only, so a snapshot of a path
+    array does not keep that array alive, and ``sorted_1d`` can be computed
+    once per cloud.
+    """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError(
-                f"{self.points.shape[0]} points but {self.weights.shape[0]} weights")
-        if not np.all(np.isfinite(self.points)):
+        points = np.atleast_2d(_owned(self.points))
+        weights = _owned(self.weights).reshape(-1)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
+        if points.shape[0] != weights.shape[0]:
+            raise ValueError(f"{points.shape[0]} points but {weights.shape[0]} weights")
+        if not np.all(np.isfinite(points)):
             raise ValueError("cloud contains non-finite points")
-        if np.any(self.weights < 0):
+        if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        total = float(self.weights.sum())
+        total = float(weights.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
 
@@ -63,6 +79,20 @@ class EmpiricalMeasure:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def sorted_1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stable sort of a 1D cloud, made on first use: the sorted points,
+        their weights and the cumulative sum of those weights."""
+        if self.d != 1:
+            raise ValueError("sorting applies to 1D clouds")
+        order = np.argsort(self.points[:, 0], kind="stable")
+        x = self.points[order, 0]
+        w = self.weights[order]
+        c = np.cumsum(w)
+        for a in (x, w, c):
+            a.flags.writeable = False
+        return x, w, c
 
 
 @dataclass(frozen=True)
@@ -222,9 +252,7 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     nodes = axis.nodes()
-    order = np.argsort(mu.points[:, 0], kind="stable")
-    x = mu.points[order, 0]
-    w = mu.weights[order]
+    x, w, _ = mu.sorted_1d
     first = np.searchsorted(x, nodes - _KDE_CUTOFF * h, side="left")
     stop = np.searchsorted(x, nodes + _KDE_CUTOFF * h, side="right")
     vals = np.zeros(axis.n)
@@ -247,30 +275,32 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
     return GridDensity((axis,), vals, time=time, mass_tol=1e-10)
 
 
-def _sorted_quantile_pieces(mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(mu.points[:, 0], kind="stable")
-    return mu.points[order, 0], np.cumsum(mu.weights[order])
-
-
 def w2_empirical_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact quadratic Wasserstein distance between 1D clouds.
 
     Uses the quantile coupling: both quantile functions are piecewise
     constant on the merged partition of cumulative weights, so the integral
-    of their squared difference is a finite sum.
+    of their squared difference is a finite sum.  When both clouds have the
+    same strictly increasing cumulative weights (equal-size, equal-weight
+    clouds) that partition is their own and the coupling pairs points by rank.
     """
     if a.d != 1 or b.d != 1:
         raise ValueError("exact coupling requires 1D clouds")
-    xa, ca = _sorted_quantile_pieces(a)
-    xb, cb = _sorted_quantile_pieces(b)
-    cuts = np.union1d(ca, cb)
-    cuts = cuts[cuts > 0.0]
-    lo = np.concatenate(([0.0], cuts[:-1]))
-    lens = cuts - lo
-    mids = lo + 0.5 * lens
-    ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
-    ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
-    cost = float(np.dot(lens, (xa[ia] - xb[ib]) ** 2))
+    xa, _, ca = a.sorted_1d
+    xb, _, cb = b.sorted_1d
+    lens = np.diff(ca, prepend=0.0)
+    if np.array_equal(ca, cb) and np.all(lens > 0.0):
+        gaps = xa - xb
+    else:
+        cuts = np.union1d(ca, cb)
+        cuts = cuts[cuts > 0.0]
+        lo = np.concatenate(([0.0], cuts[:-1]))
+        lens = cuts - lo
+        mids = lo + 0.5 * lens
+        ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
+        ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
+        gaps = xa[ia] - xb[ib]
+    cost = float(np.dot(lens, gaps ** 2))
     return math.sqrt(max(cost, 0.0))
 
 
@@ -374,7 +404,7 @@ def w2_cloud_vs_density_1d(mu: EmpiricalMeasure, p: GridDensity,
     if mu.d != 1 or p.dim != 1:
         raise ValueError("both arguments must be one-dimensional")
     u = (np.arange(n_quantiles) + 0.5) / n_quantiles
-    xa, ca = _sorted_quantile_pieces(mu)
+    xa, _, ca = mu.sorted_1d
     ia = np.minimum(np.searchsorted(ca, u, side="left"), len(xa) - 1)
     qa = xa[ia]
     qb = grid_cdf_quantiles(p, u)
@@ -393,22 +423,47 @@ def grid_radial_moment(p: GridDensity, order: float) -> float:
     return float(np.dot((p.node_weights() * p.values).ravel(), r ** order))
 
 
+def _reprs(values) -> Iterator[str]:
+    """``repr`` of every entry as a plain int or float, made as the rows are
+    joined, and once when all entries have the same bits (so ``-0.0`` and
+    ``0.0`` stay apart)."""
+    arr = np.asarray(values)
+    if arr.size > 1 and arr.dtype.kind in "iuf":
+        bits = arr.view(f"u{arr.dtype.itemsize}")
+        if np.all(bits == bits[0]):
+            return itertools.repeat(repr(arr[0].item()), arr.size)
+    return map(repr, arr.tolist())
+
+
+def _write_rows(path, header: str, cells) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
 def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and then line i joining entry i of every column.
 
     Each column is formatted once, every value as Python's ``repr`` of the
     plain int or float (``.tolist()`` drops the numpy scalar type), so the
-    bytes depend only on the values.  Boolean columns must be cast to int.
+    bytes depend only on the values; a column whose entries all share one bit
+    pattern is formatted from its first.  Boolean columns must be cast to int.
     """
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+    _write_rows(path, header, [_reprs(col) for col in columns])
 
 
 def grid_density_to_csv(p: GridDensity, path) -> None:
-    """Write ``x,p`` (1D) or ``x,y,p`` (2D, row-major) rows."""
-    write_csv(path, ("x,p", "x,y,p")[p.dim - 1],
-              [*p.node_coords().T, p.values.ravel()])
+    """Write ``x,p`` (1D) or ``x,y,p`` (2D, row-major) rows.
+
+    In 2D each axis node is formatted once and repeated over its rows; the
+    values are those of ``node_coords``.
+    """
+    if p.dim == 1:
+        write_csv(path, "x,p", [p.axes[0].nodes(), p.values])
+        return
+    nx, ny = (ax.n for ax in p.axes)
+    xs, ys = (list(_reprs(ax.nodes())) for ax in p.axes)
+    _write_rows(path, "x,y,p", [(x for x in xs for _ in range(ny)), ys * nx,
+                                _reprs(p.values.ravel())])
 
 
 def empirical_to_csv(mu: EmpiricalMeasure, path) -> None:

@@ -178,6 +178,8 @@ class PathBundle:
         return self.states.shape[1]
 
     def snapshot(self, time_index: int) -> EmpiricalMeasure:
+        """The equal-weight cloud at one grid index; it owns a copy of the
+        states, so it does not keep the path array alive."""
         return EmpiricalMeasure.from_samples(self.states[time_index])
 
     def path(self, i: int) -> ParticlePath:

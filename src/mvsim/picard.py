@@ -9,6 +9,10 @@ the frozen flow and the gap between them is a clean contraction signal.
 That noise is one ``particle.draw_noise`` call, made by ``picard_run`` before
 ``iterate_frozen_flow``; ``picard_vs_direct`` and the harness run the
 iteration and the interacting system on one such draw.
+
+Only one ``(steps + 1, N, d)`` path array is alive at a time: each solve keeps
+its realized flow and its checkpoint clouds, which own copies of their
+points, and drops its path bundle before the next solve allocates one.
 """
 
 from __future__ import annotations
@@ -111,7 +115,9 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
         bundle = euler_paths(model, x0, grid, increments, flow=frozen)
         walls.append(time.perf_counter() - t0)
         clouds = [bundle.snapshot(k) for k in ck_idx]
-        flows.append(bundle.realized_flow)
+        frozen = bundle.realized_flow
+        del bundle  # the clouds own their points: the path array goes now
+        flows.append(frozen)
         all_clouds.append(clouds)
         if prev_clouds is not None:
             gap = convergence_gap(prev_clouds, clouds, n_slices=n_slices)
@@ -119,7 +125,6 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
             if gap <= tol:
                 converged = True
                 break
-        frozen = bundle.realized_flow
         prev_clouds = clouds
     return PicardRun(initial_flow=initial_flow, flows=flows,
                      checkpoint_clouds=all_clouds,

@@ -4,6 +4,7 @@ Expected values marked with a derivation comment were computed from the
 closed form stated there; the rest are direct consequences of definitions.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,29 @@ def _sliced_loop(a, b, n_slices, seed):
         pb = EmpiricalMeasure((b.points @ u)[:, None], b.weights)
         acc += w2_empirical_1d(pa, pb) ** 2
     return math.sqrt(acc / n_slices)
+
+
+def _merged_w2(a, b):
+    """Exact 1D W2 on the merged partition of both cumulative weights."""
+    def pieces(mu):
+        order = np.argsort(mu.points[:, 0], kind="stable")
+        return mu.points[order, 0], np.cumsum(mu.weights[order])
+    xa, ca = pieces(a)
+    xb, cb = pieces(b)
+    cuts = np.union1d(ca, cb)
+    cuts = cuts[cuts > 0.0]
+    lo = np.concatenate(([0.0], cuts[:-1]))
+    lens = cuts - lo
+    mids = lo + 0.5 * lens
+    ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
+    ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
+    return math.sqrt(max(float(np.dot(lens, (xa[ia] - xb[ib]) ** 2)), 0.0))
+
+
+def _tied_points(rng, n):
+    """Normal draws with about half the points on five shared values."""
+    return np.where(rng.random(n) < 0.5, rng.normal(size=n),
+                    rng.integers(-2, 3, size=n) * 0.5)
 
 
 def _weighted_cloud(points, rng):
@@ -286,6 +310,76 @@ class TestW2:
         with pytest.raises(ValueError, match="1D"):
             w2_empirical_1d(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 20000])
+    def test_equal_weights_pair_by_rank_as_the_merge(self, n):
+        # equal weights share one partition: rank pairing has the merge's bits
+        rng = np.random.default_rng(n)
+        a = _cloud(_tied_points(rng, n))
+        for b in (_cloud(_tied_points(rng, n)), _cloud(a.points[::-1] + 0.25), a):
+            assert w2_empirical_1d(a, b) == _merged_w2(a, b)
+            assert w2_empirical_1d(b, a) == _merged_w2(b, a)
+
+    def test_equal_weights_skip_the_merge(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a, b = _cloud(_tied_points(rng, 500)), _cloud(_tied_points(rng, 500))
+        want = _merged_w2(a, b)
+
+        def no_merge(*args, **kwargs):
+            raise AssertionError("equal partitions were merged")
+
+        monkeypatch.setattr(np, "union1d", no_merge)
+        assert w2_empirical_1d(a, b) == want
+
+    def test_other_weights_take_the_merge(self):
+        rng = np.random.default_rng(12)
+        a = _weighted_cloud(_tied_points(rng, 300), rng)
+        same_w = EmpiricalMeasure(_tied_points(rng, 300)[:, None], a.weights)
+        for b in (_weighted_cloud(_tied_points(rng, 300), rng), same_w,
+                  _cloud(_tied_points(rng, 300)), _cloud(_tied_points(rng, 77))):
+            assert w2_empirical_1d(a, b) == _merged_w2(a, b)
+        # a zero weight leaves the partition's first piece empty
+        z = EmpiricalMeasure([[0.0], [1.0], [3.0]], [0.0, 0.5, 0.5])
+        y = EmpiricalMeasure([[-1.0], [2.0], [2.5]], [0.0, 0.5, 0.5])
+        assert w2_empirical_1d(z, y) == _merged_w2(z, y)
+        assert w2_empirical_1d(z, y) == pytest.approx(math.sqrt(0.625), abs=1e-15)
+
+
+class TestSortOnce:
+    def test_sorted_once_read_only(self):
+        rng = np.random.default_rng(3)
+        mu = _weighted_cloud(_tied_points(rng, 50), rng)
+        x, w, c = mu.sorted_1d
+        assert mu.sorted_1d[0] is x
+        order = np.argsort(mu.points[:, 0], kind="stable")
+        np.testing.assert_array_equal(x, mu.points[order, 0])
+        np.testing.assert_array_equal(w, mu.weights[order])
+        np.testing.assert_array_equal(c, np.cumsum(mu.weights[order]))
+        for arr in (x, w, c):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_multivariate_cloud_has_no_sort(self):
+        with pytest.raises(ValueError, match="1D"):
+            _cloud(np.zeros((3, 2))).sorted_1d
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_warm_sort_gives_the_fresh_results(self, weighted):
+        rng = np.random.default_rng(6)
+        make = (lambda pts: _weighted_cloud(pts, rng)) if weighted else _cloud
+        mu, nu = make(_tied_points(rng, 2000)), make(_tied_points(rng, 2000) + 0.1)
+        ax = GridAxis(-5.0, 5.0, 301)
+        p = _gaussian_grid(ax)
+        warm = [kde_1d(mu, ax).values, w2_empirical_1d(mu, nu),
+                w2_cloud_vs_density_1d(mu, p)]
+        again = [kde_1d(mu, ax).values, w2_empirical_1d(mu, nu),
+                 w2_cloud_vs_density_1d(mu, p)]
+        mu2, nu2 = (EmpiricalMeasure(m.points, m.weights) for m in (mu, nu))
+        fresh = [kde_1d(mu2, ax).values, w2_empirical_1d(mu2, nu2),
+                 w2_cloud_vs_density_1d(mu2, p)]
+        for got in (again, fresh):
+            assert np.array_equal(got[0], warm[0])
+            assert got[1:] == warm[1:]
+
 
 class TestSlicedW2:
     def test_identical(self):
@@ -415,6 +509,19 @@ class TestContainers:
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.array([[np.nan]]), np.ones(1))
 
+    def test_cloud_owns_read_only_arrays(self):
+        pts, w = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
+        mu = EmpiricalMeasure(pts, w)
+        assert not np.shares_memory(mu.points, pts)
+        assert not np.shares_memory(mu.weights, w)
+        pts[0, 0], w[:] = 5.0, (0.9, 0.1)
+        assert mu.points[0, 0] == 0.0 and mu.weights[0] == 0.5
+        for arr in (mu.points, mu.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mu.points = pts
+
     def test_from_samples_uniform_weights(self):
         mu = EmpiricalMeasure.from_samples(np.arange(4.0)[:, None])
         np.testing.assert_allclose(mu.weights, 0.25)
@@ -480,6 +587,34 @@ class TestSerialization:
         want = _row_csv("i,a,flag,b", [(i, float(x), int(h), float(y))
                                        for i, (x, h, y) in enumerate(zip(a, flag, b))])
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("columns", [
+        [np.full(6, 0.05), np.arange(6.0)],                    # constant column
+        [np.array([0.0, -0.0, 0.0]), np.full(3, -0.0)],        # signed zeros
+        [np.full(4, 0.0), np.array([-0.0, -0.0, -0.0, 0.0])],
+        [range(5), np.full(5, 7), np.array([3, 3, 3, 3, -1])],  # int columns
+        [np.full(3, np.nan), np.array([np.inf, np.inf, np.inf])],
+        [np.array([1.5]), range(1), np.array([-0.0])],         # one row
+        [np.full((3, 2), 0.25).T[0], np.arange(6.0)[::2]],     # strided views
+    ])
+    def test_table_bytes_match_repr_per_value(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b,c"[:2 * len(columns) - 1], columns)
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        assert path.read_bytes() == _row_csv("a,b,c"[:2 * len(columns) - 1],
+                                             rows).encode()
+
+    @pytest.mark.parametrize("vals", ["random", "constant"])
+    def test_density_csv_bytes_2d_match_repr_per_value(self, tmp_path, vals):
+        axes = (GridAxis(-1.0, 1.0, 5), GridAxis(-0.3, 0.9, 4))
+        values = np.random.default_rng(2).random((5, 4)) if vals == "random" \
+            else np.full((5, 4), 0.125)
+        p = GridDensity(axes, values, mass_tol=math.inf)
+        path = tmp_path / "g.csv"
+        grid_density_to_csv(p, path)
+        rows = [(*xy, v) for xy, v in zip(p.node_coords().tolist(),
+                                          p.values.ravel().tolist())]
+        assert path.read_bytes() == _row_csv("x,y,p", rows).encode()
 
     def test_empty_table_is_the_header(self, tmp_path):
         path = tmp_path / "e.csv"

@@ -185,6 +185,15 @@ class TestInteracting:
         np.testing.assert_array_equal(bundle.path(1).increments,
                                       bundle.increments[:, 1, :])
 
+    def test_snapshot_owns_its_points(self):
+        # a snapshot that viewed the states would keep the whole path array
+        bundle = simulate_interacting(
+            _const_model(), InitialLaw.point([0.0]), TimeGrid(1.0, 5), 4, seed=3)
+        mu = bundle.snapshot(2)
+        assert not np.shares_memory(mu.points, bundle.states)
+        with pytest.raises(ValueError, match="read-only"):
+            mu.points[0, 0] = 1.0
+
     def test_determinism(self):
         inst = get_preset("example5-2")
         a = simulate_interacting(inst.model, inst.law, TimeGrid(1.0, 20), 64, seed=8)

@@ -1,10 +1,12 @@
 """Fixed-point iteration on the statistic flow and its gap metric."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import mvsim.picard
 from mvsim import (
     EmpiricalMeasure,
     InitialLaw,
@@ -110,6 +112,23 @@ class TestPicardRun:
         assert not run.converged
         assert run.n_iters == 3
         assert len(run.gaps) == 2
+
+    def test_one_path_array_alive_at_a_time(self, monkeypatch):
+        # every earlier solve's states are gone when the next solve starts
+        real, states = mvsim.picard.euler_paths, []
+
+        def tracked(*args, **kwargs):
+            assert [r() for r in states] == [None] * len(states)
+            bundle = real(*args, **kwargs)
+            states.append(weakref.ref(bundle.states))
+            return bundle
+
+        monkeypatch.setattr(mvsim.picard, "euler_paths", tracked)
+        inst = get_preset("meanfield-ou")
+        run = picard_run(inst.model, inst.law, TimeGrid(1.0, 20), 100,
+                         seed=2, tol=1e-14, max_iters=4, checkpoints=(0.5, 1.0))
+        assert run.n_iters == len(states) == 4
+        assert [r() for r in states] == [None] * 4
 
     def test_bookkeeping_shapes(self):
         inst = get_preset("meanfield-ou")
