@@ -104,6 +104,10 @@ def _cmd_presets() -> int:
 
 
 def _cmd_check_ellipticity(args) -> int:
+    for flag, value, least in (("--samples", args.samples, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     try:
         inst = get_preset(args.preset)
     except ValueError as e:

@@ -10,19 +10,21 @@ the nonlocal coupling is carried through the drift/diffusion fields.
 Scheme: Runge-Kutta-Legendre super-steps (RKL1; Meyer, Balsara & Aslam
 2014, J. Comput. Phys. 257:594-626), stepped by one loop for 1D and 2D alike.
 The density p lives inside a frame of ghost nodes that stays zero, the
-Dirichlet boundary outside the box, and the operator L is a stencil on that
-frame: each offset (the node itself, -1 and +1 along each axis and, in 2D,
-the four corners of the mixed term) has an array of coefficients, and an
-application adds up each array times p shifted by its offset.  The
-coefficients are those of a conservative flux on the n+1 cell faces of each
-axis, upwinded by the sign of the face velocity (the mean drift of the two
-nodes beside the face; a boundary face uses the drift of its one node), and
-its difference; of the centered second difference of A_kk p; and in 2D of the
-centered mixed differences of A_12 p.  The drift part and the diffusion part
-are assembled in place when their field is computed: once per solve for a
-field the model declares static (``b_static``, ``sigma_static``), once per
-step otherwise, so a nonlocal field and its statistic are read at the start
-of each step.
+Dirichlet boundary outside the box.  The frame is stored flat in rows of width
+W = n_last + 2 (1D is one row), and the operator L is a stencil on the one
+contiguous range from the first node to the last: each offset (0, +-1 along
+the last axis, +-W along the first and, in 2D, +-W+-1 at the four corners of
+the mixed term) has an array of coefficients, and an application adds up each
+array times the frame shifted by its offset.  The ghost ends of the rows
+inside the range have coefficients 0 and stay 0.  The coefficients are those
+of a conservative flux on the n+1 cell faces of each axis, upwinded by the
+sign of the face velocity (the mean drift of the two nodes beside the face; a
+boundary face uses the drift of its one node), and its difference; of the
+centered second difference of A_kk p; and in 2D of the centered mixed
+differences of A_12 p.  The drift part and the diffusion part are assembled in
+place when their field is computed: once per solve for a field the model
+declares static (``b_static``, ``sigma_static``), once per step otherwise, so
+a nonlocal field and its statistic are read at the start of each step.
 
 A step of length tau runs s stages, Y_0 = p and
 
@@ -55,7 +57,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -232,92 +233,82 @@ def _statistic_rows(model: CoefficientModel, dens: GridDensity) -> np.ndarray:
                      for f in model.functionals]).reshape(model.q, w.size)
 
 
-def _along(d: int, k: int, s, rest=slice(None)) -> tuple:
-    """Index of a d-axis array taking ``s`` on axis k and ``rest`` on the others."""
-    return tuple(s if j == k else rest for j in range(d))
-
-
-class _Cuts(NamedTuple):
-    """Index tuples that cut one axis of an array and keep the others whole."""
-
-    head: tuple   # all but the last entry
-    tail: tuple   # all but the first entry
-    inner: tuple  # all but both end entries
-    first: tuple  # the first entry
-    last: tuple   # the last entry
-
-
-def _cuts(d: int, k: int) -> _Cuts:
-    return _Cuts(*(_along(d, k, s) for s in
-                   (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
-
-
-def _offsets(d: int) -> list[tuple[int, ...]]:
-    """Stencil offsets: the node itself, then -1 and +1 along each axis, then
-    in 2D the four corners of the mixed term."""
-    offs = [(0,) * d]
-    for k in range(d):
-        offs += [_along(d, k, -1, 0), _along(d, k, 1, 0)]
-    if d == 2:
-        offs += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+def _offsets(steps: list[int]) -> list[int]:
+    """Flat offsets, for neighbours ``steps[k]`` entries apart on axis k: the node,
+    -1 and +1 on each axis, then in 2D the corners (+,+), (+,-), (-,+), (-,-)."""
+    offs = [0] + [sign * o for o in steps for sign in (-1, 1)]
+    if len(steps) == 2:
+        offs += [i * steps[0] + j * steps[1] for i, j in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     return offs
 
 
-def _shifted(frame: np.ndarray, offsets) -> list[np.ndarray]:
-    """Views of a ghost-framed array at the grid nodes moved by each offset."""
-    return [frame[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, frame.shape))]
-            for off in offsets]
-
-
 class _Stencil:
-    """The explicit operator as coefficients on the zero ghost frame ``P``:
-    ``upd = sum_off C[off] * P[nodes + off]`` and ``outflux = g . p``.
+    """The explicit operator as coefficients on the zero ghost frame it
+    allocates, stored flat: ``upd = sum_off C[off] * frame[r + off]`` over the
+    range r of ``flat`` (the first node to the last) and ``outflux = g . p``.
+    The in-range ghosts keep zero coefficients, so ``apply`` leaves them 0.
+    ``p`` is the density at the nodes; ``nodes`` gives that view of any
+    range-sized array.
 
     ``C`` and ``g`` sum a drift part and a diffusion part.  Each part is
     rewritten in place only when its field is recomputed, and ``_assemble``
     then sums them.
     """
 
-    def __init__(self, P: np.ndarray, hs: list[float]):
-        d = P.ndim
-        shape = tuple(n - 2 for n in P.shape)
-        offsets = _offsets(d)
-        self.hs = hs
-        self.cell = math.prod(hs)
-        self.frame = P
-        self.views = _shifted(P, offsets)
-        self.cuts = [_cuts(d, k) for k in range(d)]
-        self.C = np.zeros((len(offsets),) + shape)
-        self.g = np.zeros(shape)
+    def __init__(self, shape: tuple[int, ...], hs: list[float]):
+        d, n = len(shape), shape[-1]
+        W = n + 2  # the frame's row width; 1D is one row
+        L = math.prod(shape[:-1]) * W - 2
+        self.shape, self.hs, self.cell = shape, hs, math.prod(hs)
+        self.steps = [W] * (d - 1) + [1]
+        offsets = _offsets(self.steps)
+        self.start = start = sum(self.steps)
+        self.frame = np.zeros(math.prod(m + 2 for m in shape))
+        self.flat = self.frame[start:start + L]
+        self.p = self.nodes(self.flat)
+        self.views = [self.frame[start + o:start + o + L] for o in offsets]
+        # the nodes at the low and the high end of each axis: the first and the
+        # last row of a 2D grid, and the first and the last entry of every row
+        self.ends = ([(slice(0, n), slice(L - n, L))] * (d - 1)
+                     + [(slice(0, L, W), slice(n - 1, L, W))])
+        # the in-range ghosts: the right and the left frame entry between rows (none in 1D)
+        self.ghosts = [s for s in (slice(n, L, W), slice(n + 1, L, W)) if s.start < L]
+        self.C, self.g = np.zeros((len(offsets), L)), np.zeros(L)
         # drift part: the positive and negative parts of the drift over h on
-        # the n+1 faces of each axis
-        self.up = [np.zeros(shape[:k] + (n + 1,) + shape[k + 1:])
-                   for k, n in enumerate(shape)]
-        self.down = [np.zeros_like(u) for u in self.up]
+        # the faces of each axis; entry r is the face between range entries
+        # r - o and r, so ``[:L]`` are the faces below the range, ``[o:]`` above
+        self.up = [np.zeros(L + o) for o in self.steps]
+        self.down = [np.zeros(L + o) for o in self.steps]
         # diffusion part at the node and its axis neighbours; the corners of
         # the mixed term carry no drift and are written to C directly
-        self.diffusion_C = np.zeros((1 + 2 * d,) + shape)
-        self.diffusion_g = np.zeros(shape)
+        self.diffusion_C, self.diffusion_g = np.zeros((1 + 2 * d, L)), np.zeros(L)
         # a field on a zero ghost frame of its own, read at every offset
-        self.field_at = _shifted(np.zeros_like(P), offsets)
+        self.field = np.zeros_like(self.frame)
+        self.field_at = [self.field[start + o:start + o + L] for o in offsets]
+        self.field_nodes = self.nodes(self.field_at[0])
         # g vanishes off the nodes next to the frame; outflux reads only those
-        inner = np.zeros(P.shape, dtype=bool)
-        inner[(slice(1, -1),) * d] = True
-        edge = inner.copy()
-        edge[(slice(2, -2),) * d] = False
-        self.edge_P = np.flatnonzero(edge)
-        self.edge = np.flatnonzero(edge[inner])
-        self.tmp = np.empty(shape)
+        edge = np.zeros(L, dtype=bool)
+        for first, last in self.ends:
+            edge[first] = edge[last] = True
+        self.edge = np.flatnonzero(edge)
+        self.tmp = np.empty(L)
+
+    def nodes(self, x: np.ndarray) -> np.ndarray:
+        """The grid-shaped view of a range-sized array at the nodes."""
+        return np.lib.stride_tricks.as_strided(
+            x, self.shape, tuple(x.itemsize * o for o in self.steps))
 
     def set_drift(self, b: np.ndarray) -> None:
         """Upwind fluxes of the drift ``b`` (grid..., d): an inner face takes
         the mean drift of its two nodes, a boundary face that of its one node."""
-        for k, (h, cut, up, down) in enumerate(zip(self.hs, self.cuts, self.up, self.down)):
-            bk = b[..., k]
+        s, bk = self.start, self.field_at[0]
+        for k, (h, o, (first, last), up, down) in enumerate(
+                zip(self.hs, self.steps, self.ends, self.up, self.down)):
+            self.field_nodes[...] = b[..., k]
             # the face velocities over h, in ``down`` until split into parts
-            np.add(bk[cut.head], bk[cut.tail], out=down[cut.inner])
-            down[cut.inner] *= 0.5 / h
-            down[cut.first], down[cut.last] = bk[cut.first] / h, bk[cut.last] / h
+            np.add(self.field[s - o:s + bk.size], self.field[s:s + bk.size + o], out=down)
+            down *= 0.5 / h
+            down[first], down[o:][last] = bk[first] / h, bk[last] / h
             np.maximum(down, 0.0, out=up)
             np.minimum(down, 0.0, out=down)
         self._assemble()
@@ -328,38 +319,42 @@ class _Stencil:
         C, g, at = self.diffusion_C, self.diffusion_g, self.field_at
         C[0] = 0.0
         g[...] = 0.0
-        for k, (h, cut) in enumerate(zip(self.hs, self.cuts)):
+        for k, (h, (first, last)) in enumerate(zip(self.hs, self.ends)):
+            self.field_nodes[...] = a[..., k, k]
             akk = at[0]
-            akk[...] = a[..., k, k]
             C[0] -= akk / h ** 2
             np.multiply(at[1 + 2 * k], 0.5 / h ** 2, out=C[1 + 2 * k])
             np.multiply(at[2 + 2 * k], 0.5 / h ** 2, out=C[2 + 2 * k])
-            g[cut.first] += akk[cut.first] * (self.cell / (2.0 * h ** 2))
-            g[cut.last] += akk[cut.last] * (self.cell / (2.0 * h ** 2))
+            g[first] += akk[first] * (self.cell / (2.0 * h ** 2))
+            g[last] += akk[last] * (self.cell / (2.0 * h ** 2))
         if len(self.hs) == 2:
+            self.field_nodes[...] = a[..., 0, 1]
             a12 = at[0]
-            a12[...] = a[..., 0, 1]
             scale = 1.0 / (4.0 * self.hs[0] * self.hs[1])
             # corners (+,+), (+,-), (-,+), (-,-): the product of the offsets
             signs = (1.0, -1.0, -1.0, 1.0)
             for i, sign in zip(range(5, 9), signs):
                 np.multiply(at[i], sign * scale, out=self.C[i])
-            for corner, sign in zip(((0, 0), (0, -1), (-1, 0), (-1, -1)), signs):
+            n, L = self.shape[-1], a12.size
+            for corner, sign in zip((0, n - 1, L - n, L - 1), signs):
                 g[corner] -= sign * a12[corner] / 4.0
         self._assemble()
 
     def _assemble(self) -> None:
-        C, dc = self.C, self.diffusion_C
+        C, dc, L = self.C, self.diffusion_C, self.flat.size
         np.copyto(C[0], dc[0])
         np.copyto(self.g, self.diffusion_g)
-        for k, (cut, up, down) in enumerate(zip(self.cuts, self.up, self.down)):
+        for k, (o, (first, last), up, down) in enumerate(
+                zip(self.steps, self.ends, self.up, self.down)):
             # inflow from the node below and from the node above, outflow from the node
-            np.add(dc[1 + 2 * k], up[cut.head], out=C[1 + 2 * k])
-            np.subtract(dc[2 + 2 * k], down[cut.tail], out=C[2 + 2 * k])
-            C[0] += down[cut.head]
-            C[0] -= up[cut.tail]
-            self.g[cut.first] -= down[cut.first] * self.cell
-            self.g[cut.last] += up[cut.last] * self.cell
+            np.add(dc[1 + 2 * k], up[:L], out=C[1 + 2 * k])
+            np.subtract(dc[2 + 2 * k], down[o:], out=C[2 + 2 * k])
+            C[0] += down[:L]
+            C[0] -= up[o:]
+            self.g[first] -= down[first] * self.cell
+            self.g[last] += up[o:][last] * self.cell
+        for ghost in self.ghosts:
+            C[:, ghost] = 0.0
         self.g_edge = self.g.take(self.edge)
 
     def apply(self, upd: np.ndarray) -> None:
@@ -372,7 +367,7 @@ class _Stencil:
     def outflux(self) -> float:
         """Mass leaving the box per unit time: the flux through the boundary
         faces plus the frame terms of the differences."""
-        return float(self.g_edge @ self.frame.take(self.edge_P))
+        return float(self.g_edge @ self.flat.take(self.edge))
 
 
 def _span(s: int) -> float:
@@ -426,13 +421,12 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     auto_stages = problem.stages == "auto"
 
     # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
-    # boundary outside the box
-    P = np.zeros(tuple(n + 2 for n in shape))
-    p = P[(slice(1, -1),) * d]
+    # boundary outside the box; the stages run on the frame's flat range
+    op = _Stencil(shape, hs)
+    p, flat = op.p, op.flat
     p[...] = problem.p0.values
-    upd = np.empty(shape)
-    prev = np.empty(shape)  # the stage before last, Y_{j-2}
-    op = _Stencil(P, hs)
+    upd = np.empty_like(flat)
+    prev = np.empty_like(flat)  # the stage before last, Y_{j-2}
 
     events = _plan_events(problem)
     snapshots: list[GridDensity] = []
@@ -512,18 +506,18 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             upd *= stage_dt
             if j == 1:
                 if n_stages > 1:
-                    np.copyto(prev, p)
+                    np.copyto(prev, flat)
                     flux_prev = flux_cum
                 flux_cum += stage_flux
-                p += upd
+                flat += upd
             else:
                 nu = (1 - j) / j
                 flux_cum, flux_prev = mu * flux_cum + nu * flux_prev + stage_flux, flux_cum
                 prev *= nu
                 upd += prev
-                np.copyto(prev, p)
-                p *= mu
-                p += upd
+                np.copyto(prev, flat)
+                flat *= mu
+                flat += upd
             if j < n_stages:
                 _check_floor(float(p.min()), t, steps, j, n_stages)
         applications += n_stages

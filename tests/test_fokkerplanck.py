@@ -91,18 +91,37 @@ class TestStencil:
         sig = rng.standard_normal(shape + (d, d))
         a = sig @ np.swapaxes(sig, -1, -2)
         assert d == 1 or np.abs(a[..., 0, 1]).min() > 0
-        P = np.zeros(tuple(n + 2 for n in shape))
-        P[(slice(1, -1),) * d] = p
-        op = _Stencil(P, hs)
+        op = _Stencil(shape, hs)
+        op.p[...] = p
         op.set_drift(b)
         op.set_diffusion(a)
-        upd = np.empty(shape)
+        upd = np.empty_like(op.flat)
         op.apply(upd)
         want, want_out = _flux_form(p, b, a, hs)
-        np.testing.assert_allclose(upd, want, rtol=1e-13)
+        np.testing.assert_allclose(op.nodes(upd), want, rtol=1e-13)
         assert op.outflux() == pytest.approx(want_out, rel=1e-13)
         # every operator telescopes: the outflux is the mass the step loses
-        assert op.outflux() == pytest.approx(-upd.sum() * math.prod(hs), rel=1e-12)
+        assert op.outflux() == pytest.approx(-op.nodes(upd).sum() * math.prod(hs), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(57,), (23, 31), (31, 23)])
+    def test_in_range_ghosts_keep_zero_coefficients(self, shape):
+        rng = np.random.default_rng(7)
+        d = len(shape)
+        op = _Stencil(shape, [0.1, 0.07][:d])
+        op.p[...] = rng.uniform(0.1, 1.0, shape)
+        sig = rng.standard_normal(shape + (d, d))
+        op.set_drift(rng.standard_normal(shape + (d,)))
+        op.set_diffusion(sig @ np.swapaxes(sig, -1, -2))
+        # a drift rebuilt after the diffusion, as in a nonlocal run
+        op.set_drift(rng.standard_normal(shape + (d,)))
+        # the nodes are positive, so the zeros of the range are its ghosts: the
+        # right and the left frame entry between each pair of rows
+        ghost = op.flat == 0
+        assert ghost.sum() == 2 * (math.prod(shape[:-1]) - 1)
+        assert np.all(op.C[:, ghost] == 0) and np.all(op.g[ghost] == 0)
+        upd = np.empty_like(op.flat)
+        op.apply(upd)
+        assert np.all(upd[ghost] == 0)
 
 
 class TestGaussianOnGrid:
@@ -559,6 +578,23 @@ class TestSuperSteps:
         assert sol.boundary_flux_curve[-1] > 1e-3
         np.testing.assert_allclose(sol.mass_curve + sol.boundary_flux_curve,
                                    sol.mass_curve[0], rtol=0, atol=1e-13)
+
+    def test_stretched_2d_solve_with_a_cross_term_conserves_mass(self):
+        # constant coefficients on a 49x41 grid, h = 0.125 on both axes: drift
+        # terms 10.4, diffusion terms 320 (64 of them the cross term), so every
+        # step is stretched, and mass leaves the box
+        model = CoefficientModel(
+            d=2, m=2, functionals=(),
+            b=lambda t, x, st: np.broadcast_to([1.0, 0.3], x.shape),
+            sigma=lambda t, x, st: np.broadcast_to(
+                np.linalg.cholesky([[1.0, 0.5], [0.5, 1.0]]), x.shape[:-1] + (2, 2)),
+            b_static=True, sigma_static=True)
+        law = InitialLaw.gaussian([0.5, 0.0], [[0.09, 0.02], [0.02, 0.09]])
+        sol = solve_fp(build_fp_problem(model, law, ((-3.0, 3.0), (-2.5, 2.5)), (49, 41),
+                                        0.5, snapshot_times=(0.25, 0.5), stages="auto"))
+        assert sol.n_applications > sol.n_steps
+        assert sol.boundary_flux_curve[-1] > 1e-3
+        assert np.abs(sol.mass_curve + sol.boundary_flux_curve - 1.0).max() < 1e-12
 
     def test_fixed_dt_is_checked_against_the_stretched_bound(self):
         # drift terms 20, diffusion terms 400: the Euler bound is 1/420, the

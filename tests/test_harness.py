@@ -458,6 +458,12 @@ class TestCli:
     def test_check_ellipticity_unknown_preset(self, capsys):
         assert cli_main(["check-ellipticity", "nope"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--seed", "-1")])
+    def test_check_ellipticity_bad_flag_is_usage_error(self, capsys, flag, value):
+        assert cli_main(["check-ellipticity", "bm", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be at least ") and err.count("\n") == 1
+
     def test_seed_flag_applies(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(_base_config()))
