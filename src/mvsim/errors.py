@@ -48,7 +48,7 @@ class ConditioningError(MvsimError):
 class ConfigError(MvsimError):
     """An experiment config failed validation.
 
-    ``field_path`` points at the offending entry, e.g. ``"fp.nodes[1]"``.
+    ``field_path`` points at the offending entry, e.g. ``"fp.nodes.1"``.
     """
 
     def __init__(self, message: str, field_path: str = ""):

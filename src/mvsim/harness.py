@@ -10,15 +10,17 @@ does not abort the others.
 Everything written is a pure function of the config: no wall-clock content
 or host data, sorted JSON keys, and every CSV value written by the one writer
 ``measures.write_csv`` as Python's ``repr``.  The particle and Picard methods
-run on one draw of the initial cloud and Brownian increments, and the
-Malliavin paths on its first ``n_paths`` particles when there are no more
-paths than particles.  ``threads`` is accepted and changes nothing: the
-Malliavin paths run as one batch.
+run on one draw of the initial cloud and Brownian increments; the Malliavin
+paths draw their own ``n_paths`` particles under the same seed, the first
+``n_paths`` of that draw.  ``threads`` is accepted and changes nothing: the
+Malliavin paths run as one batch.  Each method files its results by
+snapshot time in ``at[t][route]``, where the comparisons read them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,13 +30,13 @@ import numpy as np
 
 from .coefficients import CoefficientModel
 from .errors import ConfigError
-from .fokkerplanck import FPSolution, build_fp_problem, solve_fp
+from .fokkerplanck import build_fp_problem, solve_fp
 from .malliavin import bundle_diagnostics
 from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
                        empirical_to_csv, grid_density_to_csv, grid_marginal,
                        grid_radial_moment, empirical_radial_moment, kde_1d,
-                       l1_grid_distance, w2_cloud_vs_density_1d,
-                       w2_empirical_1d, w2_sliced, write_csv)
+                       l1_grid_distance, w2_cloud_vs_density_1d, w2_sliced,
+                       write_csv)
 from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 from .picard import PicardRun, iterate_frozen_flow
 from .presets import get_preset, preset_defaults, preset_names
@@ -108,10 +110,16 @@ _CONFIG_SCHEMA = {
 }
 
 
+# JSON readers accept NaN and Infinity; a config "number" must be finite
+_Draft = jsonschema.Draft202012Validator
+_Validator = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
+    "number", lambda checker, x: _Draft.TYPE_CHECKER.is_type(x, "number") and math.isfinite(x)))
+
+
 def validate_config(data: dict) -> None:
     """Schema-check a raw config dict; ConfigError carries the field path."""
     try:
-        jsonschema.validate(data, _CONFIG_SCHEMA)
+        jsonschema.validate(data, _CONFIG_SCHEMA, cls=_Validator)
     except jsonschema.ValidationError as e:
         path = ".".join(str(p) for p in e.absolute_path)
         raise ConfigError(e.message, field_path=path) from None
@@ -329,13 +337,10 @@ class _Experiment:
         except ValueError as e:
             raise ConfigError(str(e), field_path="fp.domain") from None
         self.base = outdir / preset.name
-        self.clouds: dict[float, EmpiricalMeasure] = {}
-        self.kdes: dict[float, list[GridDensity]] = {}
-        self.picard: PicardRun | None = None
-        self.fp: FPSolution | None = None
+        # route results by snapshot time: at[t][route]
+        self.at: dict[float, dict] = {t: {} for t in self.snapshot_times}
         self.noise_users = [m for m in ("particles", "picard") if m in cfg.methods]
         self.noise: tuple[np.ndarray, np.ndarray] | None = None
-        self.path_noise: tuple[np.ndarray, np.ndarray] | None = None
 
     def _dir(self, method: str) -> Path:
         d = self.base / method
@@ -345,21 +350,10 @@ class _Experiment:
     def _take_noise(self, method: str) -> tuple[np.ndarray, np.ndarray]:
         """The one ``(x0, increments)`` draw of the particle and Picard methods,
         made on first use and released to the last of them that is configured.
-
-        The Malliavin paths keep a copy of its first ``n_paths`` particles: the
-        streams are per particle and the initial cloud is one row-major stream,
-        so that prefix is the draw of ``n_paths`` particles, byte for byte.
         """
-        if self.noise is None:
-            self.noise = draw_noise(self.model, self.law, self.grid,
-                                    self.cfg.n_particles, self.cfg.seed)
-        noise = self.noise
-        if method == self.noise_users[-1]:
-            self.noise = None
-            n = self.cfg.malliavin_paths
-            if "malliavin" in self.cfg.methods and n <= self.cfg.n_particles:
-                x0, dw = noise
-                self.path_noise = (x0[:n].copy(), dw[:, :n].copy())
+        noise = self.noise or draw_noise(self.model, self.law, self.grid,
+                                         self.cfg.n_particles, self.cfg.seed)
+        self.noise = None if method == self.noise_users[-1] else noise
         return noise
 
     # method runners: each returns a report fragment
@@ -369,14 +363,13 @@ class _Experiment:
         x0, dw = self._take_noise("particles")
         bundle = euler_paths(self.model, x0, self.grid, dw)
         d = self._dir("particles")
-        for t in self.snapshot_times:
-            mu = bundle.snapshot(self.grid.index_of(t))
-            self.clouds[t] = mu
+        for t, got in self.at.items():
+            mu = got["particles"] = bundle.snapshot(self.grid.index_of(t))
             emit_plotdata((t, mu), d, self.preset.name, "particles")
-            self.kdes[t] = self._write_kde(d, t, mu)
+            got["kde"] = self._write_kde(d, t, mu)
         mom_times = sorted({0.0} | set(self.snapshot_times))
-        mom_objs = [self.clouds.get(t) or bundle.snapshot(self.grid.index_of(t))
-                    for t in mom_times]
+        mom_objs = [self.at[t]["particles"] if t in self.at
+                    else bundle.snapshot(self.grid.index_of(t)) for t in mom_times]
         table = _moment_table(mom_times, mom_objs)
         _moments_csv(d / "moments.csv", table, mom_times)
         if self.model.q:
@@ -397,28 +390,28 @@ class _Experiment:
     def run_picard(self) -> dict:
         cfg = self.cfg
         x0, dw = self._take_noise("picard")
-        self.picard = iterate_frozen_flow(self.model, x0, dw, self.grid,
-                                          tol=cfg.picard_tol,
-                                          max_iters=cfg.picard_max_iters,
-                                          checkpoints=self.snapshot_times,
-                                          n_slices=cfg.picard_n_slices)
+        run = iterate_frozen_flow(self.model, x0, dw, self.grid, tol=cfg.picard_tol,
+                                  max_iters=cfg.picard_max_iters,
+                                  checkpoints=self.snapshot_times,
+                                  n_slices=cfg.picard_n_slices)
         d = self._dir("picard")
-        emit_plotdata(self.picard, d, self.preset.name, "picard")
-        for t, mu in zip(self.picard.checkpoint_times, self.picard.final_clouds):
+        emit_plotdata(run, d, self.preset.name, "picard")
+        for t, mu in zip(run.checkpoint_times, run.final_clouds):
+            self.at[t]["picard"] = mu
             emit_plotdata((t, mu), d, self.preset.name, "picard")
-        table = _moment_table(self.picard.checkpoint_times, self.picard.final_clouds)
-        _moments_csv(d / "moments.csv", table, self.picard.checkpoint_times)
-        return {"status": "ok", "n_iters": self.picard.n_iters,
-                "converged": self.picard.converged,
-                "gaps": [float(g) for g in self.picard.gaps], "moments": table}
+        table = _moment_table(run.checkpoint_times, run.final_clouds)
+        _moments_csv(d / "moments.csv", table, run.checkpoint_times)
+        return {"status": "ok", "n_iters": run.n_iters, "converged": run.converged,
+                "gaps": [float(g) for g in run.gaps], "moments": table}
 
     def run_fp(self) -> dict:
         problem = build_fp_problem(self.model, self.law, self.fp_domain,
                                    self.fp_nodes, self.grid.horizon,
                                    snapshot_times=self.snapshot_times,
                                    dt=self.cfg.fp_dt, stages="auto")
-        self.fp = solve_fp(problem)
-        sol = self.fp
+        sol = solve_fp(problem)
+        for t, p in zip(sol.snapshot_times, sol.snapshots):
+            self.at[t]["fp"] = p
         d = self._dir("fp")
         emit_plotdata(sol.snapshots, d, self.preset.name, "fp")
         idx = _downsample(sol.times.size)
@@ -446,10 +439,8 @@ class _Experiment:
         if lam is None:
             lam = self.preset.ellipticity_lambda or 0.0
         n_paths = cfg.malliavin_paths
-        x0, dw = self.path_noise or draw_noise(self.model, self.law, self.grid,
-                                               n_paths, cfg.seed)
-        self.path_noise = None
-        bundle = euler_paths(self.model, x0, self.grid, dw, seed=cfg.seed)
+        x0, dw = draw_noise(self.model, self.law, self.grid, n_paths, cfg.seed)
+        bundle = euler_paths(self.model, x0, self.grid, dw)
         diag = bundle_diagnostics(self.model, bundle, lam, cfg.malliavin_slack)
         d = self._dir("malliavin")
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
@@ -464,30 +455,20 @@ class _Experiment:
 
     def comparisons(self) -> dict:
         out: dict = {}
-        for t in self.snapshot_times:
+        for t, got in self.at.items():
             entry: dict = {}
-            fp_snap = None
-            if self.fp is not None:
-                for p in self.fp.snapshots:
-                    if p.time == t:
-                        fp_snap = p
-            cloud, kdes = self.clouds.get(t), self.kdes.get(t)
-            if kdes is not None and fp_snap is not None:
+            cloud, kdes, fp = got.get("particles"), got.get("kde"), got.get("fp")
+            if kdes is not None and fp is not None:
                 if self.model.d == 1:
-                    entry["l1_kde_vs_fp"] = l1_grid_distance(kdes[0], fp_snap)
-                    entry["w2_particles_vs_fp"] = w2_cloud_vs_density_1d(cloud, fp_snap)
+                    entry["l1_kde_vs_fp"] = l1_grid_distance(kdes[0], fp)
+                    entry["w2_particles_vs_fp"] = w2_cloud_vs_density_1d(cloud, fp)
                 else:
-                    for i in range(2):
+                    for i, kde in enumerate(kdes):
                         entry[f"l1_kde_vs_fp_x{i + 1}"] = l1_grid_distance(
-                            kdes[i], grid_marginal(fp_snap, i))
-            if cloud is not None and self.picard is not None \
-                    and t in self.picard.checkpoint_times:
-                mu = self.picard.final_clouds[self.picard.checkpoint_times.index(t)]
-                if self.model.d == 1:
-                    entry["w2_particles_vs_picard"] = w2_empirical_1d(cloud, mu)
-                else:
-                    entry["w2_particles_vs_picard"] = w2_sliced(
-                        cloud, mu, n_slices=self.cfg.picard_n_slices, seed=0)
+                            kde, grid_marginal(fp, i))
+            if cloud is not None and "picard" in got:
+                entry["w2_particles_vs_picard"] = w2_sliced(
+                    cloud, got["picard"], n_slices=self.cfg.picard_n_slices, seed=0)
             if entry:
                 out[_tkey(t)] = entry
         return out

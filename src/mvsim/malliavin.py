@@ -45,7 +45,7 @@ from ._linalg import operator_norm, singular_extremes, sym_eigvals
 from .coefficients import CoefficientModel, diffusion_matrix
 from .errors import ConditioningError, NumericError
 from .measures import StatisticFlow
-from .particle import ParticlePath, PathBundle, TimeGrid
+from .particle import ParticlePath, PathBundle, TimeGrid, _check_flow
 
 _COND_FLOOR = 1e-12
 
@@ -81,20 +81,13 @@ class EllipticityBoundReport:
     lambda_degenerate: bool
 
 
-def _flow_check(model: CoefficientModel, grid: TimeGrid, flow: StatisticFlow):
-    if flow.stats.shape != (grid.steps + 1, model.q):
-        raise ValueError(
-            f"flow shape {flow.stats.shape} does not match grid/model "
-            f"{(grid.steps + 1, model.q)}")
-
-
 def _sweep(model: CoefficientModel, grid: TimeGrid, states: np.ndarray,
            increments: np.ndarray, flow: StatisticFlow, paths) -> tuple:
     """(Y, Z), each (steps + 1, P, d, d), along states (steps + 1, P, d) and
     increments (steps, P, m); ``paths`` names the P paths in errors."""
     if model.db_dx is None or model.dsigma_dx is None:
         raise ValueError("model does not provide state Jacobians")
-    _flow_check(model, grid, flow)
+    _check_flow(model, grid, flow)
     M, P, d = grid.steps, states.shape[1], model.d
     dt = grid.dt
     times = grid.times()
@@ -136,7 +129,7 @@ def _covariance(model: CoefficientModel, grid: TimeGrid, states: np.ndarray,
                 flow: StatisticFlow, Y: np.ndarray, paths) -> tuple:
     """Q (K, P, d, d), with lambda_min(Q) and gamma (K, P), at the first K grid
     times, where states (K, P, d) and Y (K, P, d, d) cover those times."""
-    _flow_check(model, grid, flow)
+    _check_flow(model, grid, flow)
     A = np.stack([diffusion_matrix(model, float(t), x, s)
                   for t, x, s in zip(grid.times(), states, flow.stats)])
     smin, smax = _invertible(Y, paths)
@@ -190,7 +183,7 @@ def malliavin_derivative(fv: FirstVariationPath, path: ParticlePath,
 
     ``Y(r)`` is applied through a linear solve, never an explicit inverse.
     """
-    _flow_check(model, path.grid, flow)
+    _check_flow(model, path.grid, flow)
     M = path.grid.steps
     if not (0 <= r_index <= M and 0 <= t_index <= M):
         raise ValueError(f"time indices must lie in [0, {M}]")

@@ -170,7 +170,6 @@ class PathBundle:
     grid: TimeGrid
     states: np.ndarray
     increments: np.ndarray
-    seed: int
     realized_flow: StatisticFlow
 
     @property
@@ -187,8 +186,18 @@ class PathBundle:
                             self.increments[:, i, :].copy(), i)
 
 
+def _check_flow(model, grid: TimeGrid, flow: StatisticFlow) -> None:
+    """A statistic flow must hold the model's q statistics at every grid time."""
+    if flow.stats.shape != (grid.steps + 1, model.q):
+        raise ValueError(
+            f"flow shape {flow.stats.shape} does not match grid/model "
+            f"{(grid.steps + 1, model.q)}")
+    if not np.allclose(flow.times, grid.times(), rtol=0.0, atol=1e-12):
+        raise ValueError("flow is defined on a different time grid")
+
+
 def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
-                flow: StatisticFlow | None = None, seed: int = 0) -> PathBundle:
+                flow: StatisticFlow | None = None) -> PathBundle:
     """Core Euler-Maruyama sweep over a particle block.
 
     With ``flow=None`` the statistic vector is read off the live cloud each
@@ -204,14 +213,9 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
     if increments.shape != (grid.steps, n, model.m):
         raise ValueError(
             f"increments shape {increments.shape}, expected {(grid.steps, n, model.m)}")
-    times = grid.times()
     if flow is not None:
-        if flow.stats.shape != (grid.steps + 1, model.q):
-            raise ValueError(
-                f"flow shape {flow.stats.shape} does not match grid/model "
-                f"{(grid.steps + 1, model.q)}")
-        if not np.allclose(flow.times, times, rtol=0.0, atol=1e-12):
-            raise ValueError("flow is defined on a different time grid")
+        _check_flow(model, grid, flow)
+    times = grid.times()
 
     dt = grid.dt
     uw = np.full(n, 1.0 / n)
@@ -234,7 +238,7 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
                 step=k + 1, particle=i)
         states[k + 1] = x
     realized[grid.steps] = _weighted_statistics(x, uw, model.functionals)
-    return PathBundle(grid=grid, states=states, increments=increments, seed=seed,
+    return PathBundle(grid=grid, states=states, increments=increments,
                       realized_flow=StatisticFlow(times, realized))
 
 
@@ -249,7 +253,7 @@ def simulate_frozen_flow(model, law: InitialLaw, grid: TimeGrid, n: int,
     """Particle system against a prescribed statistic flow (no interaction);
     ``flow=None`` is the interacting system."""
     x0, dw = draw_noise(model, law, grid, n, seed)
-    return euler_paths(model, x0, grid, dw, flow=flow, seed=seed)
+    return euler_paths(model, x0, grid, dw, flow=flow)
 
 
 def moment_curve(bundle: PathBundle, p: float) -> np.ndarray:

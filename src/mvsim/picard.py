@@ -17,13 +17,11 @@ points, and drops its path bundle before the next solve allocates one.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, StatisticFlow, empirical_statistics, \
-    w2_empirical_1d, w2_sliced
+from .measures import EmpiricalMeasure, StatisticFlow, empirical_statistics, w2_sliced
 from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 
 
@@ -44,11 +42,6 @@ class PicardRun:
     gaps: list[float]
     converged: bool
     n_iters: int
-    wall_times: list[float] = field(default_factory=list)
-
-    @property
-    def final_flow(self) -> StatisticFlow:
-        return self.flows[-1]
 
     @property
     def final_clouds(self) -> list[EmpiricalMeasure]:
@@ -57,18 +50,10 @@ class PicardRun:
 
 def convergence_gap(a: list[EmpiricalMeasure], b: list[EmpiricalMeasure],
                     n_slices: int = 64, seed: int = 0) -> float:
-    """Max over matching checkpoints of W2 (exact in 1D, sliced above)."""
+    """Max over matching checkpoints of ``w2_sliced`` (exact W2 in 1D)."""
     if len(a) != len(b) or not a:
         raise ValueError("checkpoint lists must be non-empty and equally long")
-    worst = 0.0
-    for ma, mb in zip(a, b):
-        if ma.d != mb.d:
-            raise ValueError("checkpoint clouds have mismatched dimensions")
-        if ma.d == 1:
-            worst = max(worst, w2_empirical_1d(ma, mb))
-        else:
-            worst = max(worst, w2_sliced(ma, mb, n_slices=n_slices, seed=seed))
-    return worst
+    return max(w2_sliced(ma, mb, n_slices=n_slices, seed=seed) for ma, mb in zip(a, b))
 
 
 def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
@@ -106,14 +91,11 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
     flows: list[StatisticFlow] = []
     all_clouds: list[list[EmpiricalMeasure]] = []
     gaps: list[float] = []
-    walls: list[float] = []
     converged = False
     frozen = initial_flow
     prev_clouds: list[EmpiricalMeasure] | None = None
     for _ in range(max_iters):
-        t0 = time.perf_counter()
         bundle = euler_paths(model, x0, grid, increments, flow=frozen)
-        walls.append(time.perf_counter() - t0)
         clouds = [bundle.snapshot(k) for k in ck_idx]
         frozen = bundle.realized_flow
         del bundle  # the clouds own their points: the path array goes now
@@ -129,8 +111,7 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
     return PicardRun(initial_flow=initial_flow, flows=flows,
                      checkpoint_clouds=all_clouds,
                      checkpoint_times=tuple(float(t) for t in checkpoints),
-                     gaps=gaps, converged=converged, n_iters=len(flows),
-                     wall_times=walls)
+                     gaps=gaps, converged=converged, n_iters=len(flows))
 
 
 def picard_vs_direct(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,

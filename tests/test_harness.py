@@ -13,7 +13,8 @@ import pytest
 from mvsim import ConfigError, get_preset, run_experiment, validate_config
 from mvsim.cli import main as cli_main
 from mvsim.harness import ExperimentConfig, emit_plotdata, list_presets
-from mvsim.measures import GridAxis, GridDensity, EmpiricalMeasure, l1_grid_distance
+from mvsim.measures import (GridAxis, GridDensity, EmpiricalMeasure, grid_density_from_csv,
+                            l1_grid_distance, w2_cloud_vs_density_1d, w2_empirical_1d)
 from mvsim.picard import picard_run
 from mvsim.particle import InitialLaw, TimeGrid
 
@@ -63,6 +64,19 @@ class TestValidateConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(_base_config(methods=["particles", "magic"]))
+
+    @pytest.mark.parametrize("mistake,where", [
+        ({"picard": {"tol": math.nan}}, "picard.tol"),
+        ({"fp": {"domain": [[-math.inf, 8.0]]}}, "fp.domain.0.0"),
+        ({"horizon": math.inf}, "horizon"),
+        ({"snapshot_times": [0.5, math.inf]}, "snapshot_times.1"),
+        ({"overrides": {"sigma": math.nan}}, "overrides.sigma"),
+    ])
+    def test_non_finite_number_rejected(self, mistake, where):
+        # json reads NaN and Infinity as floats; a config number must be finite
+        with pytest.raises(ConfigError, match="nan|inf") as ei:
+            validate_config(_base_config(**mistake))
+        assert ei.value.field_path == where
 
 
 class TestExperimentConfig:
@@ -331,17 +345,42 @@ class TestRunExperiment:
             alone = _tree_digest(tmp_path / method / sub)
             assert alone and alone == _tree_digest(tmp_path / "both" / sub)
 
+    def test_comparisons_pair_the_routes_at_each_time(self, tmp_path):
+        # every reported distance is recomputed from the two routes' files
+        # written for that snapshot time
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp"],
+               "n_particles": 300, "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
+               "picard": {"tol": 1e-3, "max_iters": 4}, "fp": {"nodes": [301]}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        base = tmp_path / "meanfield-ou"
+
+        def cloud(method, t):
+            rows = np.loadtxt(base / method / f"meanfield-ou_{method}_t{t:g}.csv",
+                              delimiter=",", skiprows=1)
+            return EmpiricalMeasure(rows[:, 1:], rows[:, 0])
+
+        for t in (0.5, 1.0):
+            entry = report["comparisons"][f"t={t:g}"]
+            kde = grid_density_from_csv(base / "particles" / f"meanfield-ou_particles_kde_t{t:g}.csv")
+            fp = grid_density_from_csv(base / "fp" / f"meanfield-ou_fp_t{t:g}.csv")
+            assert entry == pytest.approx({
+                "w2_particles_vs_picard": w2_empirical_1d(cloud("particles", t),
+                                                          cloud("picard", t)),
+                "w2_particles_vs_fp": w2_cloud_vs_density_1d(cloud("particles", t), fp),
+                "l1_kde_vs_fp": l1_grid_distance(kde, fp)}, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("name,n_particles", [("example5-1", 60), ("example5-2", 40),
                                                   ("example5-2", 10)])
     def test_malliavin_paths_reuse_the_particle_draw(self, tmp_path, brownian_calls,
                                                      name, n_particles):
-        # 25 paths: a prefix of the particle draw when there are enough
-        # particles, a draw of their own otherwise
+        # the 25 paths draw their own noise under the run's seed, which is
+        # the first 25 particles of the particle draw when there are that many
         cfg = {"preset": name, "n_particles": n_particles, "steps": 16, "seed": 9,
                "malliavin": {"n_paths": 25}}
         run_experiment(dict(cfg, methods=["particles", "malliavin"]), outdir=tmp_path / "both")
-        assert len(brownian_calls) == (1 if n_particles >= 25 else 2)
+        assert [args[1] for args, _ in brownian_calls] == [n_particles, 25]
         run_experiment(dict(cfg, methods=["malliavin"]), outdir=tmp_path / "alone")
+        assert len(brownian_calls) == 3
         sub = Path(name) / "malliavin"
         alone = _tree_digest(tmp_path / "alone" / sub)
         assert alone and alone == _tree_digest(tmp_path / "both" / sub)
@@ -408,6 +447,19 @@ class TestCli:
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
         (top, inner), = mistake.items()
         assert f"config error at {top}.{next(iter(inner))}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mistake,where", [
+        ({"picard": {"tol": math.nan}}, "picard.tol"),
+        ({"fp": {"domain": [[-math.inf, 8.0]]}}, "fp.domain.0.0"),
+    ])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, mistake, where):
+        # json reads NaN and -Infinity; the run must stop before any method
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(methods=["particles", "picard", "fp"],
+                                             **mistake)))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert f"config error at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_names_its_field(self, tmp_path, capsys):
         p = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 """First-variation flows, Malliavin derivatives, and covariance bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -158,6 +159,24 @@ class TestFirstVariation:
         bad = StatisticFlow(TimeGrid(1.0, 10).times(), np.zeros((11, 1)))
         with pytest.raises(ValueError, match="does not match grid"):
             simulate_first_variation(inst.model, bundle.path(0), bad)
+
+    @pytest.mark.parametrize("call", ["first_variation", "derivative", "curve",
+                                      "snapshot", "bundle"])
+    def test_flow_on_another_time_grid_rejected(self, call):
+        # the right shape on [0, 2] against paths on [0, 1]
+        inst, bundle, path, fv = _fv("meanfield-ou", steps=20)
+        flow = bundle.realized_flow
+        moved = StatisticFlow(2.0 * flow.times, flow.stats)
+        run = {
+            "first_variation": lambda: simulate_first_variation(inst.model, path, moved),
+            "derivative": lambda: malliavin_derivative(fv, path, inst.model, moved, 0, 0, 20),
+            "curve": lambda: covariance_curve(fv, path, inst.model, moved),
+            "snapshot": lambda: malliavin_covariance(fv, path, inst.model, moved, 20),
+            "bundle": lambda: bundle_diagnostics(
+                inst.model, dataclasses.replace(bundle, realized_flow=moved)),
+        }[call]
+        with pytest.raises(ValueError, match="different time grid"):
+            run()
 
 
 class TestZyResidual:
@@ -406,7 +425,7 @@ def _bundle_with_one_kink(steps=10, n=4, path=2, step=3):
     states = np.zeros((steps + 1, n, 1))
     states[step, path, 0] = 1.0
     return PathBundle(grid=grid, states=states,
-                      increments=np.zeros((steps, n, 1)), seed=0,
+                      increments=np.zeros((steps, n, 1)),
                       realized_flow=StatisticFlow(grid.times(),
                                                   np.zeros((steps + 1, 0))))
 

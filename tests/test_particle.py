@@ -11,6 +11,7 @@ from mvsim import (
     SimulationError,
     StatisticFlow,
     TimeGrid,
+    draw_noise,
     empirical_statistics,
     generate_brownian,
     get_preset,
@@ -133,6 +134,24 @@ class TestInitialStates:
         law = InitialLaw.gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
             initial_states(law, 3, seed=0)
+
+
+class TestDrawNoise:
+    @pytest.mark.parametrize("law", [
+        InitialLaw.point([0.5]),
+        InitialLaw.gaussian([1.0], [[0.25]]),
+        InitialLaw.gaussian([0.5, -1.0], [[1.0, 0.6], [0.6, 2.0]]),
+    ], ids=["point", "gauss1d", "gauss2d"])
+    @pytest.mark.parametrize("n", [1, 25, 100])
+    def test_fewer_particles_draw_a_prefix(self, law, n):
+        # n particles under a seed are the first n of any larger draw, byte
+        # for byte, so a route can draw its own n without the larger draw
+        model = _const_model(d=law.d)
+        grid = TimeGrid(1.0, 16)
+        x_few, dw_few = draw_noise(model, law, grid, n, seed=9)
+        x_all, dw_all = draw_noise(model, law, grid, 2000, seed=9)
+        assert x_few.tobytes() == x_all[:n].tobytes()
+        assert dw_few.tobytes() == dw_all[:, :n].tobytes()
 
 
 class TestInteracting:

@@ -136,8 +136,6 @@ class TestPicardRun:
                          seed=1, tol=1e-4, max_iters=8,
                          checkpoints=(0.25, 0.75, 1.0))
         assert run.checkpoint_times == (0.25, 0.75, 1.0)
-        assert len(run.wall_times) == run.n_iters
-        assert all(w >= 0.0 for w in run.wall_times)
         assert len(run.flows) == run.n_iters
         assert len(run.checkpoint_clouds[-1]) == 3
         assert len(run.gaps) == run.n_iters - 1
