@@ -104,11 +104,15 @@ def eval_diffusion(model: CoefficientModel, t: float, x: np.ndarray, s: np.ndarr
     return _check_finite(out, "diffusion", t, x, s)
 
 
+def _sigma_sigma_t(sig: np.ndarray) -> np.ndarray:
+    """A = sigma sigma^T of stacked (..., d, m) matrices, symmetrized against rounding."""
+    a = np.einsum("...ik,...jk->...ij", sig, sig)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
 def diffusion_matrix(model: CoefficientModel, t: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """A = sigma sigma^T, symmetrized against rounding, shape (d, d)."""
-    sig = eval_diffusion(model, t, x, s)
-    a = sig @ sig.swapaxes(-1, -2)
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    return _sigma_sigma_t(eval_diffusion(model, t, x, s))
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ of a conservative flux on the n+1 cell faces of each axis, upwinded by the
 sign of the face velocity (the mean drift of the two nodes beside the face; a
 boundary face uses the drift of its one node), and its difference; of the
 centered second difference of A_kk p; and in 2D of the centered mixed
-differences of A_12 p.  The drift part and the diffusion part are assembled in
-place when their field is computed: once per solve for a field the model
-declares static (``b_static``, ``sigma_static``), once per step otherwise, so
-a nonlocal field and its statistic are read at the start of each step.
+differences of A_12 p.  A field is computed once per solve if the model
+declares it static (``b_static``, ``sigma_static``), once per step otherwise,
+so a nonlocal field and its statistic are read at the start of each step; the
+diffusion part is cached, and one drift pass writes the coefficients from it.
 
 A step of length tau runs s stages, Y_0 = p and
 
@@ -33,9 +33,8 @@ A step of length tau runs s stages, Y_0 = p and
 
 each stage one application of the stencil; Y_s is the new density.  It is
 stable for tau up to (s^2+s)/2 times the Euler limit 1/(sum of the CFL terms),
-and s = 1 is the explicit Euler step.  ``stages=1`` takes Euler steps
-throughout; under ``"auto"`` a step is stretched only where the drift terms
-are positive and the diffusion terms exceed them by the factor
+and s = 1 is the explicit Euler step.  A step is stretched only where the
+drift terms are positive and the diffusion terms exceed them by the factor
 ``_STRETCH_RATIO``: tau is then 0.9 times the smaller of 1 over the drift
 terms and the limit of ``_MAX_STAGES`` stages (or the time to the next event,
 if sooner), and s the fewest stages whose limit covers tau.  RKL1 is first
@@ -60,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import CoefficientModel, _sigma_sigma_t
 from .errors import ConservationError, NumericError, PositivityError, StabilityError
 from .measures import GridAxis, GridDensity, grid_statistics, trapezoid_weights
 from .particle import InitialLaw
@@ -70,9 +69,9 @@ _POSITIVITY_FLOOR = -1e-3
 _CONSERVATION_TOL = 1e-4
 _SNAPSHOT_MASS_TOL = 1e-2
 _MAX_STEPS = 50_000_000
-# under ``stages="auto"`` a step is stretched only where the diffusion terms of
-# the CFL sum exceed the (positive) drift terms by this factor, and to at most
-# this many stages: (s^2+s)/2 = 136 Euler limits
+# a step is stretched only where the diffusion terms of the CFL sum exceed the
+# (positive) drift terms by this factor, and to at most this many stages:
+# (s^2+s)/2 = 136 Euler limits
 _STRETCH_RATIO = 10.0
 _MAX_STAGES = 16
 
@@ -83,9 +82,8 @@ class FPProblem:
 
     ``dt`` is either the string ``"auto"`` (step size from the stability
     bound each step, with a 0.9 safety factor) or a fixed positive float that
-    is checked against the bound before every step.  ``stages`` is 1 for
-    explicit Euler steps throughout, or ``"auto"`` to stretch diffusion-limited
-    steps into RKL1 super-steps (see the module docstring).
+    is checked against the bound before every step, the stretched bound where
+    the step is an RKL1 super-step (see the module docstring).
     """
 
     model: CoefficientModel
@@ -94,7 +92,6 @@ class FPProblem:
     horizon: float
     dt: float | str = "auto"
     snapshot_times: tuple[float, ...] = ()
-    stages: int | str = 1
 
     def __post_init__(self):
         if len(self.axes) not in (1, 2):
@@ -111,8 +108,6 @@ class FPProblem:
                 raise ValueError(f"dt policy must be 'auto' or a float, got {self.dt!r}")
         elif not self.dt > 0:
             raise ValueError(f"fixed dt must be positive, got {self.dt}")
-        if self.stages != "auto" and not (type(self.stages) is int and self.stages == 1):
-            raise ValueError(f"stages must be 1 or 'auto', got {self.stages!r}")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.horizon + 1e-12:
                 raise ValueError(f"snapshot time {t} outside [0, {self.horizon}]")
@@ -176,7 +171,7 @@ def build_fp_problem(model: CoefficientModel, law: InitialLaw,
                      domain: tuple[tuple[float, float], ...],
                      nodes: tuple[int, ...], horizon: float,
                      snapshot_times: tuple[float, ...] = (),
-                     dt: float | str = "auto", stages: int | str = 1) -> FPProblem:
+                     dt: float | str = "auto") -> FPProblem:
     """Convenience constructor: box + node counts + Gaussian initial law."""
     if len(domain) != len(nodes):
         raise ValueError("domain and nodes describe different dimensions")
@@ -186,8 +181,7 @@ def build_fp_problem(model: CoefficientModel, law: InitialLaw,
     if not snapshot_times:
         snapshot_times = (float(horizon),)
     return FPProblem(model=model, axes=axes, p0=p0, horizon=float(horizon),
-                     dt=dt, snapshot_times=tuple(sorted(set(float(t) for t in snapshot_times))),
-                     stages=stages)
+                     dt=dt, snapshot_times=tuple(sorted(set(float(t) for t in snapshot_times))))
 
 
 def _drift(model: CoefficientModel, t: float, coords: np.ndarray,
@@ -199,10 +193,8 @@ def _drift(model: CoefficientModel, t: float, coords: np.ndarray,
 def _diffusion(model: CoefficientModel, t: float, coords: np.ndarray,
                grid_shape: tuple[int, ...], s: np.ndarray) -> np.ndarray:
     """Diffusion-matrix field A = sigma sigma^T (grid..., d, d), symmetrized."""
-    d = model.d
     sig = np.asarray(model.sigma(t, coords, s), dtype=float)
-    a = np.einsum("...ik,...jk->...ij", sig, sig).reshape(grid_shape + (d, d))
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return _sigma_sigma_t(sig).reshape(grid_shape + (model.d, model.d))
 
 
 def derive_fp_coefficients(model: CoefficientModel, t: float,
@@ -250,9 +242,9 @@ class _Stencil:
     ``p`` is the density at the nodes; ``nodes`` gives that view of any
     range-sized array.
 
-    ``C`` and ``g`` sum a drift part and a diffusion part.  Each part is
-    rewritten in place only when its field is recomputed, and ``_assemble``
-    then sums them.
+    ``C`` and ``g`` sum a drift part and a diffusion part: ``set_diffusion``
+    caches the latter and writes the 2D corners, which carry no drift, and
+    ``set_drift`` then writes the rest of ``C`` and ``g`` in one pass.
     """
 
     def __init__(self, shape: tuple[int, ...], hs: list[float]):
@@ -274,11 +266,10 @@ class _Stencil:
         # the in-range ghosts: the right and the left frame entry between rows (none in 1D)
         self.ghosts = [s for s in (slice(n, L, W), slice(n + 1, L, W)) if s.start < L]
         self.C, self.g = np.zeros((len(offsets), L)), np.zeros(L)
-        # drift part: the positive and negative parts of the drift over h on
-        # the faces of each axis; entry r is the face between range entries
-        # r - o and r, so ``[:L]`` are the faces below the range, ``[o:]`` above
-        self.up = [np.zeros(L + o) for o in self.steps]
-        self.down = [np.zeros(L + o) for o in self.steps]
+        # the positive and negative parts of the drift over h on the faces of
+        # one axis at a time; entry r is the face between range entries r - o
+        # and r, so ``[:L]`` are the faces below the range, ``[o:]`` above
+        self.up, self.down = np.empty(L + W), np.empty(L + W)
         # diffusion part at the node and its axis neighbours; the corners of
         # the mixed term carry no drift and are written to C directly
         self.diffusion_C, self.diffusion_g = np.zeros((1 + 2 * d, L)), np.zeros(L)
@@ -299,23 +290,37 @@ class _Stencil:
             x, self.shape, tuple(x.itemsize * o for o in self.steps))
 
     def set_drift(self, b: np.ndarray) -> None:
-        """Upwind fluxes of the drift ``b`` (grid..., d): an inner face takes
-        the mean drift of its two nodes, a boundary face that of its one node."""
-        s, bk = self.start, self.field_at[0]
-        for k, (h, o, (first, last), up, down) in enumerate(
-                zip(self.hs, self.steps, self.ends, self.up, self.down)):
+        """Write ``C`` and ``g``: the cached diffusion part plus the upwind
+        fluxes of the drift ``b`` (grid..., d), where an inner face takes the
+        mean drift of its two nodes and a boundary face that of its one node."""
+        C, dc, g, s, bk = self.C, self.diffusion_C, self.g, self.start, self.field_at[0]
+        L = bk.size
+        np.copyto(C[0], dc[0])
+        np.copyto(g, self.diffusion_g)
+        for k, (h, o, (first, last)) in enumerate(zip(self.hs, self.steps, self.ends)):
             self.field_nodes[...] = b[..., k]
+            up, down = self.up[:L + o], self.down[:L + o]
             # the face velocities over h, in ``down`` until split into parts
-            np.add(self.field[s - o:s + bk.size], self.field[s:s + bk.size + o], out=down)
+            np.add(self.field[s - o:s + L], self.field[s:s + L + o], out=down)
             down *= 0.5 / h
             down[first], down[o:][last] = bk[first] / h, bk[last] / h
             np.maximum(down, 0.0, out=up)
             np.minimum(down, 0.0, out=down)
-        self._assemble()
+            # inflow from the node below and from the node above, outflow from the node
+            np.add(dc[1 + 2 * k], up[:L], out=C[1 + 2 * k])
+            np.subtract(dc[2 + 2 * k], down[o:], out=C[2 + 2 * k])
+            C[0] += down[:L]
+            C[0] -= up[o:]
+            g[first] -= down[first] * self.cell
+            g[last] += up[o:][last] * self.cell
+        for ghost in self.ghosts:
+            C[:, ghost] = 0.0
+        self.g_edge = g.take(self.edge)
 
     def set_diffusion(self, a: np.ndarray) -> None:
         """Centered second differences of A_kk p and, in 2D, mixed differences
-        of A_12 p, for the diffusion matrix ``a`` (grid..., d, d)."""
+        of A_12 p, for the diffusion matrix ``a`` (grid..., d, d); they enter
+        ``C`` and ``g`` at the next ``set_drift``."""
         C, g, at = self.diffusion_C, self.diffusion_g, self.field_at
         C[0] = 0.0
         g[...] = 0.0
@@ -338,24 +343,6 @@ class _Stencil:
             n, L = self.shape[-1], a12.size
             for corner, sign in zip((0, n - 1, L - n, L - 1), signs):
                 g[corner] -= sign * a12[corner] / 4.0
-        self._assemble()
-
-    def _assemble(self) -> None:
-        C, dc, L = self.C, self.diffusion_C, self.flat.size
-        np.copyto(C[0], dc[0])
-        np.copyto(self.g, self.diffusion_g)
-        for k, (o, (first, last), up, down) in enumerate(
-                zip(self.steps, self.ends, self.up, self.down)):
-            # inflow from the node below and from the node above, outflow from the node
-            np.add(dc[1 + 2 * k], up[:L], out=C[1 + 2 * k])
-            np.subtract(dc[2 + 2 * k], down[o:], out=C[2 + 2 * k])
-            C[0] += down[:L]
-            C[0] -= up[o:]
-            self.g[first] -= down[first] * self.cell
-            self.g[last] += up[o:][last] * self.cell
-        for ghost in self.ghosts:
-            C[:, ghost] = 0.0
-        self.g_edge = self.g.take(self.edge)
 
     def apply(self, upd: np.ndarray) -> None:
         """Write the operator applied to the framed density into ``upd``."""
@@ -418,7 +405,6 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     coords = problem.p0.node_coords()
     phi_rows = _statistic_rows(model, problem.p0)
     fixed_dt = None if problem.dt == "auto" else float(problem.dt)
-    auto_stages = problem.stages == "auto"
 
     # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
     # boundary outside the box; the stages run on the frame's flat range
@@ -453,7 +439,6 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         target = events[ev_i]
         if b is None or not model.b_static:
             b = _drift(model, t, coords, shape, s)
-            op.set_drift(b)
             b_bound = [float(np.abs(b[..., k]).max()) / h for k, h in enumerate(hs)]
         if a is None or not model.sigma_static:
             a = _diffusion(model, t, coords, shape, s)
@@ -461,6 +446,9 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             a_bound = ([2.0 * float(a[..., k, k].max()) / h ** 2 for k, h in enumerate(hs)]
                        + [2.0 * float(np.abs(a[..., j, k]).max()) / (hs[j] * hs[k])
                           for j in range(d) for k in range(j + 1, d)])
+        if steps == 0 or not (model.b_static and model.sigma_static):
+            # the drift pass completes the operator, after any diffusion rebuild
+            op.set_drift(b)
 
         # summed in one fixed order (diagonal diffusion, cross, drift) so dt keeps its bits
         denom = sum(a_bound + b_bound)
@@ -473,9 +461,8 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             dt = target - t
         else:
             limit = bound = 1.0 / denom
-            if auto_stages:
-                drift = sum(b_bound)
-                stretch = 0.0 < _STRETCH_RATIO * drift < sum(a_bound)
+            drift = sum(b_bound)
+            stretch = 0.0 < _STRETCH_RATIO * drift < sum(a_bound)
             if stretch:
                 # the drift terms bound a stretched step as they bound an Euler step
                 bound = min(limit * _span(_MAX_STAGES), 1.0 / drift)

@@ -110,25 +110,40 @@ _CONFIG_SCHEMA = {
 }
 
 
-# JSON readers accept NaN and Infinity; a config "number" must be finite
+# JSON readers accept NaN and Infinity; a config "number" must be finite, and a
+# numpy integer (a seed override, say) is an "integer"
 _Draft = jsonschema.Draft202012Validator
-_Validator = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
-    "number", lambda checker, x: _Draft.TYPE_CHECKER.is_type(x, "number") and math.isfinite(x)))
+_is = _Draft.TYPE_CHECKER.is_type
+_Validator = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine_many({
+    "number": lambda checker, x: _is(x, "number") and math.isfinite(x),
+    "integer": lambda checker, x: _is(x, "integer") or isinstance(x, np.integer)}))
+_VALIDATOR = _Validator(_CONFIG_SCHEMA)
+_SEED_VALIDATOR = _Validator(_CONFIG_SCHEMA["properties"]["seed"])
+
+
+def _check(validator, instance, *at) -> None:
+    """Raise ``jsonschema.validate``'s error as a ConfigError at its field path."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        path = ".".join(str(p) for p in (*at, *error.absolute_path))
+        raise ConfigError(error.message, field_path=path)
+
+
+def _check_seed(seed) -> None:
+    """The one seed check, of a config's own seed and of an override."""
+    _check(_SEED_VALIDATOR, seed, "seed")
+    if seed >= 1 << 63:
+        raise ConfigError("seed must be below 2**63", field_path="seed")
 
 
 def validate_config(data: dict) -> None:
     """Schema-check a raw config dict; ConfigError carries the field path."""
-    try:
-        jsonschema.validate(data, _CONFIG_SCHEMA, cls=_Validator)
-    except jsonschema.ValidationError as e:
-        path = ".".join(str(p) for p in e.absolute_path)
-        raise ConfigError(e.message, field_path=path) from None
+    _check(_VALIDATOR, data)
     if data["preset"] not in preset_names():
         raise ConfigError(
             f"unknown preset {data['preset']!r}; known: {', '.join(preset_names())}",
             field_path="preset")
-    if data["seed"] >= 1 << 63:
-        raise ConfigError("seed must be below 2**63", field_path="seed")
+    _check_seed(data["seed"])
 
 
 @dataclass
@@ -264,22 +279,18 @@ def emit_plotdata(artifact, outdir, preset: str, method: str) -> list[Path]:
     return written
 
 
-def _moment_table(times, measures_or_grids) -> dict:
+def _moments(d: Path, times, measures_or_grids) -> dict:
+    """Radial moments of orders 1, 2 and 4 by time, written to ``moments.csv``
+    in ``d`` and returned as the report's table."""
     table = {}
     for t, obj in zip(times, measures_or_grids):
-        if isinstance(obj, GridDensity):
-            mom = {f"order{k}": grid_radial_moment(obj, k) for k in (1, 2, 4)}
-        else:
-            mom = {f"order{k}": empirical_radial_moment(obj, k) for k in (1, 2, 4)}
-        table[_tkey(t)] = mom
-    return table
-
-
-def _moments_csv(path: Path, table: dict, times) -> None:
+        moment = grid_radial_moment if isinstance(obj, GridDensity) else empirical_radial_moment
+        table[_tkey(t)] = {f"order{k}": moment(obj, k) for k in (1, 2, 4)}
     orders = ("order1", "order2", "order4")
-    _write_csv(path, "t," + ",".join(orders),
+    _write_csv(d / "moments.csv", "t," + ",".join(orders),
                [np.asarray(times, dtype=float)]
                + [[table[_tkey(t)][k] for t in times] for k in orders])
+    return table
 
 
 def _downsample(n: int, cap: int = 4097) -> np.ndarray:
@@ -370,8 +381,7 @@ class _Experiment:
         mom_times = sorted({0.0} | set(self.snapshot_times))
         mom_objs = [self.at[t]["particles"] if t in self.at
                     else bundle.snapshot(self.grid.index_of(t)) for t in mom_times]
-        table = _moment_table(mom_times, mom_objs)
-        _moments_csv(d / "moments.csv", table, mom_times)
+        table = _moments(d, mom_times, mom_objs)
         if self.model.q:
             flow = bundle.realized_flow
             head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
@@ -399,8 +409,7 @@ class _Experiment:
         for t, mu in zip(run.checkpoint_times, run.final_clouds):
             self.at[t]["picard"] = mu
             emit_plotdata((t, mu), d, self.preset.name, "picard")
-        table = _moment_table(run.checkpoint_times, run.final_clouds)
-        _moments_csv(d / "moments.csv", table, run.checkpoint_times)
+        table = _moments(d, run.checkpoint_times, run.final_clouds)
         return {"status": "ok", "n_iters": run.n_iters, "converged": run.converged,
                 "gaps": [float(g) for g in run.gaps], "moments": table}
 
@@ -408,7 +417,7 @@ class _Experiment:
         problem = build_fp_problem(self.model, self.law, self.fp_domain,
                                    self.fp_nodes, self.grid.horizon,
                                    snapshot_times=self.snapshot_times,
-                                   dt=self.cfg.fp_dt, stages="auto")
+                                   dt=self.cfg.fp_dt)
         sol = solve_fp(problem)
         for t, p in zip(sol.snapshot_times, sol.snapshots):
             self.at[t]["fp"] = p
@@ -422,8 +431,7 @@ class _Experiment:
             head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
             _write_csv(d / "statistics.csv", head,
                        [sol.times[idx], *sol.stat_curve[idx].T])
-        table = _moment_table(sol.snapshot_times, sol.snapshots)
-        _moments_csv(d / "moments.csv", table, sol.snapshot_times)
+        table = _moments(d, sol.snapshot_times, sol.snapshots)
         defect = np.abs(sol.mass_curve + sol.boundary_flux_curve - 1.0)
         return {"status": "ok", "n_steps": sol.n_steps,
                 "operator_applications": sol.n_applications,
@@ -491,8 +499,7 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
     else:
         cfg = config
     if seed is not None:
-        if not 0 <= seed < 1 << 63:
-            raise ConfigError("seed must be in [0, 2**63)", field_path="seed")
+        _check_seed(seed)
         cfg = replace(cfg, seed=int(seed))
     if as_printed is not None:
         cfg = replace(cfg, as_printed=bool(as_printed))

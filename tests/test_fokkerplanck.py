@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import mvsim.fokkerplanck
 from mvsim import (
     CoefficientModel,
     ConservationError,
@@ -93,8 +94,8 @@ class TestStencil:
         assert d == 1 or np.abs(a[..., 0, 1]).min() > 0
         op = _Stencil(shape, hs)
         op.p[...] = p
-        op.set_drift(b)
         op.set_diffusion(a)
+        op.set_drift(b)
         upd = np.empty_like(op.flat)
         op.apply(upd)
         want, want_out = _flux_form(p, b, a, hs)
@@ -110,9 +111,9 @@ class TestStencil:
         op = _Stencil(shape, [0.1, 0.07][:d])
         op.p[...] = rng.uniform(0.1, 1.0, shape)
         sig = rng.standard_normal(shape + (d, d))
-        op.set_drift(rng.standard_normal(shape + (d,)))
         op.set_diffusion(sig @ np.swapaxes(sig, -1, -2))
-        # a drift rebuilt after the diffusion, as in a nonlocal run
+        op.set_drift(rng.standard_normal(shape + (d,)))
+        # a drift rebuilt alone, as in a nonlocal run with a static diffusion
         op.set_drift(rng.standard_normal(shape + (d,)))
         # the nodes are positive, so the zeros of the range are its ghosts: the
         # right and the left frame entry between each pair of rows
@@ -378,6 +379,19 @@ def test_static_flags_are_only_hints(name, nodes, horizon):
         assert np.array_equal(getattr(runs[0], curve), getattr(runs[1], curve))
 
 
+def test_diffusion_rebuilt_under_a_static_drift_reaches_the_operator():
+    # sigma^2 = 1 + t changes every step while the drift is static: unless the
+    # drift pass follows each diffusion rebuild, the operator keeps A at t = 0
+    def model(b_static):
+        return CoefficientModel(
+            d=1, m=1, functionals=(), b=lambda t, x, s: -x,
+            sigma=lambda t, x, s: np.full(x.shape[:-1] + (1, 1), math.sqrt(1.0 + t)),
+            b_static=b_static, sigma_static=False)
+    _curves_equal(*(solve_fp(build_fp_problem(model(flag), STD_LAW, ((-8.0, 8.0),), (201,),
+                                              0.5, snapshot_times=(0.25, 0.5)))
+                    for flag in (True, False)))
+
+
 class TestFailureModes:
     def test_oversized_fixed_dt(self):
         pr = build_fp_problem(_const_model(a=2.0), STD_LAW, ((-10.0, 10.0),),
@@ -484,37 +498,34 @@ def _curves_equal(one, two):
         assert np.array_equal(getattr(one, curve), getattr(two, curve))
 
 
-class TestSuperSteps:
-    @pytest.mark.parametrize("name,nodes,horizon", [("ou", (401,), 0.2),
-                                                    ("example5-1", (201,), 0.2),
-                                                    ("example5-2", (81, 81), 0.1)])
-    def test_one_stage_is_the_default_euler_step(self, name, nodes, horizon):
-        inst = get_preset(name)
-        runs = [solve_fp(build_fp_problem(inst.model, inst.law, inst.fp_domain, nodes,
-                                          horizon, snapshot_times=(horizon / 2, horizon),
-                                          **kw))
-                for kw in ({}, {"stages": 1})]
-        _curves_equal(*runs)
-        assert runs[0].n_applications == runs[0].n_steps
+@pytest.fixture
+def solve_euler(monkeypatch):
+    """``solve_fp`` with every step an Euler step: the reference for the
+    super-steps, since no ratio of the CFL terms reaches an infinite one."""
+    def solve(problem):
+        with monkeypatch.context() as m:
+            m.setattr(mvsim.fokkerplanck, "_STRETCH_RATIO", math.inf)
+            return solve_fp(problem)
+    return solve
 
-    def test_drift_limited_run_keeps_euler_under_auto(self):
+
+class TestSuperSteps:
+    def test_drift_limited_run_keeps_euler_under_auto(self, solve_euler):
         # example5-2 at 121^2: the diffusion terms are about 1.4x the drift terms
         inst = get_preset("example5-2")
-        runs = [solve_fp(build_fp_problem(inst.model, inst.law, ((-4.0, 6.0), (-4.0, 6.0)),
-                                          (121, 121), 0.25, snapshot_times=(0.1, 0.25),
-                                          stages=stages))
-                for stages in (1, "auto")]
+        pr = build_fp_problem(inst.model, inst.law, ((-4.0, 6.0), (-4.0, 6.0)), (121, 121),
+                              0.25, snapshot_times=(0.1, 0.25))
+        runs = [solve_euler(pr), solve_fp(pr)]
         _curves_equal(*runs)
         assert runs[1].n_applications == runs[1].n_steps
 
-    def test_diffusion_limited_run_keeps_euler_accuracy(self):
+    def test_diffusion_limited_run_keeps_euler_accuracy(self, solve_euler):
         # ou from its stationary law: the diffusion terms are ~111x the drift terms
         inst = get_preset("ou")
         marks = (0.25, 0.5)
-        euler, rkl = (solve_fp(build_fp_problem(inst.model, inst.law, inst.fp_domain,
-                                                (2001,), 0.5, snapshot_times=marks,
-                                                stages=stages))
-                      for stages in (1, "auto"))
+        problem = build_fp_problem(inst.model, inst.law, inst.fp_domain, (2001,), 0.5,
+                                   snapshot_times=marks)
+        euler, rkl = solve_euler(problem), solve_fp(problem)
         exact = _gauss_exact(GridAxis(-6.0, 6.0, 2001), 1.0)
         for pe, pr in zip(euler.snapshots, rkl.snapshots):
             assert l1_grid_distance(pr, exact) <= 1.01 * l1_grid_distance(pe, exact)
@@ -524,15 +535,13 @@ class TestSuperSteps:
         assert rkl.n_applications > rkl.n_steps
         assert rkl.times[-1] == 0.5 and rkl.snapshot_times == marks
 
-    def test_nonlocal_run_stays_close_to_euler(self):
+    def test_nonlocal_run_stays_close_to_euler(self, solve_euler):
         # example5-1 at 801 nodes: a tenth of the 0.025-0.054 route distance
         # between the particle KDE and the density
         inst = get_preset("example5-1")
-        marks = (0.25, 0.5, 0.75, 1.0)
-        euler, rkl = (solve_fp(build_fp_problem(inst.model, inst.law, ((-8.0, 8.0),),
-                                                (801,), 1.0, snapshot_times=marks,
-                                                stages=stages))
-                      for stages in (1, "auto"))
+        pr = build_fp_problem(inst.model, inst.law, ((-8.0, 8.0),), (801,), 1.0,
+                              snapshot_times=(0.25, 0.5, 0.75, 1.0))
+        euler, rkl = solve_euler(pr), solve_fp(pr)
         assert rkl.n_applications < euler.n_steps / 5
         for pe, pr in zip(euler.snapshots, rkl.snapshots):
             assert l1_grid_distance(pr, pe) <= 2.5e-3
@@ -548,20 +557,17 @@ class TestSuperSteps:
     def test_auto_step_is_capped_by_the_drift_and_sixteen_stages(self, drift, horizon,
                                                                  tau, stages):
         model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, drift))
-        pr = build_fp_problem(model, STD_LAW, ((-10.0, 10.0),), (201,), horizon,
-                              stages="auto")
-        sol = solve_fp(pr)
+        sol = solve_fp(build_fp_problem(model, STD_LAW, ((-10.0, 10.0),), (201,), horizon))
         dts = np.diff(sol.times)
         np.testing.assert_allclose(dts[:-1], tau, rtol=1e-12)
         assert sol.n_steps == len(stages)
         assert sol.n_applications == sum(stages)
 
-    def test_driftless_run_keeps_euler_under_auto(self):
+    def test_driftless_run_keeps_euler_under_auto(self, solve_euler):
         # no drift bound caps a stretched step, and RKL1's first-order time
         # error would swamp the second-order space error of the diffusion
-        make = lambda stages: build_fp_problem(  # noqa: E731
-            _const_model(a=2.0), STD_LAW, ((-10.0, 10.0),), (2001,), 0.5, stages=stages)
-        euler, auto = solve_fp(make(1)), solve_fp(make("auto"))
+        pr = build_fp_problem(_const_model(a=2.0), STD_LAW, ((-10.0, 10.0),), (2001,), 0.5)
+        euler, auto = solve_euler(pr), solve_fp(pr)
         _curves_equal(euler, auto)
         assert auto.n_applications == auto.n_steps
         assert l1_grid_distance(auto.snapshots[-1],
@@ -572,8 +578,7 @@ class TestSuperSteps:
         # diffusion terms 800): mass plus flux stays 1 at every super-step only
         # if the flux is carried through the stages
         model = _const_model(a=1.0, drift=lambda t, x, st: 0.5 * x)
-        pr = build_fp_problem(model, STD_LAW, ((-6.0, 6.0),), (241,), 1.0, stages="auto")
-        sol = solve_fp(pr)
+        sol = solve_fp(build_fp_problem(model, STD_LAW, ((-6.0, 6.0),), (241,), 1.0))
         assert sol.n_applications >= 4 * sol.n_steps
         assert sol.boundary_flux_curve[-1] > 1e-3
         np.testing.assert_allclose(sol.mass_curve + sol.boundary_flux_curve,
@@ -591,25 +596,25 @@ class TestSuperSteps:
             b_static=True, sigma_static=True)
         law = InitialLaw.gaussian([0.5, 0.0], [[0.09, 0.02], [0.02, 0.09]])
         sol = solve_fp(build_fp_problem(model, law, ((-3.0, 3.0), (-2.5, 2.5)), (49, 41),
-                                        0.5, snapshot_times=(0.25, 0.5), stages="auto"))
+                                        0.5, snapshot_times=(0.25, 0.5)))
         assert sol.n_applications > sol.n_steps
         assert sol.boundary_flux_curve[-1] > 1e-3
         assert np.abs(sol.mass_curve + sol.boundary_flux_curve - 1.0).max() < 1e-12
 
-    def test_fixed_dt_is_checked_against_the_stretched_bound(self):
+    def test_fixed_dt_is_checked_against_the_stretched_bound(self, solve_euler):
         # drift terms 20, diffusion terms 400: the Euler bound is 1/420, the
         # stretched one 1/20, and a step of 0.04 takes six stages
         model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, 2.0))
-        make = lambda dt, stages: build_fp_problem(  # noqa: E731
-            model, STD_LAW, ((-10.0, 10.0),), (201,), 0.32, dt=dt, stages=stages)
+        make = lambda dt: build_fp_problem(  # noqa: E731
+            model, STD_LAW, ((-10.0, 10.0),), (201,), 0.32, dt=dt)
         with pytest.raises(StabilityError, match="exceeds stability limit"):
-            solve_fp(make(0.04, 1))
-        sol = solve_fp(make(0.04, "auto"))
+            solve_euler(make(0.04))
+        sol = solve_fp(make(0.04))
         assert (sol.n_steps, sol.n_applications) == (8, 48)
         with pytest.raises(StabilityError, match="exceeds stability limit"):
-            solve_fp(make(0.051, "auto"))
+            solve_fp(make(0.051))
 
-    def test_every_stage_is_checked_for_undershoot(self):
+    def test_every_stage_is_checked_for_undershoot(self, solve_euler):
         # a one-node spike under a nine-stage step (drift terms 40, diffusion
         # terms 1600): the upwind drift dips an inner stage to -2.3e-2, though
         # the finished step is nonnegative; the error names the step's start
@@ -617,16 +622,9 @@ class TestSuperSteps:
         spike = np.zeros(201)
         spike[100] = 1.0 / ax.spacing
         model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, 2.0))
-        make = lambda stages: FPProblem(  # noqa: E731
-            model=model, axes=(ax,), p0=GridDensity((ax,), spike, time=0.0), horizon=0.2,
-            stages=stages)
-        assert solve_fp(make(1)).min_value_curve.min() >= 0.0
+        pr = FPProblem(model=model, axes=(ax,), p0=GridDensity((ax,), spike, time=0.0),
+                       horizon=0.2)
+        assert solve_euler(pr).min_value_curve.min() >= 0.0
         with pytest.raises(PositivityError, match=r"undershot to -\S+ in the step from t=0 "
                                                   r"\(step 1, stage [1-8] of 9\)"):
-            solve_fp(make("auto"))
-
-    @pytest.mark.parametrize("stages", [0, -1, 2, 2.0, True, "fast"])
-    def test_stage_policy_checked(self, stages):
-        with pytest.raises(ValueError, match="stages must be"):
-            build_fp_problem(_const_model(), STD_LAW, ((-10.0, 10.0),), (201,), 0.5,
-                             stages=stages)
+            solve_fp(pr)

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsim import ConfigError, get_preset, run_experiment, validate_config
+from mvsim import (ConfigError, build_fp_problem, get_preset, run_experiment, solve_fp,
+                   validate_config)
 from mvsim.cli import main as cli_main
-from mvsim.harness import ExperimentConfig, emit_plotdata, list_presets
+from mvsim.harness import (_CONFIG_SCHEMA, ExperimentConfig, _Validator, emit_plotdata,
+                           list_presets)
 from mvsim.measures import (GridAxis, GridDensity, EmpiricalMeasure, grid_density_from_csv,
                             l1_grid_distance, w2_cloud_vs_density_1d, w2_empirical_1d)
 from mvsim.picard import picard_run
@@ -35,6 +37,9 @@ def _tree_digest(root: Path) -> dict:
 
 
 class TestValidateConfig:
+    def test_schema_is_a_valid_draft_2020_12_schema(self):
+        _Validator.check_schema(_CONFIG_SCHEMA)
+
     def test_accepts_minimal(self):
         validate_config(_base_config())
 
@@ -245,6 +250,22 @@ class TestRunExperiment:
         report = run_experiment(cfg, outdir=tmp_path / "a", seed=77)
         assert report["config"]["seed"] == 77
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "not of type 'integer'"), (True, "not of type 'integer'"),
+        (np.float64(2.5), "not of type 'integer'"), (-1, "less than the minimum"),
+        (1 << 63, "below 2\\*\\*63")])
+    def test_seed_override_is_checked_as_the_config_seed(self, tmp_path, seed, message):
+        # the override goes through the config's own seed check, before any method runs
+        with pytest.raises(ConfigError, match=message) as ei:
+            run_experiment(_base_config(seed=1), outdir=tmp_path, seed=seed)
+        assert ei.value.field_path == "seed"
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), 7.0])
+    def test_integral_seed_override_runs(self, tmp_path, seed):
+        report = run_experiment(_base_config(seed=1), outdir=tmp_path, seed=seed)
+        assert report["config"]["seed"] == 7 and type(report["config"]["seed"]) is int
+
     def test_overrides_leave_the_callers_config_unchanged(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_base_config(seed=1))
         before = dataclasses.asdict(cfg)
@@ -390,6 +411,22 @@ class TestRunExperiment:
         frag = run_experiment(_base_config(preset="ou", methods=["fp"], fp={"nodes": [401]}),
                               outdir=tmp_path)["methods"]["fp"]
         assert frag["operator_applications"] > 4 * frag["n_steps"]
+
+    def test_library_solve_is_the_harness_solve(self, tmp_path):
+        # one step policy: the library's defaults take the harness's
+        # stretched steps on configs/example5-1.json, byte for byte
+        cfg = json.loads(Path("configs/example5-1.json").read_text())
+        frag = run_experiment(dict(cfg, methods=["fp"]), outdir=tmp_path / "run")["methods"]["fp"]
+        assert frag["operator_applications"] > frag["n_steps"]
+        inst = get_preset(cfg["preset"])
+        sol = solve_fp(build_fp_problem(inst.model, inst.law, cfg["fp"]["domain"],
+                                        cfg["fp"]["nodes"], inst.horizon,
+                                        snapshot_times=cfg["snapshot_times"]))
+        mine = emit_plotdata(sol.snapshots, tmp_path / "lib", inst.name, "fp")
+        theirs = sorted((tmp_path / "run" / inst.name / "fp").glob("*_t*.csv"))
+        assert [p.name for p in theirs] == sorted(p.name for p in mine) and len(theirs) == 4
+        for p in theirs:
+            assert p.read_bytes() == (tmp_path / "lib" / p.name).read_bytes()
 
     def test_driftless_fp_snapshots_match_the_exact_law(self, tmp_path):
         # configs/bm.json has no drift to cap a stretched step, so it keeps
