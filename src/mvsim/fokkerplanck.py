@@ -260,9 +260,10 @@ class _Stencil:
         self.p = self.nodes(self.flat)
         self.views = [self.frame[start + o:start + o + L] for o in offsets]
         # the nodes at the low and the high end of each axis: the first and the
-        # last row of a 2D grid, and the first and the last entry of every row
+        # last row of a 2D grid, and the first and the last entry of every row;
+        # in 1D the two end nodes, as scalar indices
         self.ends = ([(slice(0, n), slice(L - n, L))] * (d - 1)
-                     + [(slice(0, L, W), slice(n - 1, L, W))])
+                     + [(slice(0, L, W), slice(n - 1, L, W)) if d > 1 else (0, n - 1)])
         # the in-range ghosts: the right and the left frame entry between rows (none in 1D)
         self.ghosts = [s for s in (slice(n, L, W), slice(n + 1, L, W)) if s.start < L]
         self.C, self.g = np.zeros((len(offsets), L)), np.zeros(L)

@@ -136,6 +136,21 @@ def _check_seed(seed) -> None:
         raise ConfigError("seed must be below 2**63", field_path="seed")
 
 
+def _as_ints(schema: dict, value):
+    """``value`` with every entry that ``schema`` types "integer" made an int:
+    draft 2020-12 admits 1.0 as an integer, which ``range`` refuses and the
+    report would echo as a float."""
+    kind = schema.get("type")
+    if kind == "integer":
+        return int(value)
+    if kind == "object" and "properties" in schema:
+        props = schema["properties"]
+        return {k: _as_ints(props[k], v) if k in props else v for k, v in value.items()}
+    if kind == "array" and "items" in schema:
+        return [_as_ints(schema["items"], v) for v in value]
+    return value
+
+
 def validate_config(data: dict) -> None:
     """Schema-check a raw config dict; ConfigError carries the field path."""
     _check(_VALIDATOR, data)
@@ -175,6 +190,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         validate_config(data)
+        data = _as_ints(_CONFIG_SCHEMA, data)
         pic = data.get("picard", {})
         fp = data.get("fp", {})
         mal = data.get("malliavin", {})
@@ -372,13 +388,15 @@ class _Experiment:
     def run_particles(self) -> dict:
         cfg = self.cfg
         x0, dw = self._take_noise("particles")
-        bundle = euler_paths(self.model, x0, self.grid, dw)
+        # the clouds and the moment table read t=0 and the snapshot times only
+        mom_times = sorted({0.0} | set(self.snapshot_times))
+        bundle = euler_paths(self.model, x0, self.grid, dw,
+                             keep=[self.grid.index_of(t) for t in mom_times])
         d = self._dir("particles")
         for t, got in self.at.items():
             mu = got["particles"] = bundle.snapshot(self.grid.index_of(t))
             emit_plotdata((t, mu), d, self.preset.name, "particles")
             got["kde"] = self._write_kde(d, t, mu)
-        mom_times = sorted({0.0} | set(self.snapshot_times))
         mom_objs = [self.at[t]["particles"] if t in self.at
                     else bundle.snapshot(self.grid.index_of(t)) for t in mom_times]
         table = _moments(d, mom_times, mom_objs)

@@ -256,10 +256,10 @@ def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
     ``bound``, ``margin`` and ``holds`` of ``ellipticity_bound_check``; and
     ``zy_max``, the largest ZY residual along the path.
     """
-    grid, flow = bundle.grid, bundle.realized_flow
+    grid, flow, states = bundle.grid, bundle.realized_flow, bundle._whole("bundle_diagnostics")
     paths = np.arange(bundle.n)
-    Y, Z = _sweep(model, grid, bundle.states, bundle.increments, flow, paths)
-    Q, lambda_min, gamma = _covariance(model, grid, bundle.states, flow, Y, paths)
+    Y, Z = _sweep(model, grid, states, bundle.increments, flow, paths)
+    Q, lambda_min, gamma = _covariance(model, grid, states, flow, Y, paths)
     bound, margin, _, holds = _bound(float(grid.times()[-1]), float(lam), gamma[-1],
                                      lambda_min[-1], Q[-1], grid.dt, slack_factor)
     return {"lambda_min": lambda_min[-1], "gamma": gamma[-1], "bound": bound,

@@ -10,6 +10,8 @@ key outside the particle range.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,12 +167,16 @@ class PathBundle:
 
     ``realized_flow`` holds the statistics of the simulated cloud at every
     grid time, computed with the same reduction as ``empirical_statistics``.
+    A bundle made with ``euler_paths(..., keep=...)`` holds only the grid
+    indices ``kept``, in ascending order, as states (len(kept), n, d); it
+    has no whole paths to give.
     """
 
     grid: TimeGrid
     states: np.ndarray
     increments: np.ndarray
     realized_flow: StatisticFlow
+    kept: tuple[int, ...] | None = None  # None: every grid index
 
     @property
     def n(self) -> int:
@@ -179,10 +185,24 @@ class PathBundle:
     def snapshot(self, time_index: int) -> EmpiricalMeasure:
         """The equal-weight cloud at one grid index; it owns a copy of the
         states, so it does not keep the path array alive."""
+        if self.kept is not None:
+            if time_index not in self.kept:
+                raise ValueError(f"grid index {time_index} was not kept; "
+                                 f"this bundle holds {list(self.kept)}")
+            time_index = self.kept.index(time_index)
         return EmpiricalMeasure.from_samples(self.states[time_index])
 
+    def _whole(self, what: str) -> np.ndarray:
+        """The (steps+1, n, d) states, which ``what`` reads; a bundle that
+        kept only some time slices raises ValueError."""
+        if self.kept is not None:
+            raise ValueError(f"{what} needs every time slice; this bundle "
+                             f"holds only grid indices {list(self.kept)}")
+        return self.states
+
     def path(self, i: int) -> ParticlePath:
-        return ParticlePath(self.grid, self.states[:, i, :].copy(),
+        states = self._whole("path()")
+        return ParticlePath(self.grid, states[:, i, :].copy(),
                             self.increments[:, i, :].copy(), i)
 
 
@@ -197,7 +217,8 @@ def _check_flow(model, grid: TimeGrid, flow: StatisticFlow) -> None:
 
 
 def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
-                flow: StatisticFlow | None = None) -> PathBundle:
+                flow: StatisticFlow | None = None,
+                keep: Sequence[int] | None = None) -> PathBundle:
     """Core Euler-Maruyama sweep over a particle block.
 
     With ``flow=None`` the statistic vector is read off the live cloud each
@@ -205,6 +226,12 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
     time indices (frozen-flow system).  Both modes share this code path, so
     for models with no statistic dependence they produce bitwise identical
     states.
+
+    ``keep=None`` stores the states at every grid index.  Given grid indices,
+    the sweep stores only those time slices (sorted, duplicates once), so a
+    caller that reads a few clouds holds O(n * len(keep)) states, not
+    O(n * steps); the realized flow still covers every grid time, and every
+    state has the same bits as in the full run.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n, d = x0.shape
@@ -215,14 +242,19 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
             f"increments shape {increments.shape}, expected {(grid.steps, n, model.m)}")
     if flow is not None:
         _check_flow(model, grid, flow)
+    held = range(grid.steps + 1) if keep is None else sorted({operator.index(k) for k in keep})
+    if held and not 0 <= held[0] <= held[-1] <= grid.steps:
+        raise ValueError(f"keep indices must lie in [0, {grid.steps}], got {list(held)}")
+    slot = {k: j for j, k in enumerate(held)}
     times = grid.times()
 
     dt = grid.dt
     uw = np.full(n, 1.0 / n)
-    states = np.empty((grid.steps + 1, n, d))
+    states = np.empty((len(held), n, d))
     realized = np.empty((grid.steps + 1, model.q))
     x = x0.copy()
-    states[0] = x
+    if 0 in slot:
+        states[slot[0]] = x
     for k in range(grid.steps):
         realized[k] = _weighted_statistics(x, uw, model.functionals)
         s = flow.stats[k] if flow is not None else realized[k]
@@ -236,10 +268,12 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
             raise SimulationError(
                 f"state became non-finite at step {k + 1}, particle {i}",
                 step=k + 1, particle=i)
-        states[k + 1] = x
+        if k + 1 in slot:
+            states[slot[k + 1]] = x
     realized[grid.steps] = _weighted_statistics(x, uw, model.functionals)
     return PathBundle(grid=grid, states=states, increments=increments,
-                      realized_flow=StatisticFlow(times, realized))
+                      realized_flow=StatisticFlow(times, realized),
+                      kept=None if keep is None else tuple(held))
 
 
 def simulate_interacting(model, law: InitialLaw, grid: TimeGrid,
@@ -260,8 +294,9 @@ def moment_curve(bundle: PathBundle, p: float) -> np.ndarray:
     """Mean of ||X_t||^p over the ensemble at every grid time."""
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
+    states = bundle._whole("moment_curve")
     out = np.empty(bundle.grid.steps + 1)
     for k in range(out.size):
-        r = np.sqrt(np.sum(bundle.states[k] ** 2, axis=1))
+        r = np.sqrt(np.sum(states[k] ** 2, axis=1))
         out[k] = float(np.mean(r ** p))
     return out

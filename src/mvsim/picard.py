@@ -10,9 +10,9 @@ That noise is one ``particle.draw_noise`` call, made by ``picard_run`` before
 ``iterate_frozen_flow``; ``picard_vs_direct`` and the harness run the
 iteration and the interacting system on one such draw.
 
-Only one ``(steps + 1, N, d)`` path array is alive at a time: each solve keeps
-its realized flow and its checkpoint clouds, which own copies of their
-points, and drops its path bundle before the next solve allocates one.
+No solve holds a ``(steps + 1, N, d)`` path array: each one stores only its
+checkpoint time slices (``euler_paths(..., keep=...)``) beside its realized
+flow, and keeps its checkpoint clouds, which own copies of their points.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
     frozen = initial_flow
     prev_clouds: list[EmpiricalMeasure] | None = None
     for _ in range(max_iters):
-        bundle = euler_paths(model, x0, grid, increments, flow=frozen)
+        bundle = euler_paths(model, x0, grid, increments, flow=frozen, keep=ck_idx)
         clouds = [bundle.snapshot(k) for k in ck_idx]
         frozen = bundle.realized_flow
-        del bundle  # the clouds own their points: the path array goes now
+        del bundle  # the clouds own their points: the kept slices go now
         flows.append(frozen)
         all_clouds.append(clouds)
         if prev_clouds is not None:
@@ -126,6 +126,7 @@ def picard_vs_direct(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
     x0, dw = draw_noise(model, law, grid, n, seed)
     run = iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints,
                               n_slices=n_slices)
-    direct = euler_paths(model, x0, grid, dw, flow=None)
-    direct_clouds = [direct.snapshot(grid.index_of(t)) for t in checkpoints]
+    ck_idx = [grid.index_of(t) for t in checkpoints]
+    direct = euler_paths(model, x0, grid, dw, flow=None, keep=ck_idx)
+    direct_clouds = [direct.snapshot(k) for k in ck_idx]
     return convergence_gap(run.final_clouds, direct_clouds, n_slices=n_slices)

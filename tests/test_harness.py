@@ -1,5 +1,6 @@
 """Config validation, experiment orchestration, artifact layout, CLI."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvsim.harness
+import mvsim.picard
 from mvsim import (ConfigError, build_fp_problem, get_preset, run_experiment, solve_fp,
                    validate_config)
 from mvsim.cli import main as cli_main
@@ -405,6 +408,45 @@ class TestRunExperiment:
         sub = Path(name) / "malliavin"
         alone = _tree_digest(tmp_path / "alone" / sub)
         assert alone and alone == _tree_digest(tmp_path / "both" / sub)
+
+    def test_particle_solves_keep_only_the_slices_they_read(self, tmp_path, monkeypatch):
+        # the particle run keeps t=0 and the snapshot times, every Picard
+        # solve its checkpoints; only the Malliavin paths keep every slice
+        held = []
+        for module in (mvsim.harness, mvsim.picard):
+            def tracked(*args, _real=module.euler_paths, _where=module.__name__, **kwargs):
+                bundle = _real(*args, **kwargs)
+                held.append((_where, bundle.kept, bundle.states.shape))
+                return bundle
+
+            monkeypatch.setattr(module, "euler_paths", tracked)
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard", "malliavin"],
+               "n_particles": 60, "steps": 20, "seed": 4, "snapshot_times": [1.0, 0.5],
+               "picard": {"tol": 1e-14, "max_iters": 3}, "malliavin": {"n_paths": 3}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        assert all(m["status"] == "ok" for m in report["methods"].values())
+        assert held == [("mvsim.harness", (0, 10, 20), (3, 60, 1))] \
+            + [("mvsim.picard", (10, 20), (2, 60, 1))] * 3 \
+            + [("mvsim.harness", None, (21, 3, 1))]
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "seed", 4.0), (None, "n_particles", 60.0), (None, "steps", 20.0),
+        ("picard", "max_iters", 3.0), ("picard", "n_slices", 8.0),
+        ("fp", "nodes", [101.0]), ("malliavin", "n_paths", 3.0)])
+    def test_integral_float_counts_run_as_ints(self, tmp_path, section, key, value):
+        # draft 2020-12 admits 1.0 as an integer: each count runs as its int,
+        # and the tree, the report's config echo included, is the int config's
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
+               "n_particles": 60, "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
+               "picard": {"max_iters": 3, "n_slices": 8}, "fp": {"nodes": [101]},
+               "malliavin": {"n_paths": 3}}
+        floats = copy.deepcopy(cfg)
+        (floats[section] if section else floats)[key] = value
+        report = run_experiment(floats, outdir=tmp_path / "float")
+        assert [m["status"] for m in report["methods"].values()] == ["ok"] * 4
+        run_experiment(cfg, outdir=tmp_path / "int")
+        ints = _tree_digest(tmp_path / "int")
+        assert ints and _tree_digest(tmp_path / "float") == ints
 
     def test_fp_report_counts_operator_applications(self, tmp_path):
         # ou at 401 nodes is diffusion-limited, so its steps are stretched

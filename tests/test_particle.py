@@ -1,12 +1,14 @@
 """Time grids, noise streams, and the interacting/frozen-flow simulators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mvsim import (
     CoefficientModel,
+    EmpiricalMeasure,
     InitialLaw,
     SimulationError,
     StatisticFlow,
@@ -21,7 +23,8 @@ from mvsim import (
     simulate_frozen_flow,
     simulate_interacting,
 )
-from mvsim.particle import coarsen_increments
+from mvsim.malliavin import bundle_diagnostics
+from mvsim.particle import coarsen_increments, euler_paths
 
 
 def _const_model(d=1, drift=0.0, vol=1.0):
@@ -255,6 +258,77 @@ class TestFrozenFlow:
         for k in (0, 15, 30):
             s = empirical_statistics(bundle.snapshot(k), inst.model.functionals)
             np.testing.assert_allclose(bundle.realized_flow.stats[k], s)
+
+
+class TestKeptSlices:
+    """``euler_paths(..., keep=...)`` stores only the given time slices."""
+
+    @staticmethod
+    def _run(name, frozen, steps=20, n=64):
+        inst = get_preset(name)
+        grid = TimeGrid(1.0, steps)
+        x0, dw = draw_noise(inst.model, inst.law, grid, n, seed=4)
+        flow = None
+        if frozen:  # the constant flow of the initial cloud, as Picard starts
+            s0 = empirical_statistics(EmpiricalMeasure.from_samples(x0),
+                                      inst.model.functionals)
+            flow = StatisticFlow(grid.times(), np.tile(s0, (steps + 1, 1)))
+        return inst, (inst.model, x0, grid, dw, flow)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["interacting", "frozen"])
+    @pytest.mark.parametrize("name", ["meanfield-ou", "example5-2"])
+    def test_kept_slices_are_the_full_runs(self, name, frozen):
+        inst, args = self._run(name, frozen)
+        full = euler_paths(*args)
+        kept = euler_paths(*args, keep=[0, 7, 20])
+        assert full.kept is None and kept.kept == (0, 7, 20)
+        assert kept.states.shape == (3, 64, inst.model.d)
+        assert np.array_equal(kept.states, full.states[[0, 7, 20]])
+        assert np.array_equal(kept.realized_flow.stats, full.realized_flow.stats)
+        assert np.array_equal(kept.realized_flow.times, full.realized_flow.times)
+        for k in (0, 7, 20):
+            assert np.array_equal(kept.snapshot(k).points, full.snapshot(k).points)
+
+    @pytest.mark.parametrize("keep", [[20, 5, 20, 0, 5], np.array([5, 0, 20, 20]), (20, 5, 0)])
+    def test_duplicate_and_unsorted_indices(self, keep):
+        _, args = self._run("meanfield-ou", frozen=False)
+        full, kept = euler_paths(*args), euler_paths(*args, keep=keep)
+        assert kept.kept == (0, 5, 20) and kept.states.shape == (3, 64, 1)
+        assert np.array_equal(kept.states, full.states[[0, 5, 20]])
+        assert np.array_equal(kept.snapshot(5).points, full.snapshot(5).points)
+
+    @pytest.mark.parametrize("keep", [[21], [-1], [0, 10, 21]])
+    def test_out_of_range_index_raises(self, keep):
+        _, args = self._run("meanfield-ou", frozen=False)
+        with pytest.raises(ValueError, match=r"keep indices must lie in \[0, 20\]"):
+            euler_paths(*args, keep=keep)
+
+    def test_kept_bundle_refuses_what_it_lacks(self):
+        inst, args = self._run("meanfield-ou", frozen=False)
+        kept = euler_paths(*args, keep=[0, 10])
+        with pytest.raises(ValueError, match="grid index 5 was not kept"):
+            kept.snapshot(5)
+        with pytest.raises(ValueError, match=r"path\(\) needs every time slice"):
+            kept.path(0)
+        with pytest.raises(ValueError, match="moment_curve needs every time slice"):
+            moment_curve(kept, 2)
+        with pytest.raises(ValueError, match="bundle_diagnostics needs every time slice"):
+            bundle_diagnostics(inst.model, kept)
+
+    def test_kept_solve_allocates_no_path_array(self):
+        # one frozen-flow solve of 20,000 particles over 200 steps in 1D; the
+        # noise is drawn before tracing starts.  A full (steps + 1, N, d)
+        # states array alone would be 32 MB.
+        inst, args = self._run("meanfield-ou", frozen=True, steps=200, n=20_000)
+        full_bytes = 201 * 20_000 * 1 * 8
+        tracemalloc.start()
+        try:
+            bundle = euler_paths(*args, keep=[0, 100, 200])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bundle.states.shape == (3, 20_000, 1)
+        assert peak < full_bytes / 4, peak
 
 
 class TestMomentCurve:

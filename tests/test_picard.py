@@ -130,6 +130,22 @@ class TestPicardRun:
         assert run.n_iters == len(states) == 4
         assert [r() for r in states] == [None] * 4
 
+    def test_every_solve_keeps_only_the_checkpoint_slices(self, monkeypatch):
+        # each Picard solve and the direct run of picard_vs_direct store the
+        # checkpoint slices alone, in grid order, whatever order they come in
+        real, held = mvsim.picard.euler_paths, []
+
+        def tracked(*args, **kwargs):
+            bundle = real(*args, **kwargs)
+            held.append((bundle.kept, bundle.states.shape))
+            return bundle
+
+        monkeypatch.setattr(mvsim.picard, "euler_paths", tracked)
+        inst = get_preset("example5-2")
+        picard_vs_direct(inst.model, inst.law, TimeGrid(1.0, 20), 50, seed=2,
+                         tol=1e-14, max_iters=3, checkpoints=(1.0, 0.25))
+        assert held == [((5, 20), (2, 50, 2))] * 4
+
     def test_bookkeeping_shapes(self):
         inst = get_preset("meanfield-ou")
         run = picard_run(inst.model, inst.law, TimeGrid(1.0, 40), 500,
