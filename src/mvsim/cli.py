@@ -32,7 +32,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    default=None,
                    help="use the preset's literally printed coefficient variant")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; changes nothing")
+                   help="a positive integer, accepted for compatibility; changes nothing")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ or host data, sorted JSON keys, and every CSV value written by the one writer
 ``measures.write_csv`` as Python's ``repr``.  The particle and Picard methods
 run on one draw of the initial cloud and Brownian increments; the Malliavin
 paths draw their own ``n_paths`` particles under the same seed, the first
-``n_paths`` of that draw.  ``threads`` is accepted and changes nothing: the
+``n_paths`` of that draw.  ``threads`` is checked and changes nothing: the
 Malliavin paths run as one batch.  Each method files its results by
 snapshot time in ``at[t][route]``, where the comparisons read them.
 """
@@ -118,7 +118,6 @@ _Validator = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECK
     "number": lambda checker, x: _is(x, "number") and math.isfinite(x),
     "integer": lambda checker, x: _is(x, "integer") or isinstance(x, np.integer)}))
 _VALIDATOR = _Validator(_CONFIG_SCHEMA)
-_SEED_VALIDATOR = _Validator(_CONFIG_SCHEMA["properties"]["seed"])
 
 
 def _check(validator, instance, *at) -> None:
@@ -129,10 +128,11 @@ def _check(validator, instance, *at) -> None:
         raise ConfigError(error.message, field_path=path)
 
 
-def _check_seed(seed) -> None:
-    """The one seed check, of a config's own seed and of an override."""
-    _check(_SEED_VALIDATOR, seed, "seed")
-    if seed >= 1 << 63:
+def _check_field(key: str, value) -> None:
+    """The one check of a top-level field, of a config's own value and of an
+    override given as a keyword."""
+    _check(_Validator(_CONFIG_SCHEMA["properties"][key]), value, key)
+    if key == "seed" and value >= 1 << 63:
         raise ConfigError("seed must be below 2**63", field_path="seed")
 
 
@@ -158,7 +158,13 @@ def validate_config(data: dict) -> None:
         raise ConfigError(
             f"unknown preset {data['preset']!r}; known: {', '.join(preset_names())}",
             field_path="preset")
-    _check_seed(data["seed"])
+    _check_field("seed", data["seed"])
+
+
+_RENAMED = {"malliavin_n_paths": "malliavin_paths",
+            "malliavin_slack_factor": "malliavin_slack"}
+_CONVERT = {"methods": tuple, "snapshot_times": tuple, "overrides": dict,
+            "fp_domain": lambda v: tuple(map(tuple, v)), "fp_nodes": tuple}
 
 
 @dataclass
@@ -191,32 +197,19 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         validate_config(data)
         data = _as_ints(_CONFIG_SCHEMA, data)
-        pic = data.get("picard", {})
-        fp = data.get("fp", {})
-        mal = data.get("malliavin", {})
-        return cls(
-            preset=data["preset"],
-            methods=tuple(data["methods"]),
-            n_particles=data["n_particles"],
-            steps=data["steps"],
-            seed=data["seed"],
-            overrides=dict(data.get("overrides", {})),
-            horizon=data.get("horizon"),
-            snapshot_times=tuple(data["snapshot_times"]) if "snapshot_times" in data else None,
-            picard_tol=pic.get("tol", 1e-3),
-            picard_max_iters=pic.get("max_iters", 8),
-            picard_n_slices=pic.get("n_slices", 64),
-            fp_domain=tuple(tuple(b) for b in fp["domain"]) if "domain" in fp else None,
-            fp_nodes=tuple(fp["nodes"]) if "nodes" in fp else None,
-            fp_dt=fp.get("dt", "auto"),
-            malliavin_paths=mal.get("n_paths", 100),
-            malliavin_lambda=mal.get("lambda"),
-            malliavin_slack=mal.get("slack_factor", 10.0),
-            as_printed=data.get("as_printed", False),
-            outdir=data.get("outdir"),
-            threads=data.get("threads", 1),
-            raw=dict(data),
-        )
+        # a section's key is the field "<section>_<key>"; a key the document
+        # does not hold keeps the field's default
+        kw = {}
+        for key, value in data.items():
+            if key in ("picard", "fp", "malliavin"):
+                kw.update((_RENAMED.get(f"{key}_{k}", f"{key}_{k}"), v)
+                          for k, v in value.items())
+            else:
+                kw[key] = value
+        for name, convert in _CONVERT.items():
+            if name in kw:
+                kw[name] = convert(kw[name])
+        return cls(**kw, raw=data)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -343,16 +336,20 @@ class _Experiment:
         horizon = cfg.horizon if cfg.horizon is not None else preset.horizon
         self.grid = TimeGrid(float(horizon), cfg.steps)
         snaps = cfg.snapshot_times if cfg.snapshot_times is not None else (float(horizon),)
-        for t in snaps:
+        node_time: dict[int, float] = {}  # equal times merge, near ones are refused
+        for t in map(float, snaps):
             if not 0.0 <= t <= horizon + 1e-12:
                 raise ConfigError(f"snapshot time {t} outside [0, {horizon}]",
                                   field_path="snapshot_times")
             try:
-                self.grid.index_of(t)
+                k = self.grid.index_of(t)
             except ValueError:
                 raise ConfigError(f"snapshot time {t} is not a grid node",
                                   field_path="snapshot_times") from None
-        self.snapshot_times = tuple(sorted(set(float(t) for t in snaps)))
+            if node_time.setdefault(k, t) != t:
+                raise ConfigError(f"snapshot times {node_time[k]!r} and {t!r} fall on "
+                                  f"one grid node", field_path="snapshot_times")
+        self.snapshot_times = tuple(sorted(node_time.values()))
         self.fp_domain = cfg.fp_domain if cfg.fp_domain is not None else preset.fp_domain
         self.fp_nodes = cfg.fp_nodes if cfg.fp_nodes is not None else preset.fp_nodes
         if len(self.fp_domain) != self.model.d or len(self.fp_nodes) != self.model.d:
@@ -506,9 +503,10 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
 
     ``config`` is an ExperimentConfig, a raw dict, or a path to a JSON file.
     Keyword overrides take precedence over the config document and leave an
-    ExperimentConfig passed in unchanged; ``threads`` is accepted and changes
-    nothing.  A method failure is recorded under ``methods.<name>.status``
-    and does not stop the remaining methods.
+    ExperimentConfig passed in unchanged; ``seed`` and ``threads`` get the
+    config's own checks, and ``threads`` changes nothing.  A method failure
+    is recorded under ``methods.<name>.status`` and does not stop the
+    remaining methods.
     """
     if isinstance(config, (str, Path)):
         cfg = ExperimentConfig.from_file(config)
@@ -517,8 +515,10 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
     else:
         cfg = config
     if seed is not None:
-        _check_seed(seed)
+        _check_field("seed", seed)
         cfg = replace(cfg, seed=int(seed))
+    if threads is not None:
+        _check_field("threads", threads)
     if as_printed is not None:
         cfg = replace(cfg, as_printed=bool(as_printed))
     out = outdir if outdir is not None else cfg.outdir

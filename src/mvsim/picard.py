@@ -12,7 +12,9 @@ iteration and the interacting system on one such draw.
 
 No solve holds a ``(steps + 1, N, d)`` path array: each one stores only its
 checkpoint time slices (``euler_paths(..., keep=...)``) beside its realized
-flow, and keeps its checkpoint clouds, which own copies of their points.
+flow.  The iteration keeps two solves at a time, the one before and the
+current one, since a gap reads only those; the run returns the last solve's
+checkpoint clouds and realized flow.
 """
 
 from __future__ import annotations
@@ -27,25 +29,19 @@ from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 
 @dataclass
 class PicardRun:
-    """Outcome of a frozen-flow iteration.
+    """Outcome of a frozen-flow iteration: its last solve and its gaps.
 
-    ``flows[i]`` is the realized statistic flow of inner solve ``i`` (the
-    constant initial flow is in ``initial_flow``); ``checkpoint_clouds[i]``
-    holds that solve's empirical snapshots at the checkpoint times.  ``gaps``
-    has one entry per consecutive pair of solves.
+    ``final_clouds`` are the last solve's empirical snapshots at the
+    checkpoint times and ``flow`` its realized statistic flow.  ``gaps`` has
+    one entry per consecutive pair of the ``n_iters`` solves.
     """
 
-    initial_flow: StatisticFlow
-    flows: list[StatisticFlow]
-    checkpoint_clouds: list[list[EmpiricalMeasure]]
+    final_clouds: list[EmpiricalMeasure]
+    flow: StatisticFlow
     checkpoint_times: tuple[float, ...]
     gaps: list[float]
     converged: bool
     n_iters: int
-
-    @property
-    def final_clouds(self) -> list[EmpiricalMeasure]:
-        return self.checkpoint_clouds[-1]
 
 
 def convergence_gap(a: list[EmpiricalMeasure], b: list[EmpiricalMeasure],
@@ -84,34 +80,26 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
         raise ValueError("need at least one checkpoint time")
     ck_idx = [grid.index_of(t) for t in checkpoints]
 
-    times = grid.times()
     s0 = empirical_statistics(EmpiricalMeasure.from_samples(x0), model.functionals)
-    initial_flow = StatisticFlow(times, np.tile(s0, (grid.steps + 1, 1)))
+    frozen = StatisticFlow(grid.times(), np.tile(s0, (grid.steps + 1, 1)))
 
-    flows: list[StatisticFlow] = []
-    all_clouds: list[list[EmpiricalMeasure]] = []
     gaps: list[float] = []
     converged = False
-    frozen = initial_flow
-    prev_clouds: list[EmpiricalMeasure] | None = None
-    for _ in range(max_iters):
+    prev: list[EmpiricalMeasure] | None = None
+    for n_iters in range(1, max_iters + 1):
         bundle = euler_paths(model, x0, grid, increments, flow=frozen, keep=ck_idx)
         clouds = [bundle.snapshot(k) for k in ck_idx]
         frozen = bundle.realized_flow
         del bundle  # the clouds own their points: the kept slices go now
-        flows.append(frozen)
-        all_clouds.append(clouds)
-        if prev_clouds is not None:
-            gap = convergence_gap(prev_clouds, clouds, n_slices=n_slices)
-            gaps.append(gap)
-            if gap <= tol:
+        if prev is not None:
+            gaps.append(convergence_gap(prev, clouds, n_slices=n_slices))
+            if gaps[-1] <= tol:
                 converged = True
                 break
-        prev_clouds = clouds
-    return PicardRun(initial_flow=initial_flow, flows=flows,
-                     checkpoint_clouds=all_clouds,
+        prev = clouds
+    return PicardRun(final_clouds=clouds, flow=frozen,
                      checkpoint_times=tuple(float(t) for t in checkpoints),
-                     gaps=gaps, converged=converged, n_iters=len(flows))
+                     gaps=gaps, converged=converged, n_iters=n_iters)
 
 
 def picard_vs_direct(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,

@@ -119,7 +119,7 @@ def test_criterion_3_three_routes_agree_on_the_coupled_mean():
 
     run = picard_run(inst.model, inst.law, grid, 20_000, seed=7, tol=1e-3,
                      max_iters=8, checkpoints=(1.0,))
-    m_pic = empirical_statistics(run.checkpoint_clouds[-1][-1],
+    m_pic = empirical_statistics(run.final_clouds[-1],
                                  inst.model.functionals)[0]
 
     pr = build_fp_problem(inst.model, inst.law, inst.fp_domain,

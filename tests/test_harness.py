@@ -95,6 +95,25 @@ class TestExperimentConfig:
         assert cfg.malliavin_paths == 100
         assert cfg.fp_dt == "auto"
         assert cfg.threads == 1
+        assert (cfg.picard_n_slices, cfg.malliavin_slack, cfg.as_printed) == (64, 10.0, False)
+        assert cfg.snapshot_times is cfg.fp_domain is cfg.malliavin_lambda is None
+
+    def test_every_key_reaches_its_field(self):
+        doc = _base_config(
+            overrides={"sigma": 2.0}, horizon=2.0, snapshot_times=[1.0, 2.0],
+            picard={"tol": 0.1, "max_iters": 3, "n_slices": 5},
+            fp={"domain": [[-9.0, 9.0]], "nodes": [33], "dt": 0.01},
+            malliavin={"n_paths": 7, "lambda": 0.5, "slack_factor": 2.0},
+            as_printed=True, outdir="out", threads=2)
+        cfg = ExperimentConfig.from_dict(doc)
+        assert dataclasses.asdict(cfg) == {
+            "preset": "bm", "methods": ("particles",), "n_particles": 100,
+            "steps": 20, "seed": 1, "overrides": {"sigma": 2.0}, "horizon": 2.0,
+            "snapshot_times": (1.0, 2.0), "picard_tol": 0.1, "picard_max_iters": 3,
+            "picard_n_slices": 5, "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,),
+            "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_lambda": 0.5,
+            "malliavin_slack": 2.0, "as_printed": True, "outdir": "out",
+            "threads": 2, "raw": doc}
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -248,6 +267,24 @@ class TestRunExperiment:
             run_experiment(cfg, outdir=tmp_path)
         assert ei.value.field_path == "snapshot_times"
 
+    def test_snapshot_times_on_one_node_rejected(self, tmp_path):
+        # two times rounding to one node would add a tiny FP step and write
+        # that node's rows and CSVs twice
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp"],
+               "n_particles": 50, "steps": 10, "seed": 0,
+               "snapshot_times": [0.5, 0.5000000000001, 1.0]}
+        with pytest.raises(ConfigError, match="0.5 and 0.5000000000001 fall on one "
+                                              "grid node") as ei:
+            run_experiment(cfg, outdir=tmp_path)
+        assert ei.value.field_path == "snapshot_times"
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_equal_snapshot_times_merge(self, tmp_path):
+        cfg = _base_config(snapshot_times=[1, 0.5, 1.0, 0.5])
+        report = run_experiment(cfg, outdir=tmp_path)
+        assert report["snapshot_times"] == [0.5, 1.0]
+        assert list(report["methods"]["particles"]["moments"]) == ["t=0", "t=0.5", "t=1"]
+
     def test_seed_override_wins(self, tmp_path):
         cfg = _base_config(seed=1)
         report = run_experiment(cfg, outdir=tmp_path / "a", seed=77)
@@ -263,6 +300,19 @@ class TestRunExperiment:
             run_experiment(_base_config(seed=1), outdir=tmp_path, seed=seed)
         assert ei.value.field_path == "seed"
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("threads,message", [
+        (0, "less than the minimum"), (1.5, "not of type 'integer'"),
+        (True, "not of type 'integer'")])
+    def test_threads_override_is_checked_as_the_config_threads(self, tmp_path, threads,
+                                                               message):
+        with pytest.raises(ConfigError, match=message) as ei:
+            run_experiment(_base_config(), outdir=tmp_path, threads=threads)
+        assert ei.value.field_path == "threads"
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+        with pytest.raises(ConfigError, match=message) as ei:
+            run_experiment(_base_config(threads=threads), outdir=tmp_path)
+        assert ei.value.field_path == "threads"
 
     @pytest.mark.parametrize("seed", [7, np.int64(7), 7.0])
     def test_integral_seed_override_runs(self, tmp_path, seed):
@@ -545,6 +595,14 @@ class TestCli:
         p.write_text(json.dumps(_base_config(fp={"dt": 0})))
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
         assert "config error at fp.dt: " in capsys.readouterr().err
+
+    def test_threads_flag_is_checked(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config()))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out"),
+                         "--threads", "0"]) == 2
+        assert "config error at threads: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_success(self, tmp_path, capsys):
         p = tmp_path / "c.json"

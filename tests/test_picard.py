@@ -10,8 +10,10 @@ import mvsim.picard
 from mvsim import (
     EmpiricalMeasure,
     InitialLaw,
+    StatisticFlow,
     TimeGrid,
     convergence_gap,
+    draw_noise,
     empirical_statistics,
     get_preset,
     picard_run,
@@ -80,7 +82,7 @@ class TestPicardRun:
         run = picard_run(inst.model, inst.law, TimeGrid(1.0, 200), 20_000,
                          seed=7, tol=1e-3, max_iters=8, checkpoints=(1.0,))
         assert run.converged
-        mean = empirical_statistics(run.checkpoint_clouds[-1][-1],
+        mean = empirical_statistics(run.final_clouds[-1],
                                     inst.model.functionals)[0]
         assert mean == pytest.approx(math.exp(-0.5), abs=2e-2)
 
@@ -130,6 +132,27 @@ class TestPicardRun:
         assert run.n_iters == len(states) == 4
         assert [r() for r in states] == [None] * 4
 
+    def test_two_solves_of_clouds_alive_at_a_time(self, monkeypatch):
+        # when a gap is taken, every solve before its two is freed, and the
+        # run returns holding the last solve's clouds alone
+        real, seen = mvsim.picard.convergence_gap, []
+
+        def tracked(a, b, **kwargs):
+            if not seen:
+                seen.append([weakref.ref(mu) for mu in a])
+            seen.append([weakref.ref(mu) for mu in b])
+            # this gap reads the last two solves; every earlier one is freed
+            assert all(r() is None for solve in seen[:-2] for r in solve)
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(mvsim.picard, "convergence_gap", tracked)
+        inst = get_preset("meanfield-ou")
+        run = picard_run(inst.model, inst.law, TimeGrid(1.0, 20), 100,
+                         seed=2, tol=1e-14, max_iters=4, checkpoints=(0.5, 1.0))
+        assert run.n_iters == len(seen) == 4
+        assert all(r() is None for solve in seen[:-1] for r in solve)
+        assert [r() for r in seen[-1]] == run.final_clouds
+
     def test_every_solve_keeps_only_the_checkpoint_slices(self, monkeypatch):
         # each Picard solve and the direct run of picard_vs_direct store the
         # checkpoint slices alone, in grid order, whatever order they come in
@@ -152,20 +175,33 @@ class TestPicardRun:
                          seed=1, tol=1e-4, max_iters=8,
                          checkpoints=(0.25, 0.75, 1.0))
         assert run.checkpoint_times == (0.25, 0.75, 1.0)
-        assert len(run.flows) == run.n_iters
-        assert len(run.checkpoint_clouds[-1]) == 3
+        assert run.flow.stats.shape == (41, inst.model.q)
+        np.testing.assert_array_equal(run.flow.times, TimeGrid(1.0, 40).times())
+        assert len(run.final_clouds) == 3
         assert len(run.gaps) == run.n_iters - 1
 
     def test_first_iterate_definition(self):
-        # iterate 1 must equal a frozen-flow solve against the seed flow
+        # solve 1 runs against the initial statistic held constant, solve 2
+        # against the flow solve 1 realized; a run that stops after two
+        # solves, spent or converged, returns solve 2
         inst = get_preset("meanfield-ou")
         grid = TimeGrid(1.0, 40)
-        run = picard_run(inst.model, inst.law, grid, 300, seed=5,
-                         tol=1e-6, max_iters=4, checkpoints=(1.0,))
-        bundle = simulate_frozen_flow(inst.model, inst.law, grid, 300, seed=5,
-                                      flow=run.initial_flow)
-        np.testing.assert_array_equal(run.checkpoint_clouds[0][-1].points,
-                                      bundle.snapshot(40).points)
+        x0, _ = draw_noise(inst.model, inst.law, grid, 300, 5)
+        s0 = empirical_statistics(EmpiricalMeasure.from_samples(x0),
+                                  inst.model.functionals)
+        seed_flow = StatisticFlow(grid.times(), np.tile(s0, (41, 1)))
+        first = simulate_frozen_flow(inst.model, inst.law, grid, 300, seed=5,
+                                     flow=seed_flow)
+        second = simulate_frozen_flow(inst.model, inst.law, grid, 300, seed=5,
+                                      flow=first.realized_flow)
+        for tol, max_iters, converged in ((1e-300, 2, False), (1.0, 4, True)):
+            run = picard_run(inst.model, inst.law, grid, 300, seed=5,
+                             tol=tol, max_iters=max_iters, checkpoints=(1.0,))
+            assert run.converged is converged and run.n_iters == 2
+            np.testing.assert_array_equal(run.final_clouds[-1].points,
+                                          second.snapshot(40).points)
+            np.testing.assert_array_equal(run.flow.stats,
+                                          second.realized_flow.stats)
 
     def test_same_seed_same_run(self):
         inst = get_preset("example5-1")
@@ -173,8 +209,8 @@ class TestPicardRun:
         a = picard_run(inst.model, inst.law, TimeGrid(1.0, 50), **kw)
         b = picard_run(inst.model, inst.law, TimeGrid(1.0, 50), **kw)
         assert a.gaps == b.gaps
-        np.testing.assert_array_equal(a.checkpoint_clouds[-1][-1].points,
-                                      b.checkpoint_clouds[-1][-1].points)
+        np.testing.assert_array_equal(a.final_clouds[-1].points,
+                                      b.final_clouds[-1].points)
 
     def test_checkpoints_must_lie_on_grid(self):
         inst = get_preset("meanfield-ou")
