@@ -11,14 +11,13 @@ MVSIM_OUTDIR environment variable, then ./mvsim-out.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .coefficients import check_ellipticity
 from .errors import ConfigError, MvsimError
-from .harness import list_presets, run_experiment
+from .harness import list_presets, read_config, run_experiment
 from .presets import get_preset
 
 
@@ -72,17 +71,9 @@ def _print_report(report: dict) -> None:
 
 def _cmd_run(args, only: str | None = None) -> int:
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print("config error: config root must be a JSON object", file=sys.stderr)
-        return 2
-    if only is not None:
-        config["methods"] = [only]
-    try:
+        config = read_config(args.config)
+        if only is not None:
+            config["methods"] = [only]
         report = run_experiment(config, outdir=args.outdir, threads=args.threads,
                                 seed=args.seed, as_printed=args.as_printed)
     except ConfigError as e:

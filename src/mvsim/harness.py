@@ -1,7 +1,8 @@
 """Experiment orchestration: config files, method dispatch, reports.
 
-An experiment is described by a single JSON document (schema-validated before
-any compute) naming a preset, a method subset, and the discretization knobs.
+An experiment is described by a single JSON document naming a preset, a
+method subset, and the discretization knobs; each key is checked by the
+``ExperimentConfig`` field that declares it before any compute.
 ``run_experiment`` executes the requested methods, writes plot-ready CSVs
 under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them, and
 returns the report as a dict.  A method failure is recorded in the report and
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .coefficients import CoefficientModel
@@ -44,183 +45,191 @@ from .presets import get_preset, preset_defaults, preset_names
 _METHODS = ("particles", "picard", "fp", "malliavin")
 _ENV_OUTDIR = "MVSIM_OUTDIR"
 
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["preset", "methods", "n_particles", "steps", "seed"],
-    "properties": {
-        "preset": {"type": "string"},
-        "overrides": {"type": "object", "additionalProperties": {"type": "number"}},
-        "methods": {
-            "type": "array",
-            "items": {"enum": list(_METHODS)},
-            "minItems": 1,
-            "uniqueItems": True,
-        },
-        "n_particles": {"type": "integer", "minimum": 1},
-        "steps": {"type": "integer", "minimum": 1},
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
-        "snapshot_times": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 1,
-        },
-        "picard": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 2},
-                "n_slices": {"type": "integer", "minimum": 1},
-            },
-        },
-        "fp": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "domain": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"},
-                              "minItems": 2, "maxItems": 2},
-                    "minItems": 1, "maxItems": 2,
-                },
-                "nodes": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
-                    "minItems": 1, "maxItems": 2,
-                },
-                "dt": {"anyOf": [{"const": "auto"},
-                                 {"type": "number", "exclusiveMinimum": 0}]},
-            },
-        },
-        "malliavin": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_paths": {"type": "integer", "minimum": 1},
-                "lambda": {"type": "number", "minimum": 0},
-                "slack_factor": {"type": "number", "minimum": 0},
-            },
-        },
-        "as_printed": {"type": "boolean"},
-        "outdir": {"type": "string"},
-        "threads": {"type": "integer", "minimum": 1},
-    },
-}
+
+def _fail(value, at: str, what: str):
+    raise ConfigError(f"{value!r} {what}", field_path=at)
 
 
-# JSON readers accept NaN and Infinity; a config "number" must be finite, and a
-# numpy integer (a seed override, say) is an "integer"
-_Draft = jsonschema.Draft202012Validator
-_is = _Draft.TYPE_CHECKER.is_type
-_Validator = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine_many({
-    "number": lambda checker, x: _is(x, "number") and math.isfinite(x),
-    "integer": lambda checker, x: _is(x, "integer") or isinstance(x, np.integer)}))
-_VALIDATOR = _Validator(_CONFIG_SCHEMA)
+def _rule(test, what: str):
+    """A check that returns a value ``test`` admits and refuses others as ``what``."""
+    return lambda value, at: value if test(value) else _fail(value, at, what)
 
 
-def _check(validator, instance, *at) -> None:
-    """Raise ``jsonschema.validate``'s error as a ConfigError at its field path."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        path = ".".join(str(p) for p in (*at, *error.absolute_path))
-        raise ConfigError(error.message, field_path=path)
+def _real(value) -> bool:
+    """A number that is neither NaN nor infinite; a bool is not a number."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
-def _check_field(key: str, value) -> None:
-    """The one check of a top-level field, of a config's own value and of an
-    override given as a keyword."""
-    _check(_Validator(_CONFIG_SCHEMA["properties"][key]), value, key)
-    if key == "seed" and value >= 1 << 63:
-        raise ConfigError("seed must be below 2**63", field_path="seed")
+_string = _rule(lambda v: isinstance(v, str), "is not of type 'string'")
+_boolean = _rule(lambda v: isinstance(v, bool), "is not of type 'boolean'")
+_object = _rule(lambda v: isinstance(v, dict), "is not of type 'object'")
+_list = _rule(lambda v: isinstance(v, list), "is not of type 'array'")
+_finite = _rule(_real, "is not of type 'number'")
+_whole = _rule(lambda v: _real(v) and (isinstance(v, numbers.Integral)
+                                       or float(v).is_integer()), "is not of type 'integer'")
 
 
-def _as_ints(schema: dict, value):
-    """``value`` with every entry that ``schema`` types "integer" made an int:
-    draft 2020-12 admits 1.0 as an integer, which ``range`` refuses and the
-    report would echo as a float."""
-    kind = schema.get("type")
-    if kind == "integer":
-        return int(value)
-    if kind == "object" and "properties" in schema:
-        props = schema["properties"]
-        return {k: _as_ints(props[k], v) if k in props else v for k, v in value.items()}
-    if kind == "array" and "items" in schema:
-        return [_as_ints(schema["items"], v) for v in value]
-    return value
+def _number(least=None, strict: bool = False, kind=_finite):
+    """A ``kind`` (a finite number) above ``least`` if ``strict``, at least it if not."""
+    def number(value, at):
+        value = kind(value, at)
+        if least is not None and (value <= least if strict else value < least):
+            _fail(value, at, f"is {'less than or equal to' if strict else 'less than'} "
+                             f"the minimum of {least!r}")
+        return value
+    return number
 
 
-def validate_config(data: dict) -> None:
-    """Schema-check a raw config dict; ConfigError carries the field path."""
-    _check(_VALIDATOR, data)
-    if data["preset"] not in preset_names():
-        raise ConfigError(
-            f"unknown preset {data['preset']!r}; known: {', '.join(preset_names())}",
-            field_path="preset")
-    _check_field("seed", data["seed"])
+def _integer(least: int, bits: int | None = None):
+    """An integer >= ``least`` (and < ``2**bits``) as an int; 1.0 counts, a bool does not."""
+    at_least = _number(least, kind=_whole)
+
+    def integer(value, at):
+        value = int(at_least(value, at))
+        if bits is not None and value >= 1 << bits:
+            raise ConfigError(f"{at} must be below 2**{bits}", field_path=at)
+        return value
+    return integer
 
 
-_RENAMED = {"malliavin_n_paths": "malliavin_paths",
-            "malliavin_slack_factor": "malliavin_slack"}
-_CONVERT = {"methods": tuple, "snapshot_times": tuple, "overrides": dict,
-            "fp_domain": lambda v: tuple(map(tuple, v)), "fp_nodes": tuple}
+def _numbers(value, at):
+    """An object of finite numbers (the preset overrides), returned as a copy."""
+    return {k: _finite(v, f"{at}.{k}") for k, v in _object(value, at).items()}
+
+
+def _array(item, least: int = 1, most: int | None = None, unique: bool = False):
+    """A list of ``least`` to ``most`` entries, each checked by ``item``,
+    returned as a tuple."""
+    def array(value, at):
+        n = len(_list(value, at))
+        if n < least:
+            _fail(value, at, "should be non-empty" if least == 1 else "is too short")
+        if most is not None and n > most:
+            _fail(value, at, "is too long")
+        out = tuple(item(v, f"{at}.{i}") for i, v in enumerate(value))
+        if unique and len(set(out)) < n:
+            _fail(value, at, "has non-unique elements")
+        return out
+    return array
+
+
+def _enum(choices: tuple):
+    return _rule(lambda v: v in choices, f"is not one of {list(choices)!r}")
+
+
+def _auto_or(check):
+    """``"auto"`` or a value that ``check`` admits."""
+    auto = _rule(lambda v: v == "auto", "is neither 'auto' nor a number")
+    return lambda value, at: (auto if isinstance(value, str) else check)(value, at)
+
+
+def _key(path: str, check, default=MISSING, factory=MISSING):
+    """A config field: its key path in the document, its check and its default."""
+    return field(default=default, default_factory=factory,
+                 metadata={"key": tuple(path.split(".")), "check": check})
 
 
 @dataclass
 class ExperimentConfig:
     """A validated experiment description with defaults resolved."""
 
-    preset: str
-    methods: tuple[str, ...]
-    n_particles: int
-    steps: int
-    seed: int
-    overrides: dict = field(default_factory=dict)
-    horizon: float | None = None
-    snapshot_times: tuple[float, ...] | None = None
-    picard_tol: float = 1e-3
-    picard_max_iters: int = 8
-    picard_n_slices: int = 64
-    fp_domain: tuple[tuple[float, float], ...] | None = None
-    fp_nodes: tuple[int, ...] | None = None
-    fp_dt: float | str = "auto"
-    malliavin_paths: int = 100
-    malliavin_lambda: float | None = None
-    malliavin_slack: float = 10.0
-    as_printed: bool = False
-    outdir: str | None = None
-    threads: int = 1
+    preset: str = _key("preset", _string)
+    methods: tuple[str, ...] = _key("methods", _array(_enum(_METHODS), unique=True))
+    n_particles: int = _key("n_particles", _integer(1))
+    steps: int = _key("steps", _integer(1))
+    seed: int = _key("seed", _integer(0, bits=63))
+    overrides: dict = _key("overrides", _numbers, factory=dict)
+    horizon: float | None = _key("horizon", _number(0, strict=True), None)
+    snapshot_times: tuple[float, ...] | None = _key("snapshot_times", _array(_number(0)),
+                                                    None)
+    picard_tol: float = _key("picard.tol", _number(0, strict=True), 1e-3)
+    picard_max_iters: int = _key("picard.max_iters", _integer(2), 8)
+    picard_n_slices: int = _key("picard.n_slices", _integer(1), 64)
+    fp_domain: tuple[tuple[float, float], ...] | None = _key(
+        "fp.domain", _array(_array(_finite, least=2, most=2), most=2), None)
+    fp_nodes: tuple[int, ...] | None = _key("fp.nodes", _array(_integer(2), most=2), None)
+    fp_dt: float | str = _key("fp.dt", _auto_or(_number(0, strict=True)), "auto")
+    malliavin_paths: int = _key("malliavin.n_paths", _integer(1), 100)
+    malliavin_lambda: float | None = _key("malliavin.lambda", _number(0), None)
+    malliavin_slack: float = _key("malliavin.slack_factor", _number(0), 10.0)
+    as_printed: bool = _key("as_printed", _boolean, False)
+    outdir: str | None = _key("outdir", _string, None)
+    threads: int = _key("threads", _integer(1), 1)
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        validate_config(data)
-        data = _as_ints(_CONFIG_SCHEMA, data)
-        # a section's key is the field "<section>_<key>"; a key the document
-        # does not hold keeps the field's default
-        kw = {}
-        for key, value in data.items():
-            if key in ("picard", "fp", "malliavin"):
-                kw.update((_RENAMED.get(f"{key}_{k}", f"{key}_{k}"), v)
-                          for k, v in value.items())
-            else:
-                kw[key] = value
-        for name, convert in _CONVERT.items():
-            if name in kw:
-                kw[name] = convert(kw[name])
-        return cls(**kw, raw=data)
+        kw, raw = _read(data)
+        return cls(**kw, raw=raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"not valid JSON: {e}", field_path=str(path)) from None
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object", field_path=str(path))
-        return cls.from_dict(data)
+        return cls.from_dict(read_config(path))
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
+_SECTIONS = {keys[0] for keys in _FIELDS if len(keys) > 1}
+
+
+def _checked(keys: tuple, value):
+    return _FIELDS[keys].metadata["check"](value, ".".join(keys))
+
+
+def _echo(value):
+    """A checked value as a JSON document holds it: tuples as lists, objects copied."""
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
+def _read(data) -> tuple[dict, dict]:
+    """The checked values of a config document by field name, and its echo:
+    unknown keys are refused first, then missing ones, then bad values in
+    document order, then an unknown preset."""
+    entries, raw = [], {}  # (key path, value) of each key the document holds
+    for key, value in _object(data, "").items():
+        if key in _SECTIONS:
+            raw[key] = {}
+            entries += [((key, k), v) for k, v in _object(value, key).items()]
+        else:
+            entries.append(((key,), value))
+    for keys, _ in entries:
+        if keys not in _FIELDS:
+            raise ConfigError(f"unknown key {keys[-1]!r}",
+                              field_path=".".join(map(str, keys)))
+    given = dict(entries)
+    for keys, f in _FIELDS.items():
+        if keys not in given and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{keys[0]!r} is a required property", field_path=keys[0])
+    kw = {}
+    for keys, value in entries:
+        kw[_FIELDS[keys].name] = value = _checked(keys, value)
+        (raw[keys[0]] if len(keys) > 1 else raw)[keys[-1]] = _echo(value)
+    if kw["preset"] not in preset_names():
+        raise ConfigError(
+            f"unknown preset {kw['preset']!r}; known: {', '.join(preset_names())}",
+            field_path="preset")
+    return kw, raw
+
+
+def validate_config(data: dict) -> None:
+    """Check a raw config dict; ConfigError carries the field path."""
+    _read(data)
+
+
+def read_config(path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; a file that cannot be
+    read or parsed is a ConfigError whose message names it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config root must be a JSON object")
+    return data
 
 
 def list_presets() -> list[dict]:
@@ -515,10 +524,9 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
     else:
         cfg = config
     if seed is not None:
-        _check_field("seed", seed)
-        cfg = replace(cfg, seed=int(seed))
+        cfg = replace(cfg, seed=_checked(("seed",), seed))
     if threads is not None:
-        _check_field("threads", threads)
+        _checked(("threads",), threads)
     if as_printed is not None:
         cfg = replace(cfg, as_printed=bool(as_printed))
     out = outdir if outdir is not None else cfg.outdir

@@ -16,8 +16,7 @@ import mvsim.picard
 from mvsim import (ConfigError, build_fp_problem, get_preset, run_experiment, solve_fp,
                    validate_config)
 from mvsim.cli import main as cli_main
-from mvsim.harness import (_CONFIG_SCHEMA, ExperimentConfig, _Validator, emit_plotdata,
-                           list_presets)
+from mvsim.harness import ExperimentConfig, emit_plotdata, list_presets
 from mvsim.measures import (GridAxis, GridDensity, EmpiricalMeasure, grid_density_from_csv,
                             l1_grid_distance, w2_cloud_vs_density_1d, w2_empirical_1d)
 from mvsim.picard import picard_run
@@ -40,9 +39,6 @@ def _tree_digest(root: Path) -> dict:
 
 
 class TestValidateConfig:
-    def test_schema_is_a_valid_draft_2020_12_schema(self):
-        _Validator.check_schema(_CONFIG_SCHEMA)
-
     def test_accepts_minimal(self):
         validate_config(_base_config())
 
@@ -86,6 +82,43 @@ class TestValidateConfig:
             validate_config(_base_config(**mistake))
         assert ei.value.field_path == where
 
+    @pytest.mark.parametrize("doc,where,message", [
+        ({k: v for k, v in _base_config().items() if k != "seed"}, "seed",
+         "'seed' is a required property"),
+        (_base_config(particles=5), "particles", "unknown key 'particles'"),
+        (_base_config(picard={"x": 1}), "picard.x", "unknown key 'x'"),
+        (_base_config(methods=[]), "methods", "should be non-empty"),
+        (_base_config(methods=["fp", "fp"]), "methods", "has non-unique elements"),
+        (_base_config(methods=["fp", "magic"]), "methods.1", "'magic' is not one of"),
+        (_base_config(n_particles=0), "n_particles", "0 is less than the minimum of 1"),
+        (_base_config(picard={"tol": 0.0}), "picard.tol",
+         "0.0 is less than or equal to the minimum of 0"),
+        (_base_config(fp={"domain": [[0, 1]] * 3}), "fp.domain", "is too long"),
+        (_base_config(fp={"domain": [[0, 1, 2]]}), "fp.domain.0", "is too long"),
+        (_base_config(fp={"nodes": [1]}), "fp.nodes.0", "1 is less than the minimum of 2"),
+        (_base_config(preset=5), "preset", "5 is not of type 'string'"),
+        (_base_config(as_printed=1), "as_printed", "1 is not of type 'boolean'"),
+        (_base_config(overrides=[]), "overrides", "[] is not of type 'object'"),
+        (_base_config(steps=1.5), "steps", "1.5 is not of type 'integer'"),
+        (_base_config(steps=True), "steps", "True is not of type 'integer'"),
+        (_base_config(steps="5"), "steps", "'5' is not of type 'integer'"),
+        (_base_config(horizon=math.nan), "horizon", "nan is not of type 'number'"),
+        (_base_config(seed=1 << 63), "seed", "below 2**63"),
+        (_base_config(fp={"dt": 0}), "fp.dt", "0 is less than or equal to the minimum of 0"),
+        (_base_config(fp={"dt": "fast"}), "fp.dt", "'fast' is neither 'auto' nor a number"),
+        (_base_config(picard=5), "picard", "5 is not of type 'object'"),
+    ])
+    def test_each_rule_names_its_field(self, doc, where, message):
+        with pytest.raises(ConfigError) as ei:
+            validate_config(doc)
+        assert ei.value.field_path == where
+        assert message in str(ei.value)
+
+    def test_first_error_in_document_order_is_reported(self):
+        with pytest.raises(ConfigError) as ei:
+            validate_config(_base_config(n_particles=0, steps=0))
+        assert ei.value.field_path == "n_particles"
+
 
 class TestExperimentConfig:
     def test_defaults_resolved(self):
@@ -114,6 +147,19 @@ class TestExperimentConfig:
             "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_lambda": 0.5,
             "malliavin_slack": 2.0, "as_printed": True, "outdir": "out",
             "threads": 2, "raw": doc}
+        # the document holds every key path that a field declares, and no other
+        paths = set()
+        for key, value in doc.items():
+            if key in ("picard", "fp", "malliavin"):
+                paths |= {(key, k) for k in value}
+            else:
+                paths.add((key,))
+        declared = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)
+                    if f.metadata}
+        assert paths == declared
+        # the echo shares no object with the fields
+        cfg.raw["overrides"]["sigma"] = 9.0
+        assert cfg.overrides == {"sigma": 2.0}
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -284,6 +330,21 @@ class TestRunExperiment:
         report = run_experiment(cfg, outdir=tmp_path)
         assert report["snapshot_times"] == [0.5, 1.0]
         assert list(report["methods"]["particles"]["moments"]) == ["t=0", "t=0.5", "t=1"]
+
+    @pytest.mark.parametrize("name,contents,message", [
+        ("missing.json", None, "No such file"), ("dir.json", "dir", "Is a directory"),
+        ("utf16.json", b"\xff\xfe{\x00}\x00", "can.t decode")])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, name, contents,
+                                                    message):
+        path = tmp_path / name
+        if contents == "dir":
+            path.mkdir()
+        elif contents is not None:
+            path.write_bytes(contents)
+        with pytest.raises(ConfigError, match=message) as ei:
+            run_experiment(path, outdir=tmp_path / "out")
+        assert str(path) in str(ei.value)
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_wins(self, tmp_path):
         cfg = _base_config(seed=1)
@@ -484,8 +545,9 @@ class TestRunExperiment:
         ("picard", "max_iters", 3.0), ("picard", "n_slices", 8.0),
         ("fp", "nodes", [101.0]), ("malliavin", "n_paths", 3.0)])
     def test_integral_float_counts_run_as_ints(self, tmp_path, section, key, value):
-        # draft 2020-12 admits 1.0 as an integer: each count runs as its int,
-        # and the tree, the report's config echo included, is the int config's
+        # an integer field admits an integral float such as 1.0: each count runs
+        # as its int, and the tree, the report's config echo included, is the
+        # int config's
         cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
                "n_particles": 60, "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
                "picard": {"max_iters": 3, "n_slices": 8}, "fp": {"nodes": [101]},
@@ -560,6 +622,19 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{")
         assert cli_main(["run", str(p)]) == 2
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe" + json.dumps(_base_config()).encode("utf-16-le"))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_is_usage_error_at_its_key(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(particles=5)))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error at particles: " in capsys.readouterr().err
 
     def test_unknown_preset_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
