@@ -2,11 +2,11 @@
 
 An experiment is described by a single JSON document naming a preset, a
 method subset, and the discretization knobs; each key is checked by the
-``ExperimentConfig`` field that declares it before any compute.
+``ExperimentConfig`` field that declares it, however the config is built.
 ``run_experiment`` executes the requested methods, writes plot-ready CSVs
-under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them, and
-returns the report as a dict.  A method failure is recorded in the report and
-does not abort the others.
+under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them whose
+``config`` block is the resolved config, and returns the report as a dict.
+A method failure is recorded in the report and does not abort the others.
 
 Everything written is a pure function of the config: no wall-clock content
 or host data, sorted JSON keys, and every CSV value written by the one writer
@@ -64,7 +64,7 @@ def _real(value) -> bool:
 _string = _rule(lambda v: isinstance(v, str), "is not of type 'string'")
 _boolean = _rule(lambda v: isinstance(v, bool), "is not of type 'boolean'")
 _object = _rule(lambda v: isinstance(v, dict), "is not of type 'object'")
-_list = _rule(lambda v: isinstance(v, list), "is not of type 'array'")
+_list = _rule(lambda v: isinstance(v, (list, tuple)), "is not of type 'array'")
 _finite = _rule(_real, "is not of type 'number'")
 _whole = _rule(lambda v: _real(v) and (isinstance(v, numbers.Integral)
                                        or float(v).is_integer()), "is not of type 'integer'")
@@ -132,7 +132,8 @@ def _key(path: str, check, default=MISSING, factory=MISSING):
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment description with defaults resolved."""
+    """An experiment description with defaults resolved, checked wherever it
+    is built: from a document, directly, or by ``dataclasses.replace``."""
 
     preset: str = _key("preset", _string)
     methods: tuple[str, ...] = _key("methods", _array(_enum(_METHODS), unique=True))
@@ -156,24 +157,38 @@ class ExperimentConfig:
     as_printed: bool = _key("as_printed", _boolean, False)
     outdir: str | None = _key("outdir", _string, None)
     threads: int = _key("threads", _integer(1), 1)
-    raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for f in fields(self):  # an optional field left at None stays None
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                setattr(self, f.name, f.metadata["check"](value, ".".join(f.metadata["key"])))
+        if self.preset not in preset_names():
+            raise ConfigError(
+                f"unknown preset {self.preset!r}; known: {', '.join(preset_names())}",
+                field_path="preset")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kw, raw = _read(data)
-        return cls(**kw, raw=raw)
+        return cls(**_read(data))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_config(path))
 
+    def echo(self) -> dict:
+        """The config document of the checked fields, without ``outdir``,
+        ``threads`` and optional fields left unset."""
+        doc: dict = {}
+        for f in fields(self):
+            value, keys = getattr(self, f.name), f.metadata["key"]
+            if value is not None and f.name not in ("outdir", "threads"):
+                (doc.setdefault(keys[0], {}) if len(keys) > 1 else doc)[keys[-1]] = _echo(value)
+        return doc
 
-_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
+
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 _SECTIONS = {keys[0] for keys in _FIELDS if len(keys) > 1}
-
-
-def _checked(keys: tuple, value):
-    return _FIELDS[keys].metadata["check"](value, ".".join(keys))
 
 
 def _echo(value):
@@ -183,14 +198,12 @@ def _echo(value):
     return dict(value) if isinstance(value, dict) else value
 
 
-def _read(data) -> tuple[dict, dict]:
-    """The checked values of a config document by field name, and its echo:
-    unknown keys are refused first, then missing ones, then bad values in
-    document order, then an unknown preset."""
-    entries, raw = [], {}  # (key path, value) of each key the document holds
+def _read(data) -> dict:
+    """The values of a config document by field name: unknown keys are
+    refused first, then missing ones."""
+    entries = []  # (key path, value) of each key the document holds
     for key, value in _object(data, "").items():
         if key in _SECTIONS:
-            raw[key] = {}
             entries += [((key, k), v) for k, v in _object(value, key).items()]
         else:
             entries.append(((key,), value))
@@ -202,27 +215,32 @@ def _read(data) -> tuple[dict, dict]:
     for keys, f in _FIELDS.items():
         if keys not in given and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{keys[0]!r} is a required property", field_path=keys[0])
-    kw = {}
-    for keys, value in entries:
-        kw[_FIELDS[keys].name] = value = _checked(keys, value)
-        (raw[keys[0]] if len(keys) > 1 else raw)[keys[-1]] = _echo(value)
-    if kw["preset"] not in preset_names():
-        raise ConfigError(
-            f"unknown preset {kw['preset']!r}; known: {', '.join(preset_names())}",
-            field_path="preset")
-    return kw, raw
+    return {_FIELDS[keys].name: value for keys, value in given.items()}
 
 
 def validate_config(data: dict) -> None:
-    """Check a raw config dict; ConfigError carries the field path."""
-    _read(data)
+    """Check a config dict as ``run_experiment`` does before it computes;
+    ConfigError carries the field path."""
+    _Experiment(ExperimentConfig.from_dict(data), Path())
+
+
+def _unique(pairs: list, path) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a ConfigError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"{path}: duplicate key {key!r}")
+        data[key] = value
+    return data
 
 
 def read_config(path) -> dict:
     """The JSON object in the UTF-8 file at ``path``; a file that cannot be
-    read or parsed is a ConfigError whose message names it."""
+    read or parsed, or repeats a key in an object, is a ConfigError whose
+    message names it."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=lambda pairs: _unique(pairs, path))
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from None
     except ValueError as e:  # not UTF-8, or not JSON
@@ -510,31 +528,29 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
                    as_printed=None) -> dict:
     """Run the configured methods, write artifacts, and return the report.
 
-    ``config`` is an ExperimentConfig, a raw dict, or a path to a JSON file.
-    Keyword overrides take precedence over the config document and leave an
-    ExperimentConfig passed in unchanged; ``seed`` and ``threads`` get the
-    config's own checks, and ``threads`` changes nothing.  A method failure
-    is recorded under ``methods.<name>.status`` and does not stop the
-    remaining methods.
+    ``config`` is an ExperimentConfig, a config dict, or a path to a JSON file.
+    Keyword overrides take precedence over the config and get its own checks;
+    an ExperimentConfig passed in is left unchanged.  Every config mistake,
+    an output directory that cannot be created included, is a ConfigError
+    raised before any method runs.  A method failure is recorded under
+    ``methods.<name>.status`` and does not stop the remaining methods.
     """
     if isinstance(config, (str, Path)):
-        cfg = ExperimentConfig.from_file(config)
+        config = ExperimentConfig.from_file(config)
     elif isinstance(config, dict):
-        cfg = ExperimentConfig.from_dict(config)
-    else:
-        cfg = config
-    if seed is not None:
-        cfg = replace(cfg, seed=_checked(("seed",), seed))
-    if threads is not None:
-        _checked(("threads",), threads)
-    if as_printed is not None:
-        cfg = replace(cfg, as_printed=bool(as_printed))
+        config = ExperimentConfig.from_dict(config)
+    given = {"seed": seed, "threads": threads, "as_printed": as_printed}
+    cfg = replace(config, **{k: v for k, v in given.items() if v is not None})
     out = outdir if outdir is not None else cfg.outdir
     if out is None:
         out = os.environ.get(_ENV_OUTDIR, "mvsim-out")
     out = Path(out)
 
     exp = _Experiment(cfg, out)
+    try:
+        exp.base.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{exp.base}: {e.strerror or e}", field_path="outdir") from None
     runners = {"particles": exp.run_particles, "picard": exp.run_picard,
                "fp": exp.run_fp, "malliavin": exp.run_malliavin}
     methods: dict = {}
@@ -553,11 +569,8 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
         frag["status"] = "failed"
         frag["error"] = "ellipticity bound violated on at least one path"
 
-    echo = {k: v for k, v in cfg.raw.items() if k not in ("outdir", "threads")}
-    echo["seed"] = cfg.seed
-    echo["as_printed"] = cfg.as_printed
     report = {
-        "config": echo,
+        "config": cfg.echo(),
         "preset": {"name": exp.preset.name, "summary": exp.preset.summary,
                    "params": {k: exp.preset.params[k]
                               for k in sorted(exp.preset.params)}},
@@ -565,7 +578,6 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
         "methods": methods,
         "comparisons": exp.comparisons(),
     }
-    exp.base.mkdir(parents=True, exist_ok=True)
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _publish(exp.base / "report.json", lambda p: Path(p).write_text(text))
     return report

@@ -114,6 +114,20 @@ class TestValidateConfig:
         assert ei.value.field_path == where
         assert message in str(ei.value)
 
+    @pytest.mark.parametrize("mistake,where,message", [
+        ({"overrides": {"nope": 1.0}}, "overrides.nope", "no parameter 'nope'"),
+        ({"fp": {"nodes": [101, 101]}}, "fp", "dimension does not match"),
+        ({"steps": 10, "snapshot_times": [0.33]}, "snapshot_times", "not a grid node"),
+        ({"fp": {"domain": [[1, 0]]}}, "fp.domain", "inverted"),
+        ({"snapshot_times": [0.5, 0.5000000000001]}, "snapshot_times",
+         "fall on one grid node")])
+    def test_refuses_what_the_run_refuses(self, tmp_path, mistake, where, message):
+        for check in (validate_config, lambda doc: run_experiment(doc, outdir=tmp_path)):
+            with pytest.raises(ConfigError, match=message) as ei:
+                check(_base_config(**mistake))
+            assert ei.value.field_path == where
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
     def test_first_error_in_document_order_is_reported(self):
         with pytest.raises(ConfigError) as ei:
             validate_config(_base_config(n_particles=0, steps=0))
@@ -146,7 +160,10 @@ class TestExperimentConfig:
             "picard_n_slices": 5, "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,),
             "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_lambda": 0.5,
             "malliavin_slack": 2.0, "as_printed": True, "outdir": "out",
-            "threads": 2, "raw": doc}
+            "threads": 2}
+        # the echo is the document without the run's location
+        echo = cfg.echo()
+        assert echo == {k: v for k, v in doc.items() if k not in ("outdir", "threads")}
         # the document holds every key path that a field declares, and no other
         paths = set()
         for key, value in doc.items():
@@ -154,12 +171,29 @@ class TestExperimentConfig:
                 paths |= {(key, k) for k in value}
             else:
                 paths.add((key,))
-        declared = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)
-                    if f.metadata}
+        declared = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
         assert paths == declared
         # the echo shares no object with the fields
-        cfg.raw["overrides"]["sigma"] = 9.0
+        echo["overrides"]["sigma"] = 9.0
         assert cfg.overrides == {"sigma": 2.0}
+
+    @pytest.mark.parametrize("mistake,where", [
+        ({"methods": ("particles", "magic"), "n_particles": 0, "seed": -3}, "methods.1"),
+        ({"n_particles": 0}, "n_particles"), ({"seed": -3}, "seed")])
+    def test_direct_construction_runs_the_checks(self, tmp_path, mistake, where):
+        good = {"preset": "bm", "methods": ("particles",), "n_particles": 10,
+                "steps": 5, "seed": 0}
+        with pytest.raises(ConfigError) as ei:
+            run_experiment(ExperimentConfig(**dict(good, **mistake)), outdir=tmp_path)
+        assert ei.value.field_path == where
+        # a field set after construction is checked again by the run
+        cfg = ExperimentConfig(**good)
+        for name, value in mistake.items():
+            setattr(cfg, name, value)
+        with pytest.raises(ConfigError) as ei:
+            run_experiment(cfg, outdir=tmp_path)
+        assert ei.value.field_path == where
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -295,6 +329,26 @@ class TestRunExperiment:
         assert "outdir" not in report["config"]
         assert "threads" not in report["config"]
         assert report["config"]["seed"] == 1
+
+    @pytest.mark.parametrize("cfg", [
+        {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
+         "n_particles": 200.0, "steps": 20, "seed": 5, "snapshot_times": [1, 0.5],
+         "overrides": {"sigma": 0.8}, "picard": {"max_iters": 3}, "fp": {"nodes": [101]},
+         "malliavin": {"n_paths": 4}, "threads": 3},
+        {"preset": "example5-2", "methods": ["particles", "picard", "fp", "malliavin"],
+         "n_particles": 100, "steps": 10, "seed": 2, "horizon": 0.2,
+         "picard": {"max_iters": 2, "n_slices": 4},
+         "fp": {"domain": [[-4.0, 6.0], [-4.0, 6.0]], "nodes": [81, 81]},
+         "malliavin": {"n_paths": 3}}])
+    def test_config_echo_reruns_the_tree(self, tmp_path, cfg):
+        # the echo is the resolved config: run again, it writes the same
+        # bytes, its report.json included
+        report = run_experiment(cfg, outdir=tmp_path / "first")
+        assert all(m["status"] == "ok" for m in report["methods"].values())
+        assert report["config"]["picard"]["tol"] == 1e-3
+        run_experiment(report["config"], outdir=tmp_path / "again")
+        first = _tree_digest(tmp_path / "first")
+        assert first and _tree_digest(tmp_path / "again") == first
 
     def test_method_failure_is_partial(self, tmp_path):
         # box too small for the initial law: fp fails, particles still run
@@ -677,6 +731,28 @@ class TestCli:
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out"),
                          "--threads", "0"]) == 2
         assert "config error at threads: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_outdir_that_cannot_be_made_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config()))
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        assert cli_main(["run", str(p), "--outdir", str(blocker)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error at outdir: ") and "Not a directory" in err
+        assert out == "" and blocker.read_text() == "x"
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"preset": "bm", "methods": ["particles"], "n_particles": 10, "steps": 5, '
+         '"seed": 1, "seed": 2}', "seed"),
+        ('{"preset": "bm", "methods": ["particles"], "n_particles": 10, "steps": 5, '
+         '"seed": 1, "picard": {"tol": 0.1, "tol": 0.2}}', "tol")])
+    def test_duplicate_key_is_usage_error(self, tmp_path, capsys, text, key):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert f"config error: {p}: duplicate key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_success(self, tmp_path, capsys):
