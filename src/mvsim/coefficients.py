@@ -42,6 +42,9 @@ class CoefficientModel:
     ``b_static`` / ``sigma_static`` declare that the respective callable
     ignores both ``t`` and ``s`` (pure functions of x); solvers may then cache
     evaluated fields.  They are hints only and never change results.
+
+    ``b``, ``sigma`` and the Jacobians may return read-only or broadcast
+    arrays (``np.broadcast_to`` views): no consumer writes into them.
     """
 
     d: int

@@ -296,8 +296,8 @@ class _Stencil:
         mean drift of its two nodes and a boundary face that of its one node."""
         C, dc, g, s, bk = self.C, self.diffusion_C, self.g, self.start, self.field_at[0]
         L = bk.size
-        np.copyto(C[0], dc[0])
-        np.copyto(g, self.diffusion_g)
+        # g is zero off the edge, so only its edge entries are reset
+        g[self.edge] = self.diffusion_g[self.edge]
         for k, (h, o, (first, last)) in enumerate(zip(self.hs, self.steps, self.ends)):
             self.field_nodes[...] = b[..., k]
             up, down = self.up[:L + o], self.down[:L + o]
@@ -310,7 +310,8 @@ class _Stencil:
             # inflow from the node below and from the node above, outflow from the node
             np.add(dc[1 + 2 * k], up[:L], out=C[1 + 2 * k])
             np.subtract(dc[2 + 2 * k], down[o:], out=C[2 + 2 * k])
-            C[0] += down[:L]
+            # the first axis starts the node's outflow from its diffusion part
+            np.add(dc[0] if k == 0 else C[0], down[:L], out=C[0])
             C[0] -= up[o:]
             g[first] -= down[first] * self.cell
             g[last] += up[o:][last] * self.cell
@@ -440,7 +441,8 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         target = events[ev_i]
         if b is None or not model.b_static:
             b = _drift(model, t, coords, shape, s)
-            b_bound = [float(np.abs(b[..., k]).max()) / h for k, h in enumerate(hs)]
+            b_bound = [float(max(b[..., k].max(), -b[..., k].min())) / h
+                       for k, h in enumerate(hs)]
         if a is None or not model.sigma_static:
             a = _diffusion(model, t, coords, shape, s)
             op.set_diffusion(a)
@@ -515,13 +517,16 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         mass = float(p.sum() * cell)
         if not math.isfinite(mass) and not np.all(np.isfinite(p)):
             raise NumericError(f"density became non-finite at t={t:.6g} (step {steps})")
-        pmin = float(p.min())
+        # the contiguous copy the statistic reads (in 2D p is a strided view);
+        # the sum above stays on p, where its order gives the mass its bits
+        values = p.ravel()
+        pmin = float(values.min())
         _check_floor(pmin, t, steps, n_stages, n_stages)
         if abs(mass + flux_cum - 1.0) > _CONSERVATION_TOL:
             raise ConservationError(
                 f"mass {mass:.8f} plus boundary flux {flux_cum:.8f} drifted from 1 "
                 f"at t={t:.6g} (step {steps})")
-        s = phi_rows @ p.ravel()
+        s = phi_rows @ values
         for c, v in zip(curves, (t, mass, pmin, flux_cum)):
             c.append(v)
         stats.extend(s)

@@ -200,9 +200,8 @@ def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals,
     out = np.empty(len(functionals))
     for k, f in enumerate(functionals):
         vals = np.asarray(f.phi(points), dtype=float)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not np.isfinite(vals).all():
+            i = int(np.argmax(~np.isfinite(vals)))
             raise NumericError(
                 f"functional {f.id!r} is non-finite at {unit} {i}")
         out[k] = float(np.dot(weights, vals))
@@ -345,8 +344,10 @@ def w2_sliced(a: EmpiricalMeasure, b: EmpiricalMeasure,
         costs = np.empty(n_slices)
         step = max(1, _CHUNK_ELEMENTS // a.n)
         for s in range(0, n_slices, step):
-            pa = np.sort(a.points @ dirs[s:s + step].T, axis=0)
-            pb = np.sort(b.points @ dirs[s:s + step].T, axis=0)
+            pa = a.points @ dirs[s:s + step].T
+            pb = b.points @ dirs[s:s + step].T
+            pa.sort(axis=0)
+            pb.sort(axis=0)
             pa -= pb
             pa *= pa
             costs[s:s + step] = lens @ pa

@@ -51,9 +51,6 @@ class TimeGrid:
             raise ValueError(f"time {time} is not a node of {self}")
         return k
 
-    def halved(self) -> "TimeGrid":
-        return TimeGrid(self.horizon, 2 * self.steps)
-
 
 @dataclass(frozen=True)
 class InitialLaw:
@@ -107,10 +104,12 @@ def generate_brownian(seed: int, n_particles: int, m: int, grid: TimeGrid) -> np
     fresh = bitgen.state
     key = fresh["state"]["key"]
     out = np.empty((grid.steps, n_particles, m))
+    draw = np.empty((grid.steps, m))
     for i in range(n_particles):
         key[1] = i
         bitgen.state = fresh
-        out[:, i, :] = gen.standard_normal((grid.steps, m))
+        gen.standard_normal(out=draw)
+        out[:, i, :] = draw
     out *= math.sqrt(grid.dt)
     return out
 
@@ -261,10 +260,17 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
         t = float(times[k])
         drift = model.b(t, x, s)
         sig = model.sigma(t, x, s)
-        x = x + drift * dt + np.einsum("ndm,nm->nd", sig, increments[k])
-        bad = ~np.isfinite(x)
-        if bad.any():
-            i = int(np.argwhere(bad.any(axis=1))[0, 0])
+        # sigma dW one noise column at a time, summed in column order: the
+        # bits of einsum("ndm,nm->nd"), without its per-step set-up
+        dw = increments[k]
+        noise = sig[..., 0] * dw[:, None, 0]
+        for j in range(1, model.m):
+            noise += sig[..., j] * dw[:, None, j]
+        # x is this loop's own array, so it is advanced in place
+        x += drift * dt
+        x += noise
+        if not np.isfinite(x).all():
+            i = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
             raise SimulationError(
                 f"state became non-finite at step {k + 1}, particle {i}",
                 step=k + 1, particle=i)

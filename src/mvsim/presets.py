@@ -195,7 +195,7 @@ def _build_example52(p: dict) -> PresetInstance:
         return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + offset)
 
     def b(t, x, s):
-        return np.broadcast_to((radius(x) + s[0])[..., None], x.shape).copy()
+        return np.broadcast_to((radius(x) + s[0])[..., None], x.shape)
 
     def db(t, x, s):
         jac_row = x / radius(x)[..., None]

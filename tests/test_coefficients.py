@@ -10,8 +10,11 @@ import pytest
 import mvsim
 from mvsim import (
     CoefficientModel,
+    InitialLaw,
     NumericError,
     StatisticFunctional,
+    TimeGrid,
+    build_fp_problem,
     check_ellipticity,
     diffusion_matrix,
     eval_diffusion,
@@ -19,7 +22,9 @@ from mvsim import (
     get_preset,
     jacobian_consistency_probe,
     preset_names,
+    solve_fp,
 )
+from mvsim.particle import draw_noise, euler_paths
 
 
 def _identity_sigma_model(d=2):
@@ -226,3 +231,43 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _nonlocal_2d(copy):
+    """example5-2's shape: a 2D drift read off a statistic, returned as a
+    read-only broadcast view, or as its copy when ``copy``."""
+    fn = StatisticFunctional("sin-product", lambda x: np.sin(x[..., 0]) * np.sin(x[..., 1]))
+
+    def b(t, x, s):
+        v = np.broadcast_to((np.sqrt((x ** 2).sum(axis=-1) + 0.4) + s[0])[..., None], x.shape)
+        return v.copy() if copy else v
+
+    def sigma(t, x, s):
+        return np.broadcast_to(np.array([[2.0, 1.0], [1.0, 2.0]]) / np.sqrt(10.0),
+                               x.shape[:-1] + (2, 2))
+
+    return CoefficientModel(d=2, m=2, functionals=(fn,), b=b, sigma=sigma,
+                            sigma_static=True)
+
+
+def test_read_only_broadcast_fields_give_the_bits_of_their_copies():
+    # no consumer writes into what b or sigma returns, so a read-only view
+    # runs, and runs as its copy does
+    law = InitialLaw.gaussian([0.0, 0.0], 0.04 * np.eye(2))
+    grid = TimeGrid(0.1, 10)
+    fp, paths = [], []
+    for copy in (False, True):
+        model = _nonlocal_2d(copy)
+        problem = build_fp_problem(model, law, ((-2.0, 3.0), (-2.0, 3.0)), (51, 51),
+                                   horizon=0.1, snapshot_times=(0.05, 0.1))
+        fp.append(solve_fp(problem))
+        x0, dw = draw_noise(model, law, grid, 200, seed=3)
+        paths.append(euler_paths(model, x0, grid, dw))
+    view, copied = fp
+    assert view.n_steps == copied.n_steps
+    for a, b in zip(view.snapshots, copied.snapshots):
+        assert np.array_equal(a.values, b.values)
+    for name in ("times", "mass_curve", "min_value_curve", "boundary_flux_curve", "stat_curve"):
+        assert np.array_equal(getattr(view, name), getattr(copied, name)), name
+    assert np.array_equal(paths[0].states, paths[1].states)
+    assert np.array_equal(paths[0].realized_flow.stats, paths[1].realized_flow.stats)

@@ -124,6 +124,25 @@ class TestStencil:
         op.apply(upd)
         assert np.all(upd[ghost] == 0)
 
+    @pytest.mark.parametrize("shape,hs", [((57,), [0.05]), ((23, 31), [0.1, 0.07])])
+    def test_drift_rebuilt_on_a_used_stencil_is_a_fresh_one(self, shape, hs):
+        # set_drift resets only the edge entries of g, so a second drift must
+        # leave nothing of the first in C or g
+        rng = np.random.default_rng(11)
+        d = len(shape)
+        sig = rng.standard_normal(shape + (d, d))
+        a = sig @ np.swapaxes(sig, -1, -2)
+        b1, b2 = (rng.standard_normal(shape + (d,)) for _ in range(2))
+        used, fresh = _Stencil(shape, hs), _Stencil(shape, hs)
+        used.set_diffusion(a)
+        used.set_drift(b1)
+        used.set_drift(b2)
+        fresh.set_diffusion(a)
+        fresh.set_drift(b2)
+        assert np.array_equal(used.C, fresh.C)
+        assert np.array_equal(used.g, fresh.g)
+        assert np.array_equal(used.g_edge, fresh.g_edge)
+
 
 class TestGaussianOnGrid:
     def test_point_mass_rejects(self):

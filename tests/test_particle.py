@@ -51,10 +51,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="not a node"):
             TimeGrid(1.0, 3).index_of(0.5)
 
-    def test_halved(self):
-        g = TimeGrid(1.0, 10).halved()
-        assert g.steps == 20 and g.horizon == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
             TimeGrid(0.0, 5)
@@ -221,6 +217,67 @@ class TestInteracting:
         a = simulate_interacting(inst.model, inst.law, TimeGrid(1.0, 20), 64, seed=8)
         b = simulate_interacting(inst.model, inst.law, TimeGrid(1.0, 20), 64, seed=8)
         assert np.array_equal(a.states, b.states)
+
+
+def _noise_model(d, m, full):
+    """A model with no statistic; its sigma is a constant (d, m) matrix,
+    broadcast, or ``full``: scaled per particle and row by the state."""
+    c = np.random.default_rng(10 * d + m).standard_normal((d, m))
+
+    def sigma(t, x, s):
+        if full:
+            return c * (1.0 + 0.5 * np.sin(x))[..., :, None]
+        return np.broadcast_to(c, x.shape[:-1] + (d, m))
+
+    return CoefficientModel(d=d, m=m, functionals=(),
+                            b=lambda t, x, s: np.cos(x) - x, sigma=sigma)
+
+
+def _einsum_sweep(model, x0, grid, increments):
+    """The Euler sweep with its noise term as einsum("ndm,nm->nd"): the
+    reference for euler_paths, which sums the noise columns in order."""
+    x, out, s = x0.copy(), [x0], np.empty(0)
+    for k in range(grid.steps):
+        t = float(grid.times()[k])
+        sig = model.sigma(t, x, s)
+        x = x + model.b(t, x, s) * grid.dt + np.einsum("ndm,nm->nd", sig, increments[k])
+        out.append(x)
+    return np.array(out)
+
+
+class TestNoiseTerm:
+    @pytest.mark.parametrize("full", [False, True], ids=["broadcast", "full"])
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_einsum_bit_for_bit(self, d, m, full):
+        model = _noise_model(d, m, full)
+        grid = TimeGrid(1.0, 20)
+        law = InitialLaw.gaussian(np.zeros(d), np.eye(d))
+        x0, dw = draw_noise(model, law, grid, 300, seed=4)
+        bundle = euler_paths(model, x0, grid, dw)
+        assert np.array_equal(bundle.states, _einsum_sweep(model, x0, grid, dw))
+
+    @pytest.mark.parametrize("full", [False, True], ids=["broadcast", "full"])
+    def test_three_columns_agree_to_rounding(self, full):
+        # past two columns einsum may sum in another order, so only rounding
+        # is pinned: a few ulps per step over 20 steps
+        model = _noise_model(2, 3, full)
+        grid = TimeGrid(1.0, 20)
+        x0, dw = draw_noise(model, InitialLaw.gaussian([0.0, 0.0], np.eye(2)), grid, 300, seed=4)
+        np.testing.assert_allclose(euler_paths(model, x0, grid, dw).states,
+                                   _einsum_sweep(model, x0, grid, dw),
+                                   rtol=1e3 * np.finfo(float).eps, atol=1e3 * np.finfo(float).eps)
+
+    def test_blowup_names_step_and_particle(self):
+        model = CoefficientModel(
+            d=2, m=2, functionals=(), b=lambda t, x, s: x ** 3,
+            sigma=lambda t, x, s: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
+        x0 = np.full((5, 2), 0.5)
+        x0[3, 1] = 1e80  # finite after one step (about 1e239), infinite after two
+        grid = TimeGrid(1.0, 10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match=r"step 2, particle 3") as err:
+                euler_paths(model, x0, grid, np.zeros((10, 5, 2)))
+        assert (err.value.step, err.value.particle) == (2, 3)
 
 
 class TestFrozenFlow:
