@@ -82,13 +82,24 @@ class EmpiricalMeasure:
 
     @cached_property
     def sorted_1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stable sort of a 1D cloud, made on first use: the sorted points,
-        their weights and the cumulative sum of those weights."""
+        """A 1D cloud in ascending order, made on first use: the sorted
+        points, their weights and the cumulative sum of those weights.
+
+        An equal-weight cloud sorts its values alone and keeps its weights,
+        which no permutation changes.  Tied values are then interchangeable:
+        the only ties a sort can tell apart are ``-0.0`` and ``0.0``, and
+        every reader subtracts a node or another point before squaring.
+        Unequal weights take a stable sort, which fixes the order of the
+        weights of tied points and so the bits of the cumulative sum.
+        """
         if self.d != 1:
             raise ValueError("sorting applies to 1D clouds")
-        order = np.argsort(self.points[:, 0], kind="stable")
-        x = self.points[order, 0]
-        w = self.weights[order]
+        v, w = self.points[:, 0], self.weights
+        if np.all(w == w[0]):
+            x = np.sort(v)
+        else:
+            order = np.argsort(v, kind="stable")
+            x, w = v[order], w[order]
         c = np.cumsum(w)
         for a in (x, w, c):
             a.flags.writeable = False
@@ -196,15 +207,20 @@ class StatisticFlow:
 def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals,
                          unit: str = "particle") -> np.ndarray:
     """s_k = sum_i w_i phi_k(x_i), shape (q,); a non-finite phi_k(x_i) is an
-    error naming the functional and the ``unit`` (particle or node) i."""
+    error naming the functional and the ``unit`` (particle or node) i.
+
+    A non-finite phi_k(x_i) makes s_k non-finite, even at a zero weight, so
+    only a non-finite s_k is scanned for its cause; finite values whose
+    weighted sum overflows give an infinite s_k and no error."""
     out = np.empty(len(functionals))
     for k, f in enumerate(functionals):
         vals = np.asarray(f.phi(points), dtype=float)
-        if not np.isfinite(vals).all():
-            i = int(np.argmax(~np.isfinite(vals)))
-            raise NumericError(
-                f"functional {f.id!r} is non-finite at {unit} {i}")
         out[k] = float(np.dot(weights, vals))
+        if not math.isfinite(out[k]):
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                raise NumericError(
+                    f"functional {f.id!r} is non-finite at {unit} {int(np.argmax(bad))}")
     return out
 
 

@@ -22,6 +22,8 @@ from .measures import EmpiricalMeasure, StatisticFlow, _weighted_statistics
 # stream id for initial-condition sampling; particle ids stay below 2**63
 _INIT_STREAM = np.uint64(1) << np.uint64(63)
 _MAX_SEED = (1 << 63) - 1
+# particles whose noise generate_brownian draws before scaling them into place
+_NOISE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,26 @@ def generate_brownian(seed: int, n_particles: int, m: int, grid: TimeGrid) -> np
     if m < 1:
         raise ValueError("noise dimension must be >= 1")
     # one generator, rewound to stream (seed, i) for each particle: the
-    # state a fresh particle_stream(seed, i) starts from
+    # state a fresh particle_stream(seed, i) starts from, held as plain ints,
+    # which the state setter reads faster than numpy arrays
     bitgen = np.random.Philox(key=np.array([_check_seed(seed), 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     out = np.empty((grid.steps, n_particles, m))
-    draw = np.empty((grid.steps, m))
-    for i in range(n_particles):
-        key[1] = i
-        bitgen.state = fresh
-        gen.standard_normal(out=draw)
-        out[:, i, :] = draw
-    out *= math.sqrt(grid.dt)
+    # a block of particles is drawn contiguously, one row each, then scaled
+    # into its columns of ``out`` in one pass
+    buf = np.empty((min(_NOISE_BLOCK, n_particles), grid.steps, m))
+    scale = math.sqrt(grid.dt)
+    for a in range(0, n_particles, _NOISE_BLOCK):
+        b = min(a + _NOISE_BLOCK, n_particles)
+        for i in range(a, b):
+            key[1] = i
+            bitgen.state = fresh
+            gen.standard_normal(out=buf[i - a])
+        np.multiply(buf[:b - a].transpose(1, 0, 2), scale, out=out[:, a:b, :])
     return out
 
 
@@ -269,11 +278,15 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
         # x is this loop's own array, so it is advanced in place
         x += drift * dt
         x += noise
-        if not np.isfinite(x).all():
-            i = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
-            raise SimulationError(
-                f"state became non-finite at step {k + 1}, particle {i}",
-                step=k + 1, particle=i)
+        # a non-finite entry makes the sum non-finite; only then is x
+        # scanned, and a finite x whose sum overflows goes on
+        if not math.isfinite(float(x.sum())):
+            bad = ~np.isfinite(x).all(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise SimulationError(
+                    f"state became non-finite at step {k + 1}, particle {i}",
+                    step=k + 1, particle=i)
         if k + 1 in slot:
             states[slot[k + 1]] = x
     realized[grid.steps] = _weighted_statistics(x, uw, model.functionals)

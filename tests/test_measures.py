@@ -128,6 +128,22 @@ class TestEmpiricalStatistics:
             with pytest.raises(NumericError, match="particle 1"):
                 empirical_statistics(_cloud([1.0, 0.0, 2.0]), (phi,))
 
+    def test_nan_at_zero_weight_names_particle(self):
+        from mvsim import NumericError
+        phi = StatisticFunctional("sqrt", lambda p: np.sqrt(p[..., 0]))
+        mu = EmpiricalMeasure(np.array([[1.0], [-1.0], [4.0]]), np.array([0.5, 0.0, 0.5]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="'sqrt' is non-finite at particle 1"):
+                empirical_statistics(mu, (phi,))
+
+    def test_finite_values_whose_weighted_sum_overflows_give_inf(self):
+        # weights that do not sum to 1, as on the grid route
+        phi = StatisticFunctional("id", lambda p: p[..., 0])
+        with np.errstate(over="ignore"):
+            s = mvsim.measures._weighted_statistics(
+                np.array([[1e308], [1e308]]), np.array([1.0, 1.0]), (phi,), unit="node")
+        assert s[0] == math.inf
+
     def test_empty_functionals(self):
         assert empirical_statistics(_cloud([1.0]), ()).shape == (0,)
 
@@ -345,15 +361,24 @@ class TestW2:
 
 
 class TestSortOnce:
-    def test_sorted_once_read_only(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sorted_once_read_only(self, weighted):
         rng = np.random.default_rng(3)
-        mu = _weighted_cloud(_tied_points(rng, 50), rng)
+        pts = _tied_points(rng, 50)
+        if weighted:
+            mu = _weighted_cloud(pts, rng)
+        else:
+            # signed zeros among the ties: an equal-weight sort may order
+            # them either way, and only the values are pinned
+            pts[::7] = -0.0
+            pts[3::7] = 0.0
+            mu = _cloud(pts)
         x, w, c = mu.sorted_1d
         assert mu.sorted_1d[0] is x
         order = np.argsort(mu.points[:, 0], kind="stable")
-        np.testing.assert_array_equal(x, mu.points[order, 0])
-        np.testing.assert_array_equal(w, mu.weights[order])
-        np.testing.assert_array_equal(c, np.cumsum(mu.weights[order]))
+        assert np.all(x == mu.points[order, 0])
+        assert np.array_equal(w, mu.weights[order])
+        assert np.array_equal(c, np.cumsum(mu.weights[order]))
         for arr in (x, w, c):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0

@@ -80,9 +80,13 @@ class TestBrownianStreams:
         assert np.array_equal(small, big[:, :3, :])
 
     @pytest.mark.parametrize("seed,n,m,steps", [(7, 300, 1, 20), (3, 500, 2, 12),
-                                                (0, 1, 3, 5), ((1 << 63) - 1, 17, 2, 9)])
+                                                (0, 1, 3, 5), ((1 << 63) - 1, 17, 2, 9),
+                                                (5, 64, 1, 7), (5, 64, 2, 7),
+                                                (9, 65, 1, 6), (9, 65, 2, 6),
+                                                (2, 129, 1, 4), (2, 129, 2, 4)])
     def test_matches_per_particle_streams(self, seed, n, m, steps):
-        # particle i's increments are the first draws of particle_stream(seed, i)
+        # particle i's increments are the first draws of particle_stream(seed, i),
+        # also for counts that end on, or one past, an edge of the draw blocks
         g = TimeGrid(1.0, steps)
         ref = np.stack([particle_stream(seed, i).standard_normal((steps, m))
                         for i in range(n)], axis=1) * math.sqrt(g.dt)
@@ -278,6 +282,25 @@ class TestNoiseTerm:
             with pytest.raises(SimulationError, match=r"step 2, particle 3") as err:
                 euler_paths(model, x0, grid, np.zeros((10, 5, 2)))
         assert (err.value.step, err.value.particle) == (2, 3)
+
+
+class TestFinitenessProbe:
+    def test_finite_state_whose_sum_overflows_goes_on(self):
+        x0 = np.array([[1.5e308], [1.5e308], [0.0]])
+        with np.errstate(over="ignore"):
+            bundle = euler_paths(_const_model(), x0, TimeGrid(1.0, 3), np.zeros((3, 3, 1)))
+        assert np.array_equal(bundle.states[-1], x0)
+
+    def test_opposite_infinities_name_step_and_particle(self):
+        # +inf and -inf in one step sum to NaN, which the probe still catches
+        model = CoefficientModel(
+            d=1, m=1, functionals=(), b=lambda t, x, s: x ** 3,
+            sigma=lambda t, x, s: np.ones(x.shape[:-1] + (1, 1)))
+        x0 = np.array([[0.5], [0.5], [1e80], [-1e80]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match=r"step 2, particle 2") as err:
+                euler_paths(model, x0, TimeGrid(1.0, 10), np.zeros((10, 4, 1)))
+        assert (err.value.step, err.value.particle) == (2, 2)
 
 
 class TestFrozenFlow:
