@@ -4,8 +4,10 @@ Subcommands: ``run`` (all configured methods), ``fp`` / ``malliavin`` (run a
 config restricted to that single method), ``presets`` (table of shipped
 presets), ``check-ellipticity`` (sampled spectrum floor of a preset's
 diffusion).  Exit codes: 0 success, 1 a method failed hard, 2 bad config or
-usage.  The default output directory comes from --outdir, then the
-MVSIM_OUTDIR environment variable, then ./mvsim-out.
+usage.  The run subcommands take two flags: --seed replaces the config
+document's ``seed`` (and is checked as that key), and the output directory
+comes from --outdir, then the MVSIM_OUTDIR environment variable, then
+./mvsim-out.
 """
 
 from __future__ import annotations
@@ -24,14 +26,9 @@ from .presets import get_preset
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None,
-                   help="override the config's seed")
+                   help="replace the config's seed")
     p.add_argument("--outdir", default=None,
                    help="output directory root (default: MVSIM_OUTDIR or ./mvsim-out)")
-    p.add_argument("--as-printed", dest="as_printed", action="store_true",
-                   default=None,
-                   help="use the preset's literally printed coefficient variant")
-    p.add_argument("--threads", type=int, default=None,
-                   help="a positive integer, accepted for compatibility; changes nothing")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,8 +71,9 @@ def _cmd_run(args, only: str | None = None) -> int:
         config = read_config(args.config)
         if only is not None:
             config["methods"] = [only]
-        report = run_experiment(config, outdir=args.outdir, threads=args.threads,
-                                seed=args.seed, as_printed=args.as_printed)
+        if args.seed is not None:
+            config["seed"] = args.seed
+        report = run_experiment(config, outdir=args.outdir)
     except ConfigError as e:
         where = f" at {e.field_path}" if e.field_path else ""
         print(f"config error{where}: {e}", file=sys.stderr)
@@ -88,9 +86,9 @@ def _cmd_run(args, only: str | None = None) -> int:
 def _cmd_presets() -> int:
     for row in list_presets():
         defaults = " ".join(f"{k}={v:g}" for k, v in row["defaults"].items())
-        print(f"{row['name']:14s} d={row['dimension']} T={row['horizon']:g}  "
+        print(f"{row['name']:18s} d={row['dimension']} T={row['horizon']:g}  "
               f"{row['summary']}")
-        print(f"{'':14s} defaults: {defaults}")
+        print(f"{'':18s} defaults: {defaults}")
     return 0
 
 

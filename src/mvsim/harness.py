@@ -13,9 +13,10 @@ or host data, sorted JSON keys, and every CSV value written by the one writer
 ``measures.write_csv`` as Python's ``repr``.  The particle and Picard methods
 run on one draw of the initial cloud and Brownian increments; the Malliavin
 paths draw their own ``n_paths`` particles under the same seed, the first
-``n_paths`` of that draw.  ``threads`` is checked and changes nothing: the
-Malliavin paths run as one batch.  Each method files its results by
-snapshot time in ``at[t][route]``, where the comparisons read them.
+``n_paths`` of that draw.  Each method files its results by snapshot time
+in ``at[t][route]``, where the comparisons read them.  The config is the
+only input that chooses what a run computes; the output directory only
+chooses where it is written.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ def _real(value) -> bool:
 
 
 _string = _rule(lambda v: isinstance(v, str), "is not of type 'string'")
-_boolean = _rule(lambda v: isinstance(v, bool), "is not of type 'boolean'")
 _object = _rule(lambda v: isinstance(v, dict), "is not of type 'object'")
 _list = _rule(lambda v: isinstance(v, (list, tuple)), "is not of type 'array'")
 _finite = _rule(_real, "is not of type 'number'")
@@ -154,9 +154,7 @@ class ExperimentConfig:
     malliavin_paths: int = _key("malliavin.n_paths", _integer(1), 100)
     malliavin_lambda: float | None = _key("malliavin.lambda", _number(0), None)
     malliavin_slack: float = _key("malliavin.slack_factor", _number(0), 10.0)
-    as_printed: bool = _key("as_printed", _boolean, False)
     outdir: str | None = _key("outdir", _string, None)
-    threads: int = _key("threads", _integer(1), 1)
 
     def __post_init__(self):
         for f in fields(self):  # an optional field left at None stays None
@@ -177,12 +175,12 @@ class ExperimentConfig:
         return cls.from_dict(read_config(path))
 
     def echo(self) -> dict:
-        """The config document of the checked fields, without ``outdir``,
-        ``threads`` and optional fields left unset."""
+        """The config document of the checked fields, without ``outdir`` and
+        optional fields left unset."""
         doc: dict = {}
         for f in fields(self):
             value, keys = getattr(self, f.name), f.metadata["key"]
-            if value is not None and f.name not in ("outdir", "threads"):
+            if value is not None and f.name != "outdir":
                 (doc.setdefault(keys[0], {}) if len(keys) > 1 else doc)[keys[-1]] = _echo(value)
         return doc
 
@@ -355,15 +353,11 @@ class _Experiment:
         self.preset = preset
         self.model: CoefficientModel = preset.model
         self.law: InitialLaw = preset.law
-        if cfg.as_printed:
-            if preset.printed_model is not None:
-                self.model = preset.printed_model
-            if preset.printed_law is not None:
-                self.law = preset.printed_law
         horizon = cfg.horizon if cfg.horizon is not None else preset.horizon
         self.grid = TimeGrid(float(horizon), cfg.steps)
         snaps = cfg.snapshot_times if cfg.snapshot_times is not None else (float(horizon),)
         node_time: dict[int, float] = {}  # equal times merge, near ones are refused
+        key_time: dict[str, float] = {}  # and so are times whose files and keys would clash
         for t in map(float, snaps):
             if not 0.0 <= t <= horizon + 1e-12:
                 raise ConfigError(f"snapshot time {t} outside [0, {horizon}]",
@@ -376,6 +370,9 @@ class _Experiment:
             if node_time.setdefault(k, t) != t:
                 raise ConfigError(f"snapshot times {node_time[k]!r} and {t!r} fall on "
                                   f"one grid node", field_path="snapshot_times")
+            if key_time.setdefault(_tkey(t), t) != t:
+                raise ConfigError(f"snapshot times {key_time[_tkey(t)]!r} and {t!r} share "
+                                  f"the label {_tkey(t)}", field_path="snapshot_times")
         self.snapshot_times = tuple(sorted(node_time.values()))
         self.fp_domain = cfg.fp_domain if cfg.fp_domain is not None else preset.fp_domain
         self.fp_nodes = cfg.fp_nodes if cfg.fp_nodes is not None else preset.fp_nodes
@@ -420,7 +417,8 @@ class _Experiment:
         for t, got in self.at.items():
             mu = got["particles"] = bundle.snapshot(self.grid.index_of(t))
             emit_plotdata((t, mu), d, self.preset.name, "particles")
-            got["kde"] = self._write_kde(d, t, mu)
+            if np.ptp(mu.points, axis=0).all():  # a marginal with no spread has no KDE
+                got["kde"] = self._write_kde(d, t, mu)
         mom_objs = [self.at[t]["particles"] if t in self.at
                     else bundle.snapshot(self.grid.index_of(t)) for t in mom_times]
         table = _moments(d, mom_times, mom_objs)
@@ -524,13 +522,12 @@ class _Experiment:
         return out
 
 
-def run_experiment(config, outdir=None, threads=None, seed=None,
-                   as_printed=None) -> dict:
+def run_experiment(config, outdir=None) -> dict:
     """Run the configured methods, write artifacts, and return the report.
 
-    ``config`` is an ExperimentConfig, a config dict, or a path to a JSON file.
-    Keyword overrides take precedence over the config and get its own checks;
-    an ExperimentConfig passed in is left unchanged.  Every config mistake,
+    ``config`` is an ExperimentConfig, a config dict, or a path to a JSON file;
+    an ExperimentConfig passed in is checked again, so a field changed after
+    it was built is checked too, and is left unchanged.  Every config mistake,
     an output directory that cannot be created included, is a ConfigError
     raised before any method runs.  A method failure is recorded under
     ``methods.<name>.status`` and does not stop the remaining methods.
@@ -539,8 +536,7 @@ def run_experiment(config, outdir=None, threads=None, seed=None,
         config = ExperimentConfig.from_file(config)
     elif isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
-    given = {"seed": seed, "threads": threads, "as_printed": as_printed}
-    cfg = replace(config, **{k: v for k, v in given.items() if v is not None})
+    cfg = replace(config)
     out = outdir if outdir is not None else cfg.outdir
     if out is None:
         out = os.environ.get(_ENV_OUTDIR, "mvsim-out")

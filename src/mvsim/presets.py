@@ -1,16 +1,17 @@
 """Named coefficient presets with overridable numeric parameters.
 
 Each preset bundles a coefficient model, an initial law, a horizon, and
-default density-grid settings.  The two ``example5-*`` entries additionally
-carry an ``as_printed`` variant: an alternate sign/scale reading of the same
-coefficients, selectable for side-by-side comparison.  The defaults are the
-form all shipped guarantees refer to.
+default density-grid settings.  The paper's two examples ship twice:
+``example5-1`` and ``example5-2`` are the forms all shipped guarantees refer
+to, and ``example5-1-printed`` and ``example5-2-printed`` read the
+coefficients as literally printed (in 5.1 a sign-flipped drift, the noise
+factor sqrt(0.4) and the initial law N(0, 0.5); in 5.2 a drift scaled by 0.1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +34,6 @@ class PresetInstance:
     fp_domain: tuple[tuple[float, float], ...]
     fp_nodes: tuple[int, ...]
     ellipticity_lambda: float | None
-    printed_model: CoefficientModel | None = None
-    printed_law: InitialLaw | None = None
 
 
 def _const_sigma_fields(d: int, m: int, matrix: np.ndarray):
@@ -156,31 +155,21 @@ def _build_example51(p: dict) -> PresetInstance:
         dsigma_dx=lambda t, x, s: np.broadcast_to(vol, x.shape[:-1] + (1, 1, 1)),
         b_static=False, sigma_static=True)
 
-    # literal transcription variant: sign-flipped drift divergence and a
-    # diffusion factor x^2/5, with the initial profile exp(-x^2) normalized
-    def b_printed(t, x, s):
-        return -(k * (x + math.sin(t)) + kint * s[0])
-
-    pvol = math.sqrt(0.4)
-
-    def sigma_printed(t, x, s):
-        return x[..., :, None] * pvol
-
-    printed = CoefficientModel(
-        d=1, m=1, functionals=(fn,),
-        b=b_printed, sigma=sigma_printed,
-        db_dx=lambda t, x, s: np.broadcast_to(-k, x.shape[:-1] + (1, 1)),
-        dsigma_dx=lambda t, x, s: np.broadcast_to(pvol, x.shape[:-1] + (1, 1, 1)),
-        b_static=False, sigma_static=True)
-
     return PresetInstance(
         name="example5-1",
         summary="1D model with sinusoidal interaction kernel and linear multiplicative noise",
         params=p, model=model, law=InitialLaw.gaussian([0.0], [[1.0]]),
         horizon=1.0, fp_domain=((-8.0, 8.0),), fp_nodes=(801,),
-        ellipticity_lambda=0.0,
-        printed_model=printed,
-        printed_law=InitialLaw.gaussian([0.0], [[0.5]]))
+        ellipticity_lambda=0.0)
+
+
+def _build_example51_printed(p: dict) -> PresetInstance:
+    # negative k and kint flip the drift's sign, vol = sqrt(0.4) gives the
+    # diffusion factor x^2/5, and the initial profile exp(-x^2) normalized is
+    # N(0, 0.5)
+    return replace(_build_example51(p), name="example5-1-printed",
+                   summary="example5-1 as printed: sign-flipped drift, law N(0, 0.5)",
+                   law=InitialLaw.gaussian([0.0], [[0.5]]))
 
 
 def _build_example52(p: dict) -> PresetInstance:
@@ -206,25 +195,21 @@ def _build_example52(p: dict) -> PresetInstance:
         b=b, sigma=sigma, db_dx=db, dsigma_dx=dsigma,
         b_static=False, sigma_static=True)
 
-    def b_printed(t, x, s):
-        return 0.1 * b(t, x, s)
-
-    def db_printed(t, x, s):
-        return 0.1 * db(t, x, s)
-
-    printed = CoefficientModel(
-        d=2, m=2, functionals=(fn,),
-        b=b_printed, sigma=sigma, db_dx=db_printed, dsigma_dx=dsigma,
-        b_static=False, sigma_static=True)
-
-    law = InitialLaw.gaussian([0.0, 0.0], 0.04 * np.eye(2))
     return PresetInstance(
         name="example5-2",
         summary="2D model with product interaction kernel and constant correlated noise",
-        params=p, model=model, law=law,
+        params=p, model=model, law=InitialLaw.gaussian([0.0, 0.0], 0.04 * np.eye(2)),
         horizon=1.0, fp_domain=((-4.0, 6.0), (-4.0, 6.0)), fp_nodes=(201, 201),
-        ellipticity_lambda=0.1,
-        printed_model=printed, printed_law=law)
+        ellipticity_lambda=0.1)
+
+
+def _build_example52_printed(p: dict) -> PresetInstance:
+    inst = _build_example52(p)
+    b, db = inst.model.b, inst.model.db_dx
+    model = replace(inst.model, b=lambda t, x, s: 0.1 * b(t, x, s),
+                    db_dx=lambda t, x, s: 0.1 * db(t, x, s))
+    return replace(inst, name="example5-2-printed",
+                   summary="example5-2 as printed: drift scaled by 0.1", model=model)
 
 
 _REGISTRY = {
@@ -235,7 +220,10 @@ _REGISTRY = {
                      {"a": -1.0, "c": 0.5, "sigma": 0.3, "x0": 1.0, "sigma0": 0.3}),
     "example5-1": (_build_example51,
                    {"k": 0.1, "kint": 0.1, "vol": 1.0 / _SQRT10}),
+    "example5-1-printed": (_build_example51_printed,
+                           {"k": -0.1, "kint": -0.1, "vol": math.sqrt(0.4)}),
     "example5-2": (_build_example52, {"offset": 0.4}),
+    "example5-2-printed": (_build_example52_printed, {"offset": 0.4}),
 }
 
 

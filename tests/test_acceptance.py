@@ -7,12 +7,16 @@ stays within a few minutes on one core.
 
 import hashlib
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import mvsim
 from mvsim import (
     CoefficientModel,
     TimeGrid,
@@ -294,12 +298,18 @@ def test_criterion_7_shipped_configs_run_end_to_end(tmp_path):
 
 
 def test_criterion_8_reruns_are_byte_identical(tmp_path):
+    # the second run is the CLI in a fresh interpreter: no state is shared
     cfg = Path("configs") / "meanfield-ou.json"
-    run_experiment(cfg, outdir=tmp_path / "one", threads=1)
-    run_experiment(cfg, outdir=tmp_path / "four", threads=4)
+    run_experiment(cfg, outdir=tmp_path / "one")
+    src = str(Path(mvsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-m", "mvsim.cli", "run", str(cfg),
+                    "--outdir", str(tmp_path / "two")], env=env, check=True,
+                   capture_output=True)
     d1 = _tree_digest(tmp_path / "one")
-    d4 = _tree_digest(tmp_path / "four")
-    ok = bool(d1) and d1 == d4
-    _verdict(8, ok, f"{len(d1)} files identical across a rerun with "
-                    f"1 vs 4 threads")
+    d2 = _tree_digest(tmp_path / "two")
+    ok = bool(d1) and d1 == d2
+    _verdict(8, ok, f"{len(d1)} files identical across a rerun in a fresh "
+                    f"interpreter")
     assert ok

@@ -271,3 +271,43 @@ def test_read_only_broadcast_fields_give_the_bits_of_their_copies():
         assert np.array_equal(getattr(view, name), getattr(copied, name)), name
     assert np.array_equal(paths[0].states, paths[1].states)
     assert np.array_equal(paths[0].realized_flow.stats, paths[1].realized_flow.stats)
+
+
+def _fields(model, t, x, s):
+    return [np.asarray(f(t, x, s)) for f in (model.b, model.sigma, model.db_dx,
+                                             model.dsigma_dx)]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_example51_printed_is_the_printed_formula(t):
+    # b = -(k (x + sin t) + kint s) with k = kint = 0.1, sigma = x sqrt(0.4),
+    # initial law N(0, 0.5)
+    inst = get_preset("example5-1-printed")
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    s = np.array([0.37])
+    want = [-(0.1 * (x + np.sin(t)) + 0.1 * s[0]),
+            x[..., None] * np.sqrt(0.4),
+            np.full((7, 1, 1), -0.1),
+            np.full((7, 1, 1, 1), np.sqrt(0.4))]
+    for got, expected in zip(_fields(inst.model, t, x, s), want):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert inst.law.kind == "gaussian"
+    assert np.array_equal(inst.law.mean, [0.0]) and np.array_equal(inst.law.cov, [[0.5]])
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_example52_printed_is_the_printed_formula(t):
+    # b = 0.1 (sqrt(x1^2 + x2^2 + 0.4) + s) in both coordinates, its Jacobian
+    # rows 0.1 x / r; the noise is example5-2's
+    inst, plain = get_preset("example5-2-printed"), get_preset("example5-2")
+    x = np.random.default_rng(2).normal(size=(6, 2))
+    s = np.array([-0.21])
+    r = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + 0.4)
+    want = [np.repeat((0.1 * (r + s[0]))[:, None], 2, axis=1),
+            np.broadcast_to(np.array([[2.0, 1.0], [1.0, 2.0]]) / np.sqrt(10.0), (6, 2, 2)),
+            np.repeat((0.1 * (x / r[:, None]))[:, None, :], 2, axis=1),
+            np.zeros((6, 2, 2, 2))]
+    for got, expected in zip(_fields(inst.model, t, x, s), want):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert np.array_equal(inst.law.mean, plain.law.mean)
+    assert np.array_equal(inst.law.cov, plain.law.cov)

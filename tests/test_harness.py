@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ class TestValidateConfig:
         (_base_config(fp={"domain": [[0, 1, 2]]}), "fp.domain.0", "is too long"),
         (_base_config(fp={"nodes": [1]}), "fp.nodes.0", "1 is less than the minimum of 2"),
         (_base_config(preset=5), "preset", "5 is not of type 'string'"),
-        (_base_config(as_printed=1), "as_printed", "1 is not of type 'boolean'"),
+        (_base_config(as_printed=True), "as_printed", "unknown key 'as_printed'"),
         (_base_config(overrides=[]), "overrides", "[] is not of type 'object'"),
         (_base_config(steps=1.5), "steps", "1.5 is not of type 'integer'"),
         (_base_config(steps=True), "steps", "True is not of type 'integer'"),
@@ -107,6 +108,7 @@ class TestValidateConfig:
         (_base_config(fp={"dt": 0}), "fp.dt", "0 is less than or equal to the minimum of 0"),
         (_base_config(fp={"dt": "fast"}), "fp.dt", "'fast' is neither 'auto' nor a number"),
         (_base_config(picard=5), "picard", "5 is not of type 'object'"),
+        (_base_config(threads=1), "threads", "unknown key 'threads'"),
     ])
     def test_each_rule_names_its_field(self, doc, where, message):
         with pytest.raises(ConfigError) as ei:
@@ -120,7 +122,10 @@ class TestValidateConfig:
         ({"steps": 10, "snapshot_times": [0.33]}, "snapshot_times", "not a grid node"),
         ({"fp": {"domain": [[1, 0]]}}, "fp.domain", "inverted"),
         ({"snapshot_times": [0.5, 0.5000000000001]}, "snapshot_times",
-         "fall on one grid node")])
+         "fall on one grid node"),
+        ({"preset": "ou", "methods": ["fp"], "steps": 10_000_000,
+          "snapshot_times": [0.1000001, 0.1000002]}, "snapshot_times",
+         "0.1000001 and 0.1000002 share the label t=0.1")])
     def test_refuses_what_the_run_refuses(self, tmp_path, mistake, where, message):
         for check in (validate_config, lambda doc: run_experiment(doc, outdir=tmp_path)):
             with pytest.raises(ConfigError, match=message) as ei:
@@ -141,8 +146,7 @@ class TestExperimentConfig:
         assert cfg.picard_max_iters == 8
         assert cfg.malliavin_paths == 100
         assert cfg.fp_dt == "auto"
-        assert cfg.threads == 1
-        assert (cfg.picard_n_slices, cfg.malliavin_slack, cfg.as_printed) == (64, 10.0, False)
+        assert (cfg.picard_n_slices, cfg.malliavin_slack) == (64, 10.0)
         assert cfg.snapshot_times is cfg.fp_domain is cfg.malliavin_lambda is None
 
     def test_every_key_reaches_its_field(self):
@@ -151,7 +155,7 @@ class TestExperimentConfig:
             picard={"tol": 0.1, "max_iters": 3, "n_slices": 5},
             fp={"domain": [[-9.0, 9.0]], "nodes": [33], "dt": 0.01},
             malliavin={"n_paths": 7, "lambda": 0.5, "slack_factor": 2.0},
-            as_printed=True, outdir="out", threads=2)
+            outdir="out")
         cfg = ExperimentConfig.from_dict(doc)
         assert dataclasses.asdict(cfg) == {
             "preset": "bm", "methods": ("particles",), "n_particles": 100,
@@ -159,11 +163,10 @@ class TestExperimentConfig:
             "snapshot_times": (1.0, 2.0), "picard_tol": 0.1, "picard_max_iters": 3,
             "picard_n_slices": 5, "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,),
             "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_lambda": 0.5,
-            "malliavin_slack": 2.0, "as_printed": True, "outdir": "out",
-            "threads": 2}
+            "malliavin_slack": 2.0, "outdir": "out"}
         # the echo is the document without the run's location
         echo = cfg.echo()
-        assert echo == {k: v for k, v in doc.items() if k not in ("outdir", "threads")}
+        assert echo == {k: v for k, v in doc.items() if k != "outdir"}
         # the document holds every key path that a field declares, and no other
         paths = set()
         for key, value in doc.items():
@@ -324,17 +327,16 @@ class TestRunExperiment:
             == sorted(self.SHIPPED_PICARD)
 
     def test_config_echo_strips_location_keys(self, tmp_path):
-        cfg = _base_config(outdir=str(tmp_path), threads=2)
+        cfg = _base_config(outdir=str(tmp_path))
         report = run_experiment(cfg)
         assert "outdir" not in report["config"]
-        assert "threads" not in report["config"]
         assert report["config"]["seed"] == 1
 
     @pytest.mark.parametrize("cfg", [
         {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
          "n_particles": 200.0, "steps": 20, "seed": 5, "snapshot_times": [1, 0.5],
          "overrides": {"sigma": 0.8}, "picard": {"max_iters": 3}, "fp": {"nodes": [101]},
-         "malliavin": {"n_paths": 4}, "threads": 3},
+         "malliavin": {"n_paths": 4}},
         {"preset": "example5-2", "methods": ["particles", "picard", "fp", "malliavin"],
          "n_particles": 100, "steps": 10, "seed": 2, "horizon": 0.2,
          "picard": {"max_iters": 2, "n_slices": 4},
@@ -401,46 +403,47 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_wins(self, tmp_path):
-        cfg = _base_config(seed=1)
-        report = run_experiment(cfg, outdir=tmp_path / "a", seed=77)
+        # --seed replaces the document's seed
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(seed=1)))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "a"), "--seed", "77"]) == 0
+        report = json.loads((tmp_path / "a" / "bm" / "report.json").read_text())
         assert report["config"]["seed"] == 77
 
     @pytest.mark.parametrize("seed,message", [
         (1.5, "not of type 'integer'"), (True, "not of type 'integer'"),
         (np.float64(2.5), "not of type 'integer'"), (-1, "less than the minimum"),
         (1 << 63, "below 2\\*\\*63")])
-    def test_seed_override_is_checked_as_the_config_seed(self, tmp_path, seed, message):
-        # the override goes through the config's own seed check, before any method runs
+    def test_seed_override_is_checked_as_the_config_seed(self, tmp_path, seed, message,
+                                                         capsys):
+        # a replaced seed goes through the config's own seed check
+        cfg = ExperimentConfig.from_dict(_base_config(seed=1))
         with pytest.raises(ConfigError, match=message) as ei:
-            run_experiment(_base_config(seed=1), outdir=tmp_path, seed=seed)
+            dataclasses.replace(cfg, seed=seed)
         assert ei.value.field_path == "seed"
-        assert not tmp_path.exists() or not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("threads,message", [
-        (0, "less than the minimum"), (1.5, "not of type 'integer'"),
-        (True, "not of type 'integer'")])
-    def test_threads_override_is_checked_as_the_config_threads(self, tmp_path, threads,
-                                                               message):
-        with pytest.raises(ConfigError, match=message) as ei:
-            run_experiment(_base_config(), outdir=tmp_path, threads=threads)
-        assert ei.value.field_path == "threads"
-        assert not tmp_path.exists() or not any(tmp_path.iterdir())
-        with pytest.raises(ConfigError, match=message) as ei:
-            run_experiment(_base_config(threads=threads), outdir=tmp_path)
-        assert ei.value.field_path == "threads"
+        if type(seed) is int:  # so does --seed, before any method runs
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(_base_config(seed=1)))
+            out = tmp_path / "out"
+            assert cli_main(["run", str(p), "--outdir", str(out), "--seed", str(seed)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error at seed: ")
+            assert re.search(message, err) and not out.exists()
 
     @pytest.mark.parametrize("seed", [7, np.int64(7), 7.0])
     def test_integral_seed_override_runs(self, tmp_path, seed):
-        report = run_experiment(_base_config(seed=1), outdir=tmp_path, seed=seed)
+        cfg = dataclasses.replace(ExperimentConfig.from_dict(_base_config(seed=1)), seed=seed)
+        report = run_experiment(cfg, outdir=tmp_path)
         assert report["config"]["seed"] == 7 and type(report["config"]["seed"]) is int
 
     def test_overrides_leave_the_callers_config_unchanged(self, tmp_path):
+        # the run checks a field set after construction on its own copy
         cfg = ExperimentConfig.from_dict(_base_config(seed=1))
+        cfg.seed = 77.0
         before = dataclasses.asdict(cfg)
-        report = run_experiment(cfg, outdir=tmp_path / "a", seed=77, as_printed=True)
-        assert dataclasses.asdict(cfg) == before
-        assert report["config"]["seed"] == 77
-        assert report["config"]["as_printed"] is True
+        report = run_experiment(cfg, outdir=tmp_path / "a")
+        assert dataclasses.asdict(cfg) == before and type(cfg.seed) is float
+        assert report["config"]["seed"] == 77 and type(report["config"]["seed"]) is int
 
     def test_env_var_supplies_outdir(self, tmp_path, monkeypatch):
         dest = tmp_path / "from-env"
@@ -449,15 +452,40 @@ class TestRunExperiment:
         assert (dest / "bm" / "report.json").is_file()
 
     def test_as_printed_variant_runs(self, tmp_path):
+        # the printed reading of example 5.1 is a preset of its own: it runs
+        # into its own directory, reports the coefficients it ran, and a
+        # vol override takes effect
         cfg = {"preset": "example5-1", "methods": ["particles"],
                "n_particles": 500, "steps": 20, "seed": 5}
-        plain = run_experiment(cfg, outdir=tmp_path / "plain")
-        printed = run_experiment(cfg, outdir=tmp_path / "printed",
-                                 as_printed=True)
-        assert printed["config"]["as_printed"] is True
+        plain = run_experiment(cfg, outdir=tmp_path)
+        printed = run_experiment(dict(cfg, preset="example5-1-printed"), outdir=tmp_path)
+        assert printed["preset"]["params"] == {"k": -0.1, "kint": -0.1,
+                                               "vol": math.sqrt(0.4)}
         m1 = plain["methods"]["particles"]["moments"]["t=1"]["order2"]
         m2 = printed["methods"]["particles"]["moments"]["t=1"]["order2"]
         assert m1 != m2
+        base = tmp_path / "example5-1-printed" / "particles"
+        assert (base / "example5-1-printed_particles_t1.csv").is_file()
+        trees = {}
+        for vol in (0.5, 0.9):
+            out = tmp_path / f"vol{vol}"
+            report = run_experiment(dict(cfg, preset="example5-1-printed",
+                                         overrides={"vol": vol}), outdir=out)
+            assert report["preset"]["params"]["vol"] == vol
+            trees[vol] = _tree_digest(out / "example5-1-printed" / "particles")
+        assert trees[0.5] and trees[0.5] != trees[0.9]
+
+    def test_point_mass_snapshot_has_no_kde(self, tmp_path):
+        # gbm starts at the point 1.0: no bandwidth exists at t=0, so that
+        # snapshot writes its cloud but no KDE, and the run goes on
+        cfg = {"preset": "gbm", "methods": ["particles"], "n_particles": 100,
+               "steps": 10, "seed": 0, "snapshot_times": [0, 1]}
+        frag = run_experiment(cfg, outdir=tmp_path)["methods"]["particles"]
+        assert frag["status"] == "ok"
+        assert frag["moments"]["t=0"]["order2"] == 1.0
+        d = tmp_path / "gbm" / "particles"
+        assert (d / "gbm_particles_t0.csv").is_file()
+        assert sorted(p.name for p in d.glob("*_kde_*")) == ["gbm_particles_kde_t1.csv"]
 
     def test_csv_fields_are_plain_numbers(self, tmp_path):
         cfg = {"preset": "meanfield-ou",
@@ -651,20 +679,6 @@ class TestRunExperiment:
             assert l1_grid_distance(GridDensity((axis,), p, time=t),
                                     GridDensity((axis,), exact, time=t)) < 1e-5
 
-    def test_full_tree_bytes_ignore_threads(self, tmp_path):
-        cfg = {"preset": "meanfield-ou",
-               "methods": ["particles", "picard", "fp", "malliavin"],
-               "n_particles": 400, "steps": 50, "seed": 123,
-               "snapshot_times": [0.5, 1.0],
-               "picard": {"tol": 1e-3, "max_iters": 5},
-               "fp": {"nodes": [301]},
-               "malliavin": {"n_paths": 6}}
-        run_experiment(dict(cfg), outdir=tmp_path / "one", threads=1)
-        run_experiment(dict(cfg), outdir=tmp_path / "three", threads=3)
-        d1 = _tree_digest(tmp_path / "one")
-        d3 = _tree_digest(tmp_path / "three")
-        assert d1 and d1 == d3
-
 
 class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -725,14 +739,6 @@ class TestCli:
         assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
         assert "config error at fp.dt: " in capsys.readouterr().err
 
-    def test_threads_flag_is_checked(self, tmp_path, capsys):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(_base_config()))
-        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out"),
-                         "--threads", "0"]) == 2
-        assert "config error at threads: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_outdir_that_cannot_be_made_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(_base_config()))
@@ -788,6 +794,7 @@ class TestCli:
         assert cli_main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "example5-1" in out and "example5-2" in out
+        assert "example5-1-printed" in out and "example5-2-printed" in out
 
     def test_check_ellipticity(self, capsys):
         rc = cli_main(["check-ellipticity", "example5-2", "--samples", "256"])
