@@ -1,8 +1,9 @@
 """Experiment orchestration: config files, method dispatch, reports.
 
 An experiment is described by a single JSON document naming a preset, a
-method subset, and the discretization knobs; each key is checked by the
-``ExperimentConfig`` field that declares it, however the config is built.
+method subset, and the discretization knobs.  However a config is built, each
+key is checked by the ``ExperimentConfig`` field that declares it and then
+across fields, save its snapshot times, which a run checks on its time grid.
 ``run_experiment`` executes the requested methods, writes plot-ready CSVs
 under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them whose
 ``config`` block is the resolved config, and returns the report as a dict.
@@ -41,7 +42,7 @@ from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
                        write_csv)
 from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 from .picard import PicardRun, iterate_frozen_flow
-from .presets import get_preset, preset_defaults, preset_names
+from .presets import PresetInstance, get_preset, preset_defaults, preset_names
 
 _METHODS = ("particles", "picard", "fp", "malliavin")
 _ENV_OUTDIR = "MVSIM_OUTDIR"
@@ -132,8 +133,8 @@ def _key(path: str, check, default=MISSING, factory=MISSING):
 
 @dataclass
 class ExperimentConfig:
-    """An experiment description with defaults resolved, checked wherever it
-    is built: from a document, directly, or by ``dataclasses.replace``."""
+    """An experiment description with defaults resolved, checked wherever it is
+    built (from a document, directly, or by ``replace``); see ``_resolve``."""
 
     preset: str = _key("preset", _string)
     methods: tuple[str, ...] = _key("methods", _array(_enum(_METHODS), unique=True))
@@ -165,6 +166,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; known: {', '.join(preset_names())}",
                 field_path="preset")
+        _resolve(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -216,10 +218,61 @@ def _read(data) -> dict:
     return {_FIELDS[keys].name: value for keys, value in given.items()}
 
 
+def _resolve(cfg: ExperimentConfig) -> tuple:
+    """What a run of ``cfg`` uses apart from its times: preset instance, FP domain,
+    FP nodes and axes.  Each mistake across these fields is a ConfigError here."""
+    unknown = [k for k in cfg.overrides if k not in preset_defaults(cfg.preset)]
+    if unknown:
+        raise ConfigError(f"preset {cfg.preset!r} has no parameter {unknown[0]!r}",
+                          field_path=f"overrides.{unknown[0]}")
+    preset = get_preset(cfg.preset, cfg.overrides)
+    domain = cfg.fp_domain if cfg.fp_domain is not None else preset.fp_domain
+    nodes = cfg.fp_nodes if cfg.fp_nodes is not None else preset.fp_nodes
+    if len(domain) != preset.model.d or len(nodes) != preset.model.d:
+        raise ConfigError("fp domain/nodes dimension does not match the preset",
+                          field_path="fp")
+    try:
+        axes = tuple(GridAxis(float(lo), float(hi), int(n))
+                     for (lo, hi), n in zip(domain, nodes))
+    except ValueError as e:
+        raise ConfigError(str(e), field_path="fp.domain") from None
+    return preset, domain, nodes, axes
+
+
+def _snapshots(cfg: ExperimentConfig,
+               preset: PresetInstance) -> tuple[TimeGrid, tuple[float, ...]]:
+    """The time grid of ``cfg`` and its sorted snapshot times, equal times merged;
+    a run (or ``validate_config``) checks them here, not where the config is built,
+    and refuses any other mistake of theirs as a ConfigError."""
+    horizon = cfg.horizon if cfg.horizon is not None else preset.horizon
+    grid = TimeGrid(float(horizon), cfg.steps)
+    snaps = cfg.snapshot_times if cfg.snapshot_times is not None else (float(horizon),)
+    node_time: dict[int, float] = {}  # equal times merge, near ones are refused
+    key_time: dict[str, float] = {}  # and so are times whose files and keys would clash
+    for t in snaps:
+        t = float(t) + 0.0  # -0.0 is stored as 0.0, so it has the one label t=0
+        if not 0.0 <= t <= horizon + 1e-12:
+            raise ConfigError(f"snapshot time {t} outside [0, {horizon}]",
+                              field_path="snapshot_times")
+        try:
+            k = grid.index_of(t)
+        except ValueError:
+            raise ConfigError(f"snapshot time {t} is not a grid node",
+                              field_path="snapshot_times") from None
+        if node_time.setdefault(k, t) != t:
+            raise ConfigError(f"snapshot times {node_time[k]!r} and {t!r} fall on "
+                              f"one grid node", field_path="snapshot_times")
+        if key_time.setdefault(_tkey(t), t) != t:
+            raise ConfigError(f"snapshot times {key_time[_tkey(t)]!r} and {t!r} share "
+                              f"the label {_tkey(t)}", field_path="snapshot_times")
+    return grid, tuple(sorted(node_time.values()))
+
+
 def validate_config(data: dict) -> None:
-    """Check a config dict as ``run_experiment`` does before it computes;
-    ConfigError carries the field path."""
-    _Experiment(ExperimentConfig.from_dict(data), Path())
+    """Check a config dict as ``run_experiment`` does before it computes, snapshot
+    times included; ConfigError carries the field path."""
+    cfg = ExperimentConfig.from_dict(data)
+    _snapshots(cfg, _resolve(cfg)[0])
 
 
 def _unique(pairs: list, path) -> dict:
@@ -282,10 +335,10 @@ def _tkey(t: float) -> str:
 
 
 def emit_plotdata(artifact, outdir, preset: str, method: str) -> list[Path]:
-    """Write plot-ready CSVs named ``{preset}_{method}_t{time:g}.csv``.
-
-    Accepts a GridDensity, a ``(time, EmpiricalMeasure)`` pair, a PicardRun
-    (gap log, one row per consecutive solve pair), or a sequence of these.
+    """Write plot-ready CSVs: ``{preset}_{method}_t{time:g}.csv`` for a GridDensity
+    or a ``(time, EmpiricalMeasure)`` pair, ``{preset}_{method}_gaps.csv`` for a
+    PicardRun (its gap log, one row per consecutive solve pair), and those of
+    each item for a sequence of these.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -345,45 +398,11 @@ class _Experiment:
 
     def __init__(self, cfg: ExperimentConfig, outdir: Path):
         self.cfg = cfg
-        unknown = [k for k in cfg.overrides if k not in preset_defaults(cfg.preset)]
-        if unknown:
-            raise ConfigError(f"preset {cfg.preset!r} has no parameter {unknown[0]!r}",
-                              field_path=f"overrides.{unknown[0]}")
-        preset = get_preset(cfg.preset, cfg.overrides)
+        preset, self.fp_domain, self.fp_nodes, self.axes = _resolve(cfg)
         self.preset = preset
         self.model: CoefficientModel = preset.model
         self.law: InitialLaw = preset.law
-        horizon = cfg.horizon if cfg.horizon is not None else preset.horizon
-        self.grid = TimeGrid(float(horizon), cfg.steps)
-        snaps = cfg.snapshot_times if cfg.snapshot_times is not None else (float(horizon),)
-        node_time: dict[int, float] = {}  # equal times merge, near ones are refused
-        key_time: dict[str, float] = {}  # and so are times whose files and keys would clash
-        for t in map(float, snaps):
-            if not 0.0 <= t <= horizon + 1e-12:
-                raise ConfigError(f"snapshot time {t} outside [0, {horizon}]",
-                                  field_path="snapshot_times")
-            try:
-                k = self.grid.index_of(t)
-            except ValueError:
-                raise ConfigError(f"snapshot time {t} is not a grid node",
-                                  field_path="snapshot_times") from None
-            if node_time.setdefault(k, t) != t:
-                raise ConfigError(f"snapshot times {node_time[k]!r} and {t!r} fall on "
-                                  f"one grid node", field_path="snapshot_times")
-            if key_time.setdefault(_tkey(t), t) != t:
-                raise ConfigError(f"snapshot times {key_time[_tkey(t)]!r} and {t!r} share "
-                                  f"the label {_tkey(t)}", field_path="snapshot_times")
-        self.snapshot_times = tuple(sorted(node_time.values()))
-        self.fp_domain = cfg.fp_domain if cfg.fp_domain is not None else preset.fp_domain
-        self.fp_nodes = cfg.fp_nodes if cfg.fp_nodes is not None else preset.fp_nodes
-        if len(self.fp_domain) != self.model.d or len(self.fp_nodes) != self.model.d:
-            raise ConfigError("fp domain/nodes dimension does not match the preset",
-                              field_path="fp")
-        try:
-            self.axes = tuple(GridAxis(float(lo), float(hi), int(n))
-                              for (lo, hi), n in zip(self.fp_domain, self.fp_nodes))
-        except ValueError as e:
-            raise ConfigError(str(e), field_path="fp.domain") from None
+        self.grid, self.snapshot_times = _snapshots(cfg, preset)
         self.base = outdir / preset.name
         # route results by snapshot time: at[t][route]
         self.at: dict[float, dict] = {t: {} for t in self.snapshot_times}

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import platform
 import re
 from pathlib import Path
@@ -29,6 +30,18 @@ def _base_config(**kw):
            "steps": 20, "seed": 1}
     cfg.update(kw)
     return cfg
+
+
+def _fields(doc: dict) -> dict:
+    """A config document's values by ``ExperimentConfig`` field name, unchecked."""
+    names = {f.metadata["key"]: f.name for f in dataclasses.fields(ExperimentConfig)}
+    out = {}
+    for key, value in doc.items():
+        if key in ("picard", "fp", "malliavin"):
+            out.update({names[(key, k)]: v for k, v in value.items()})
+        else:
+            out[names[(key,)]] = value
+    return out
 
 
 def _tree_digest(root: Path) -> dict:
@@ -127,10 +140,29 @@ class TestValidateConfig:
           "snapshot_times": [0.1000001, 0.1000002]}, "snapshot_times",
          "0.1000001 and 0.1000002 share the label t=0.1")])
     def test_refuses_what_the_run_refuses(self, tmp_path, mistake, where, message):
-        for check in (validate_config, lambda doc: run_experiment(doc, outdir=tmp_path)):
+        # a mistake across fields is refused wherever the config is built; one
+        # of its snapshot times only where they are placed on the time grid
+        doc = _base_config(**mistake)
+        valid = ExperimentConfig.from_dict(_base_config())
+        builders = {
+            "direct": lambda: ExperimentConfig(**_fields(doc)),
+            "replace": lambda: dataclasses.replace(valid, **_fields(mistake)),
+            "from_dict": lambda: ExperimentConfig.from_dict(doc)}
+        checks = {
+            "validate_config": lambda: validate_config(doc),
+            "run_experiment": lambda: run_experiment(doc, outdir=tmp_path)}
+        if where == "snapshot_times":
+            direct, replaced, read = (build() for build in builders.values())
+            assert direct == replaced == read
+        else:
+            checks.update(builders)
+        refusals = set()
+        for name, check in checks.items():
             with pytest.raises(ConfigError, match=message) as ei:
-                check(_base_config(**mistake))
-            assert ei.value.field_path == where
+                check()
+            assert ei.value.field_path == where, name
+            refusals.add((ei.value.field_path, str(ei.value)))
+        assert len(refusals) == 1
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
     def test_first_error_in_document_order_is_reported(self):
@@ -197,6 +229,20 @@ class TestExperimentConfig:
             run_experiment(cfg, outdir=tmp_path)
         assert ei.value.field_path == where
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_a_checked_config_stays_a_plain_value(self):
+        # the cross-field check caches nothing on the config: the snapshot
+        # times stay as given (unsorted, unmerged), replace and pickle keep it
+        doc = _base_config(preset="meanfield-ou", overrides={"a": -2.0},
+                           snapshot_times=[1.0, 0.5, 0.5], fp={"nodes": [51]})
+        cfg = ExperimentConfig.from_dict(doc)
+        echo = cfg.echo()
+        assert echo["snapshot_times"] == [1.0, 0.5, 0.5]
+        assert ExperimentConfig.from_dict(echo) == cfg
+        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 18
+        assert dataclasses.replace(cfg) == cfg
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and back.echo() == echo == cfg.echo()
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -380,6 +426,24 @@ class TestRunExperiment:
             run_experiment(cfg, outdir=tmp_path)
         assert ei.value.field_path == "snapshot_times"
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_negative_zero_snapshot_has_one_label(self, tmp_path):
+        # -0.0 is the snapshot time 0.0: every route files and names it t0
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "fp"],
+               "n_particles": 200, "steps": 10, "seed": 0,
+               "snapshot_times": [-0.0, 1.0], "fp": {"nodes": [121]}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        assert [m["status"] for m in report["methods"].values()] == ["ok", "ok"]
+        names = {p.name for p in tmp_path.rglob("*.csv")}
+        assert {"meanfield-ou_particles_t0.csv", "meanfield-ou_particles_kde_t0.csv",
+                "meanfield-ou_fp_t0.csv"} <= names
+        assert not [n for n in names if "t-0" in n]
+        assert report["snapshot_times"] == [0.0, 1.0]
+        assert math.copysign(1.0, report["snapshot_times"][0]) == 1.0
+        assert list(report["comparisons"]) == ["t=0", "t=1"]
+        for method in ("particles", "fp"):
+            assert list(report["methods"][method]["moments"]) == ["t=0", "t=1"]
+        assert "t=-0" not in (tmp_path / "meanfield-ou" / "report.json").read_text()
 
     def test_equal_snapshot_times_merge(self, tmp_path):
         cfg = _base_config(snapshot_times=[1, 0.5, 1.0, 0.5])
