@@ -61,7 +61,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, _sigma_sigma_t
 from .errors import ConservationError, NumericError, PositivityError, StabilityError
-from .measures import GridAxis, GridDensity, grid_statistics, trapezoid_weights
+from .measures import GridAxis, GridDensity, _node_weights, grid_statistics
 from .particle import InitialLaw
 
 # tolerances of the stepping loop
@@ -155,15 +155,13 @@ def gaussian_on_grid(law: InitialLaw, axes: tuple[GridAxis, ...]) -> GridDensity
         x = axes[0].nodes()
         var = float(cov[0, 0])
         vals = np.exp(-0.5 * (x - law.mean[0]) ** 2 / var) / math.sqrt(2 * math.pi * var)
-        weights = trapezoid_weights(axes[0])
     else:
         xx, yy = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")
         diff = np.stack([xx - law.mean[0], yy - law.mean[1]], axis=-1)
         prec = np.linalg.inv(cov)
         quad = np.einsum("...i,ij,...j->...", diff, prec, diff)
         vals = np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(np.linalg.det(cov)))
-        weights = np.outer(trapezoid_weights(axes[0]), trapezoid_weights(axes[1]))
-    vals = vals / float((weights * vals).sum())
+    vals = vals / float((_node_weights(axes) * vals).sum())
     return GridDensity(tuple(axes), vals, time=0.0, mass_tol=1e-9)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel
 from .errors import ConfigError
-from .fokkerplanck import build_fp_problem, solve_fp
+from .fokkerplanck import FPProblem, gaussian_on_grid, solve_fp
 from .malliavin import bundle_diagnostics
 from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
                        empirical_to_csv, grid_density_to_csv, grid_marginal,
@@ -219,8 +219,8 @@ def _read(data) -> dict:
 
 
 def _resolve(cfg: ExperimentConfig) -> tuple:
-    """What a run of ``cfg`` uses apart from its times: preset instance, FP domain,
-    FP nodes and axes.  Each mistake across these fields is a ConfigError here."""
+    """What a run of ``cfg`` uses apart from its times: preset instance and FP
+    axes.  Each mistake across these fields is a ConfigError here."""
     unknown = [k for k in cfg.overrides if k not in preset_defaults(cfg.preset)]
     if unknown:
         raise ConfigError(f"preset {cfg.preset!r} has no parameter {unknown[0]!r}",
@@ -236,7 +236,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple:
                      for (lo, hi), n in zip(domain, nodes))
     except ValueError as e:
         raise ConfigError(str(e), field_path="fp.domain") from None
-    return preset, domain, nodes, axes
+    return preset, axes
 
 
 def _snapshots(cfg: ExperimentConfig,
@@ -386,6 +386,12 @@ def _downsample(n: int, cap: int = 4097) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
 
 
+def _marginal_tag(i: int, d: int) -> str:
+    """The name of marginal ``i`` in KDE file names and comparison keys; a 1D
+    law is its own marginal and has none."""
+    return f"_x{i + 1}" if d > 1 else ""
+
+
 def _marginal_cloud(mu: EmpiricalMeasure, axis_index: int) -> EmpiricalMeasure:
     """The cloud of one coordinate; a 1D cloud is its own, sort and all."""
     if mu.d == 1:
@@ -398,7 +404,7 @@ class _Experiment:
 
     def __init__(self, cfg: ExperimentConfig, outdir: Path):
         self.cfg = cfg
-        preset, self.fp_domain, self.fp_nodes, self.axes = _resolve(cfg)
+        preset, self.axes = _resolve(cfg)
         self.preset = preset
         self.model: CoefficientModel = preset.model
         self.law: InitialLaw = preset.law
@@ -451,8 +457,8 @@ class _Experiment:
         """Write the KDE of each marginal (in 1D, of the cloud) and return them."""
         dens = [kde_1d(_marginal_cloud(mu, i), ax, time=t) for i, ax in enumerate(self.axes)]
         for i, den in enumerate(dens):
-            tag = f"x{i + 1}_" if self.model.d > 1 else ""
-            _publish(d / f"{self.preset.name}_particles_kde_{tag}t{t:g}.csv",
+            tag = _marginal_tag(i, self.model.d)
+            _publish(d / f"{self.preset.name}_particles_kde{tag}_t{t:g}.csv",
                      lambda p: grid_density_to_csv(den, p))
         return dens
 
@@ -473,10 +479,9 @@ class _Experiment:
                 "gaps": [float(g) for g in run.gaps], "moments": table}
 
     def run_fp(self) -> dict:
-        problem = build_fp_problem(self.model, self.law, self.fp_domain,
-                                   self.fp_nodes, self.grid.horizon,
-                                   snapshot_times=self.snapshot_times,
-                                   dt=self.cfg.fp_dt)
+        problem = FPProblem(self.model, self.axes, gaussian_on_grid(self.law, self.axes),
+                            self.grid.horizon, dt=self.cfg.fp_dt,
+                            snapshot_times=self.snapshot_times)
         sol = solve_fp(problem)
         for t, p in zip(sol.snapshot_times, sol.snapshots):
             self.at[t]["fp"] = p
@@ -513,12 +518,15 @@ class _Experiment:
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
                    [range(n_paths), diag["lambda_min"], diag["gamma"], diag["bound"],
                     diag["margin"], diag["holds"].astype(int), diag["zy_max"]])
-        return {"status": "ok", "n_paths": n_paths, "lambda": float(lam),
+        frag = {"status": "ok", "n_paths": n_paths, "lambda": float(lam),
                 "lambda_degenerate": lam <= 0.0,
                 "min_lambda_min": float(diag["lambda_min"].min()),
                 "min_margin": float(diag["margin"].min()),
                 "max_zy_residual": float(diag["zy_max"].max()),
                 "all_bounds_hold": bool(diag["holds"].all())}
+        if lam > 0 and not frag["all_bounds_hold"]:
+            frag.update(status="failed", error="ellipticity bound violated on at least one path")
+        return frag
 
     def comparisons(self) -> dict:
         out: dict = {}
@@ -526,13 +534,11 @@ class _Experiment:
             entry: dict = {}
             cloud, kdes, fp = got.get("particles"), got.get("kde"), got.get("fp")
             if kdes is not None and fp is not None:
+                for i, kde in enumerate(kdes):
+                    tag = _marginal_tag(i, self.model.d)
+                    entry[f"l1_kde_vs_fp{tag}"] = l1_grid_distance(kde, grid_marginal(fp, i))
                 if self.model.d == 1:
-                    entry["l1_kde_vs_fp"] = l1_grid_distance(kdes[0], fp)
                     entry["w2_particles_vs_fp"] = w2_cloud_vs_density_1d(cloud, fp)
-                else:
-                    for i, kde in enumerate(kdes):
-                        entry[f"l1_kde_vs_fp_x{i + 1}"] = l1_grid_distance(
-                            kde, grid_marginal(fp, i))
             if cloud is not None and "picard" in got:
                 entry["w2_particles_vs_picard"] = w2_sliced(
                     cloud, got["picard"], n_slices=self.cfg.picard_n_slices, seed=0)
@@ -578,11 +584,6 @@ def run_experiment(config, outdir=None) -> dict:
         except Exception as e:  # recorded, not fatal to the rest
             methods[name] = {"status": "failed",
                              "error": f"{type(e).__name__}: {e}"}
-    frag = methods.get("malliavin")
-    if frag and frag["status"] == "ok" and frag["lambda"] > 0 \
-            and not frag["all_bounds_hold"]:
-        frag["status"] = "failed"
-        frag["error"] = "ellipticity bound violated on at least one path"
 
     report = {
         "config": cfg.echo(),

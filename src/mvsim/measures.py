@@ -2,7 +2,7 @@
 
 Two representations are used throughout: weighted particle clouds
 (``EmpiricalMeasure``) and densities sampled on uniform grids
-(``GridDensity``, dimensions 1 and 2).  Distances follow the quadratic
+(``GridDensity``, one or two axes).  Distances follow the quadratic
 Wasserstein metric: exact quantile coupling in one dimension, a sliced
 reduction above it, and L1 for same-grid densities.
 
@@ -17,7 +17,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -135,12 +135,19 @@ def trapezoid_weights(axis: GridAxis) -> np.ndarray:
     return w
 
 
+def _node_weights(axes: tuple[GridAxis, ...]) -> np.ndarray:
+    """Trapezoid weights of every node of a grid: the outer product of its
+    axes' weights (in 1D, the axis's own)."""
+    return reduce(np.multiply.outer, map(trapezoid_weights, axes))
+
+
 @dataclass
 class GridDensity:
-    """Density values on the nodes of a 1D or 2D uniform grid.
+    """Density values on the nodes of a uniform grid of one or two axes.
 
-    Values may dip slightly negative (explicit schemes undershoot); the
-    trapezoid mass must stay within ``mass_tol`` of 1.
+    Every grid rule below is written for any number of axes, so a 1D grid is
+    the one-axis case.  Values may dip slightly negative (explicit schemes
+    undershoot); the trapezoid mass must stay within ``mass_tol`` of 1.
     """
 
     axes: tuple[GridAxis, ...]
@@ -166,19 +173,15 @@ class GridDensity:
         return len(self.axes)
 
     def node_weights(self) -> np.ndarray:
-        if self.dim == 1:
-            return trapezoid_weights(self.axes[0])
-        return np.outer(trapezoid_weights(self.axes[0]), trapezoid_weights(self.axes[1]))
+        return _node_weights(self.axes)
 
     def mass(self) -> float:
         return float(np.sum(self.node_weights() * self.values))
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes_total, dim), row-major."""
-        if self.dim == 1:
-            return self.axes[0].nodes()[:, None]
-        xx, yy = np.meshgrid(self.axes[0].nodes(), self.axes[1].nodes(), indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        grids = np.meshgrid(*(ax.nodes() for ax in self.axes), indexing="ij")
+        return np.column_stack([g.ravel() for g in grids])
 
 
 @dataclass
@@ -388,14 +391,14 @@ def l1_grid_distance(p: GridDensity, r: GridDensity) -> float:
 
 
 def grid_marginal(p: GridDensity, axis_index: int) -> GridDensity:
-    """Integrate a 2D density down to the marginal along one axis."""
-    if p.dim != 2:
-        raise ValueError("marginal extraction applies to 2D grids")
-    if axis_index not in (0, 1):
-        raise ValueError("axis_index must be 0 or 1")
-    other = 1 - axis_index
-    w = trapezoid_weights(p.axes[other])
-    vals = np.tensordot(p.values, w, axes=([other], [0]))
+    """Integrate a density down to the marginal along one axis: every other
+    axis is integrated out by the trapezoid rule, so a 1D density is its own."""
+    if axis_index not in range(p.dim):
+        raise ValueError(f"axis_index must be in range({p.dim}), got {axis_index}")
+    vals = p.values
+    for other in reversed(range(p.dim)):
+        if other != axis_index:
+            vals = np.tensordot(vals, trapezoid_weights(p.axes[other]), axes=([other], [0]))
     return GridDensity((p.axes[axis_index],), vals, time=p.time, mass_tol=max(p.mass_tol, 1e-9))
 
 
@@ -469,18 +472,15 @@ def write_csv(path, header: str, columns) -> None:
 
 
 def grid_density_to_csv(p: GridDensity, path) -> None:
-    """Write ``x,p`` (1D) or ``x,y,p`` (2D, row-major) rows.
+    """Write ``x,p`` (1D) or ``x,y,p`` (2D) rows in row-major node order.
 
-    In 2D each axis node is formatted once and repeated over its rows; the
-    values are those of ``node_coords``.
+    Each axis node is formatted once and repeated over its rows; the
+    coordinates are those of ``node_coords``.
     """
-    if p.dim == 1:
-        write_csv(path, "x,p", [p.axes[0].nodes(), p.values])
-        return
-    nx, ny = (ax.n for ax in p.axes)
-    xs, ys = (list(_reprs(ax.nodes())) for ax in p.axes)
-    _write_rows(path, "x,y,p", [(x for x in xs for _ in range(ny)), ys * nx,
-                                _reprs(p.values.ravel())])
+    names = ("x", "y")[:p.dim]
+    nodes = [list(_reprs(ax.nodes())) for ax in p.axes]
+    _write_rows(path, ",".join([*names, "p"]),
+                [map(",".join, itertools.product(*nodes)), _reprs(p.values.ravel())])
 
 
 def empirical_to_csv(mu: EmpiricalMeasure, path) -> None:
@@ -490,15 +490,12 @@ def empirical_to_csv(mu: EmpiricalMeasure, path) -> None:
 
 
 def grid_density_from_csv(path, time: float = 0.0, mass_tol: float = 1e-6) -> GridDensity:
-    """Rebuild a GridDensity from its CSV serialization."""
+    """Rebuild a GridDensity from its CSV serialization: one axis per
+    coordinate column the header names, spanning that column's values."""
     data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names == ("x", "p"):
-        x = data["x"]
-        ax = GridAxis(float(x[0]), float(x[-1]), len(x))
-        return GridDensity((ax,), data["p"], time=time, mass_tol=mass_tol)
-    x = np.unique(data["x"])
-    y = np.unique(data["y"])
-    ax1 = GridAxis(float(x[0]), float(x[-1]), len(x))
-    ax2 = GridAxis(float(y[0]), float(y[-1]), len(y))
-    vals = data["p"].reshape(len(x), len(y))
-    return GridDensity((ax1, ax2), vals, time=time, mass_tol=mass_tol)
+    axes = []
+    for name in data.dtype.names[:-1]:
+        x = np.unique(data[name])
+        axes.append(GridAxis(float(x[0]), float(x[-1]), len(x)))
+    vals = data["p"].reshape([ax.n for ax in axes])
+    return GridDensity(tuple(axes), vals, time=time, mass_tol=mass_tol)

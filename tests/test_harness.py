@@ -843,6 +843,21 @@ class TestCli:
         assert rc == 1
         assert "bm/fp: failed" in capsys.readouterr().out
 
+    def test_violated_ellipticity_bound_fails_the_malliavin_route(self, tmp_path, capsys):
+        # bm's sigma is 1, so lambda 100 misses the bound on every path by 99
+        cfg = _base_config(methods=["malliavin"], malliavin={"n_paths": 5, "lambda": 100})
+        frag = run_experiment(cfg, outdir=tmp_path / "lib")["methods"]["malliavin"]
+        assert frag == {"status": "failed",
+                        "error": "ellipticity bound violated on at least one path",
+                        "n_paths": 5, "lambda": 100.0, "lambda_degenerate": False,
+                        "min_lambda_min": pytest.approx(1.0), "min_margin": -99.0,
+                        "max_zy_residual": pytest.approx(0.0, abs=1e-12),
+                        "all_bounds_hold": False}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "cli")]) == 1
+        assert "bm/malliavin: failed" in capsys.readouterr().out
+
     def test_single_method_subcommand(self, tmp_path, capsys):
         cfg = _base_config(methods=["particles", "fp"],
                            fp={"nodes": [201]})

@@ -32,6 +32,7 @@ from mvsim.measures import (
     grid_density_to_csv,
     grid_marginal,
     sliced_directions,
+    trapezoid_weights,
     w2_cloud_vs_density_1d,
     write_csv,
 )
@@ -556,6 +557,21 @@ class TestContainers:
         with pytest.raises(ValueError, match="trapezoid mass"):
             GridDensity((ax,), np.ones(21), mass_tol=1e-6)
 
+    def test_grid_rules_2d_are_the_outer_product_and_meshgrid(self):
+        axes = (GridAxis(-1.5, 2.0, 7), GridAxis(0.25, 3.0, 5))
+        p = GridDensity(axes, np.random.default_rng(4).random((7, 5)), mass_tol=math.inf)
+        assert np.array_equal(p.node_weights(),
+                              np.outer(trapezoid_weights(axes[0]), trapezoid_weights(axes[1])))
+        xx, yy = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")
+        assert np.array_equal(p.node_coords(), np.column_stack([xx.ravel(), yy.ravel()]))
+
+    def test_grid_rules_1d_are_the_axis_own(self):
+        axis = GridAxis(-3.0, 4.5, 31)
+        p = GridDensity((axis,), np.random.default_rng(4).random(31), mass_tol=math.inf)
+        assert np.array_equal(p.node_weights(), trapezoid_weights(axis))
+        assert p.node_coords().shape == (31, 1)
+        assert np.array_equal(p.node_coords(), axis.nodes()[:, None])
+
     def test_grid_axis_validation(self):
         with pytest.raises(ValueError, match="inverted"):
             GridAxis(1.0, -1.0, 11)
@@ -656,6 +672,15 @@ class TestSerialization:
         back = grid_density_from_csv(path)
         np.testing.assert_allclose(back.values, p.values)
 
+    def test_density_csv_roundtrip_2d_non_square(self, tmp_path):
+        axes = (GridAxis(-1.5, 2.0, 7), GridAxis(0.25, 3.0, 5))
+        vals = np.random.default_rng(4).random((7, 5))
+        path = tmp_path / "p2.csv"
+        grid_density_to_csv(GridDensity(axes, vals, mass_tol=math.inf), path)
+        back = grid_density_from_csv(path, mass_tol=math.inf)
+        assert back.axes == axes
+        assert np.array_equal(back.values, vals)
+
     def test_density_csv_2d_header_and_rowmajor(self, tmp_path):
         ax = GridAxis(-4.0, 4.0, 41)
         g = norm.pdf(ax.nodes())
@@ -688,6 +713,24 @@ class TestMarginalsAndQuantiles:
         m = grid_marginal(p, 0)
         expect = _gaussian_grid(ax)
         assert l1_grid_distance(m, expect) < 1e-3
+
+    def test_marginal_of_1d_density_is_its_values(self):
+        p = _gaussian_grid(GridAxis(-5.0, 5.0, 101), mean=0.3)
+        m = grid_marginal(p, 0)
+        assert m.axes == p.axes
+        assert np.array_equal(m.values, p.values)
+        with pytest.raises(ValueError, match="axis_index"):
+            grid_marginal(p, 1)
+
+    @pytest.mark.parametrize("axis_index", [0, 1])
+    def test_marginal_2d_integrates_out_the_other_axis(self, axis_index):
+        axes = (GridAxis(-1.5, 2.0, 7), GridAxis(0.25, 3.0, 5))
+        vals = np.random.default_rng(6).random((7, 5))
+        m = grid_marginal(GridDensity(axes, vals, mass_tol=math.inf), axis_index)
+        other = 1 - axis_index
+        want = np.tensordot(vals, trapezoid_weights(axes[other]), axes=([other], [0]))
+        assert m.axes == (axes[axis_index],)
+        assert np.array_equal(m.values, want)
 
     def test_cloud_versus_density_quantile_metric(self):
         # singleton at c against N(0,1): W2^2 = c^2 + 1
