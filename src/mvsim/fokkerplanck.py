@@ -28,20 +28,27 @@ diffusion part is cached, and one drift pass writes the coefficients from it.
 
 A step of length tau runs s stages, Y_0 = p and
 
-    Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mut_j tau L Y_{j-1},
-    mu_j = (2j-1)/j,  nu_j = (1-j)/j,  mut_j = 2(2j-1)/(j(s^2+s)),
+    Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mut_j tau L Y_{j-1}
+        = mu_j (I + wL) Y_{j-1} + nu_j Y_{j-2},
+    mu_j = (2j-1)/j,  nu_j = (1-j)/j,  mut_j tau = mu_j w,  w = tau/((s^2+s)/2);
 
-each stage one application of the stencil; Y_s is the new density.  It is
-stable for tau up to (s^2+s)/2 times the Euler limit 1/(sum of the CFL terms),
-and s = 1 is the explicit Euler step.  A step is stretched only where the
-drift terms are positive and the diffusion terms exceed them by the factor
-``_STRETCH_RATIO``: tau is then 0.9 times the smaller of 1 over the drift
-terms and the limit of ``_MAX_STAGES`` stages (or the time to the next event,
-if sooner), and s the fewest stages whose limit covers tau.  RKL1 is first
-order in time, and the drift cap keeps the advective time error of a stretched
-step on the scale of the first-order space error of the upwind drift.  A driftless problem has only the
-second-order space error of the diffusion, which a stretched step would swamp,
-so it keeps Euler steps.  Wherever s = 1, dt is the Euler step, bit for bit.
+Y_s is the new density.  It is stable for tau up to (s^2+s)/2 times the Euler
+limit 1/(sum of the CFL terms), and s = 1 is the explicit Euler step
+p += tau L p, whose arithmetic keeps its bits.  A stretched step folds w into
+the rows of I + wL once, and each stage applies them once, scales the result
+by mu_j and adds nu_j Y_{j-2} into the zero ghost frame that held Y_{j-2}: two
+frames trade roles every stage, so a stage is one stencil application and a
+two-term update.
+
+A step is stretched only where the drift terms are positive and the diffusion
+terms exceed them by the factor ``_STRETCH_RATIO``: tau is then 0.9 times the
+smaller of 1 over the drift terms and the limit of ``_MAX_STAGES`` stages (or
+the time to the next event, if sooner), and s the fewest stages whose limit
+covers tau.  RKL1 is first order in time, and the drift cap keeps the
+advective time error of a stretched step on the scale of the first-order space
+error of the upwind drift.  A driftless problem has only the second-order
+space error of the diffusion, which a stretched step would swamp, so it keeps
+Euler steps.  Wherever s = 1, dt is the Euler step, bit for bit.
 
 Every operator telescopes over the grid, so the mass L takes out of the box is
 g . p for a weight array g on the nodes next to the frame (the flux through
@@ -243,6 +250,12 @@ class _Stencil:
     ``C`` and ``g`` sum a drift part and a diffusion part: ``set_diffusion``
     caches the latter and writes the 2D corners, which carry no drift, and
     ``set_drift`` then writes the rest of ``C`` and ``g`` in one pass.
+
+    A stretched step folds its length w into the rows ``R`` of ``I + wL``
+    (``fold``), and each of its stages writes into a second zero ghost frame,
+    which then becomes the current one (``stage``): ``frame``, ``flat``,
+    ``p`` and ``views`` always read the current frame.  Both are made at the
+    first ``fold``, so a solve of Euler steps only never allocates them.
     """
 
     def __init__(self, shape: tuple[int, ...], hs: list[float]):
@@ -251,12 +264,12 @@ class _Stencil:
         L = math.prod(shape[:-1]) * W - 2
         self.shape, self.hs, self.cell = shape, hs, math.prod(hs)
         self.steps = [W] * (d - 1) + [1]
-        offsets = _offsets(self.steps)
-        self.start = start = sum(self.steps)
-        self.frame = np.zeros(math.prod(m + 2 for m in shape))
-        self.flat = self.frame[start:start + L]
-        self.p = self.nodes(self.flat)
-        self.views = [self.frame[start + o:start + o + L] for o in offsets]
+        self.offsets = _offsets(self.steps)
+        self.start, self.flat_size = sum(self.steps), L
+        self.current = self._framed(np.zeros(math.prod(m + 2 for m in shape)))
+        self.frame, self.flat, self.p, self.views = self.current
+        # the frame that holds the stage before last, and the folded rows
+        self.back = self.R = None
         # the nodes at the low and the high end of each axis: the first and the
         # last row of a 2D grid, and the first and the last entry of every row;
         # in 1D the two end nodes, as scalar indices
@@ -264,7 +277,9 @@ class _Stencil:
                      + [(slice(0, L, W), slice(n - 1, L, W)) if d > 1 else (0, n - 1)])
         # the in-range ghosts: the right and the left frame entry between rows (none in 1D)
         self.ghosts = [s for s in (slice(n, L, W), slice(n + 1, L, W)) if s.start < L]
-        self.C, self.g = np.zeros((len(offsets), L)), np.zeros(L)
+        self.C, self.g = np.zeros((len(self.offsets), L)), np.zeros(L)
+        # the rows as a list, so that apply makes no view of C per call
+        self.C_rows = list(self.C)
         # the positive and negative parts of the drift over h on the faces of
         # one axis at a time; entry r is the face between range entries r - o
         # and r, so ``[:L]`` are the faces below the range, ``[o:]`` above
@@ -273,9 +288,7 @@ class _Stencil:
         # the mixed term carry no drift and are written to C directly
         self.diffusion_C, self.diffusion_g = np.zeros((1 + 2 * d, L)), np.zeros(L)
         # a field on a zero ghost frame of its own, read at every offset
-        self.field = np.zeros_like(self.frame)
-        self.field_at = [self.field[start + o:start + o + L] for o in offsets]
-        self.field_nodes = self.nodes(self.field_at[0])
+        self.field, _, self.field_nodes, self.field_at = self._framed(np.zeros_like(self.frame))
         # g vanishes off the nodes next to the frame; outflux reads only those
         edge = np.zeros(L, dtype=bool)
         for first, last in self.ends:
@@ -287,6 +300,13 @@ class _Stencil:
         """The grid-shaped view of a range-sized array at the nodes."""
         return np.lib.stride_tricks.as_strided(
             x, self.shape, tuple(x.itemsize * o for o in self.steps))
+
+    def _framed(self, frame: np.ndarray) -> tuple:
+        """``frame`` with its range, the nodes of that range and the range
+        shifted by each offset."""
+        s, L = self.start, self.flat_size
+        flat = frame[s:s + L]
+        return frame, flat, self.nodes(flat), [frame[s + o:s + o + L] for o in self.offsets]
 
     def set_drift(self, b: np.ndarray) -> None:
         """Write ``C`` and ``g``: the cached diffusion part plus the upwind
@@ -344,12 +364,41 @@ class _Stencil:
             for corner, sign in zip((0, n - 1, L - n, L - 1), signs):
                 g[corner] -= sign * a12[corner] / 4.0
 
-    def apply(self, upd: np.ndarray) -> None:
-        """Write the operator applied to the framed density into ``upd``."""
-        np.multiply(self.C[0], self.views[0], out=upd)
-        for c, v in zip(self.C[1:], self.views[1:]):
+    def apply(self, upd: np.ndarray, rows: list[np.ndarray] | None = None) -> None:
+        """Write the operator applied to the framed density into ``upd``: L
+        with the rows of ``C``, or ``I + wL`` with the folded rows ``R_rows``."""
+        rows = self.C_rows if rows is None else rows
+        np.multiply(rows[0], self.views[0], out=upd)
+        for c, v in zip(rows[1:], self.views[1:]):
             np.multiply(c, v, out=self.tmp)
             upd += self.tmp
+
+    def fold(self, w: float) -> None:
+        """Write ``R``, the rows of ``I + wL`` that a stretched step's stages
+        apply; the first call makes ``R`` and the second frame."""
+        if self.R is None:
+            self.R = np.empty_like(self.C)
+            self.R_rows = list(self.R)
+            self.back = self._framed(np.zeros_like(self.frame))
+        np.multiply(self.C, w, out=self.R)
+        self.R[0] += 1.0
+        for ghost in self.ghosts:
+            self.R[0, ghost] = 0.0
+
+    def stage(self, mu: float, nu: float, upd: np.ndarray) -> None:
+        """One RKL1 stage of a folded step, ``Y_j = mu R Y_{j-1} + nu Y_{j-2}``,
+        written into the frame that holds Y_{j-2}, which then becomes the
+        current one.  The first stage (mu = 1, nu = 0) writes ``R Y_0`` there."""
+        back = self.back[1]
+        if nu == 0.0:
+            self.apply(back, self.R_rows)
+        else:
+            self.apply(upd, self.R_rows)
+            upd *= mu
+            back *= nu
+            back += upd
+        self.back, self.current = self.current, self.back
+        self.frame, self.flat, self.p, self.views = self.current
 
     def outflux(self) -> float:
         """Mass leaving the box per unit time: the flux through the boundary
@@ -409,10 +458,9 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
     # boundary outside the box; the stages run on the frame's flat range
     op = _Stencil(shape, hs)
-    p, flat = op.p, op.flat
+    p = op.p
     p[...] = problem.p0.values
-    upd = np.empty_like(flat)
-    prev = np.empty_like(flat)  # the stage before last, Y_{j-2}
+    upd = np.empty_like(op.flat)
 
     events = _plan_events(problem)
     snapshots: list[GridDensity] = []
@@ -483,31 +531,26 @@ def solve_fp(problem: FPProblem) -> FPSolution:
         n_stages = _rkl1_stages(dt, limit) if stretch else 1
         steps += 1
 
-        # RKL1 stages, mut_j dt = (2j-1)/j * dt/span; one stage is the Euler
-        # step p += dt L p
-        w = dt / _span(n_stages)
-        for j in range(1, n_stages + 1):
-            mu = (2 * j - 1) / j
+        if n_stages == 1:
+            # the Euler step p += dt L p
             op.apply(upd)
-            stage_dt = w * mu
-            stage_flux = stage_dt * op.outflux()
-            upd *= stage_dt
-            if j == 1:
-                if n_stages > 1:
-                    np.copyto(prev, flat)
-                    flux_prev = flux_cum
-                flux_cum += stage_flux
-                flat += upd
-            else:
-                nu = (1 - j) / j
+            flux_cum += dt * op.outflux()
+            upd *= dt
+            op.flat += upd
+        else:
+            # RKL1 stages on the rows of I + wL; the flux follows the unfolded
+            # recurrence, mut_j dt = mu_j w times g . Y_{j-1} for L Y_{j-1}
+            w = dt / _span(n_stages)
+            op.fold(w)
+            flux_prev = flux_cum
+            for j in range(1, n_stages + 1):
+                mu, nu = (2 * j - 1) / j, (1 - j) / j
+                stage_flux = w * mu * op.outflux()
                 flux_cum, flux_prev = mu * flux_cum + nu * flux_prev + stage_flux, flux_cum
-                prev *= nu
-                upd += prev
-                np.copyto(prev, flat)
-                flat *= mu
-                flat += upd
-            if j < n_stages:
-                _check_floor(float(p.min()), t, steps, j, n_stages)
+                op.stage(mu, nu, upd)
+                if j < n_stages:
+                    _check_floor(float(op.p.min()), t, steps, j, n_stages)
+            p = op.p
         applications += n_stages
         t = target if hit else t + dt
 

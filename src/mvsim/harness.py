@@ -22,6 +22,7 @@ chooses where it is written.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -317,13 +318,18 @@ def list_presets() -> list[dict]:
 
 
 def _publish(path: Path, writer) -> None:
-    """Write through a temp file so the final name never holds partial data."""
+    """Write through a temp file so the final name never holds partial data;
+    a failed write leaves neither name behind."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         writer(tmp)
         os.replace(tmp, path)
-    except OSError as e:
-        raise OSError(f"failed writing {path}: {e}") from e
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(e, OSError):
+            raise OSError(f"failed writing {path}: {e}") from e
+        raise
 
 
 def _write_csv(path: Path, header: str, columns) -> None:

@@ -123,6 +123,20 @@ class TestStencil:
         upd = np.empty_like(op.flat)
         op.apply(upd)
         assert np.all(upd[ghost] == 0)
+        # so do the rows folded for a stretched step, and the entries off the
+        # nodes of both frames through stages that trade their roles
+        op.fold(1e-4)
+        assert np.all(op.R[:, ghost] == 0)
+        op.apply(upd, op.R_rows)
+        assert np.all(upd[ghost] == 0)
+        frames = (op.frame, op.back[0])
+        off_node = np.ones(op.frame.size, dtype=bool)
+        op.nodes(off_node[op.start:op.start + op.flat_size])[...] = False
+        for j in range(1, 6):
+            op.stage((2 * j - 1) / j, (1 - j) / j, upd)
+            assert op.frame is frames[j % 2]
+            for frame in frames:
+                assert np.all(frame[off_node] == 0)
 
     @pytest.mark.parametrize("shape,hs", [((57,), [0.05]), ((23, 31), [0.1, 0.07])])
     def test_drift_rebuilt_on_a_used_stencil_is_a_fresh_one(self, shape, hs):
@@ -602,6 +616,66 @@ class TestSuperSteps:
         assert sol.boundary_flux_curve[-1] > 1e-3
         np.testing.assert_allclose(sol.mass_curve + sol.boundary_flux_curve,
                                    sol.mass_curve[0], rtol=0, atol=1e-13)
+
+    def test_folded_stage_matches_the_three_term_recurrence(self):
+        # one step of six stages (drift terms 20, diffusion terms 400, tau =
+        # 0.045), against Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mu_j w L Y_{j-1}
+        # and the same recurrence of the flux, with L the stencil of one frame
+        model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, 2.0))
+        pr = build_fp_problem(model, STD_LAW, ((-10.0, 10.0),), (201,), 0.045)
+        sol = solve_fp(pr)
+        assert (sol.n_steps, sol.n_applications) == (1, 6)
+        b, a = derive_fp_coefficients(model, 0.0, pr.axes, pr.p0)
+        op = _Stencil((201,), [pr.axes[0].spacing])
+        op.set_diffusion(a)
+        op.set_drift(b)
+        w = 0.045 / 21
+        y = y_prev = pr.p0.values
+        flux = flux_prev = 0.0
+        upd = np.empty_like(op.flat)
+        for j in range(1, 7):
+            mu, nu = (2 * j - 1) / j, (1 - j) / j
+            op.p[...] = y
+            op.apply(upd)
+            y, y_prev = mu * y + nu * y_prev + mu * w * op.nodes(upd), y
+            flux, flux_prev = mu * flux + nu * flux_prev + mu * w * op.outflux(), flux
+        np.testing.assert_allclose(sol.snapshots[-1].values, y, rtol=1e-13, atol=0)
+        assert sol.boundary_flux_curve[-1] == pytest.approx(flux, rel=1e-13, abs=0)
+
+    def test_rotating_frames_do_not_alias(self, monkeypatch):
+        # ou at 401 nodes is stretched; its steps take odd and even stage
+        # counts, so a step can end in either frame of the stencil
+        made, counts = [], []
+        rkl1_stages = mvsim.fokkerplanck._rkl1_stages
+
+        class Recorded(_Stencil):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def recorded_stages(tau, limit):
+            counts.append(rkl1_stages(tau, limit))
+            return counts[-1]
+
+        monkeypatch.setattr(mvsim.fokkerplanck, "_Stencil", Recorded)
+        monkeypatch.setattr(mvsim.fokkerplanck, "_rkl1_stages", recorded_stages)
+        inst = get_preset("ou")
+        marks = (0.1, 0.2, 0.3)
+        pr = build_fp_problem(inst.model, inst.law, inst.fp_domain, (401,), 0.3,
+                              snapshot_times=marks)
+        one, two = solve_fp(pr), solve_fp(pr)
+        assert {s % 2 for s in counts if s > 1} == {0, 1}
+        frames = [frame for op in made for frame in (op.current[0], op.back[0])]
+        snaps = [snap.values for snap in one.snapshots]
+        assert one.snapshot_times == marks
+        for i, values in enumerate(snaps):
+            assert not any(np.shares_memory(values, other)
+                           for other in frames + snaps[:i] + snaps[i + 1:])
+        cell = pr.axes[0].spacing
+        for t, mine, again in zip(marks, one.snapshots, two.snapshots):
+            assert np.array_equal(mine.values, again.values)
+            # in 1D the mass curve sums the nodes as a snapshot's copy holds them
+            assert float(mine.values.sum() * cell) == one.mass_curve[one.times == t][0]
 
     def test_stretched_2d_solve_with_a_cross_term_conserves_mass(self):
         # constant coefficients on a 49x41 grid, h = 0.125 on both axes: drift

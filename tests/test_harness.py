@@ -314,6 +314,19 @@ class TestEmitPlotdata:
         with pytest.raises(TypeError, match="no plot-data writer"):
             emit_plotdata(42, tmp_path, "demo", "fp")
 
+    @pytest.mark.parametrize("error,match", [(ValueError("bad row"), "^bad row$"),
+                                             (OSError("disk full"), "failed writing .*x.csv")])
+    def test_failed_writer_leaves_no_file(self, tmp_path, error, match):
+        # the writer gets as far as the temp file: an OSError is named by the
+        # final path, any other error passes through as it is
+        def writer(p):
+            Path(p).write_text("partial")
+            raise error
+        with pytest.raises(type(error), match=match) as info:
+            mvsim.harness._publish(tmp_path / "x.csv", writer)
+        assert isinstance(error, OSError) or info.value is error
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunExperiment:
     def test_single_preset_report(self, tmp_path):
