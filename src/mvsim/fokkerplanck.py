@@ -252,9 +252,10 @@ class _Stencil:
     ``set_drift`` then writes the rest of ``C`` and ``g`` in one pass.
 
     A stretched step folds its length w into the rows ``R`` of ``I + wL``
-    (``fold``), and each of its stages writes into a second zero ghost frame,
-    which then becomes the current one (``stage``): ``frame``, ``flat``,
-    ``p`` and ``views`` always read the current frame.  Both are made at the
+    (``fold``, which keeps them while w and ``C`` stay the same), and each of
+    its stages writes into a second zero ghost frame, which then becomes the
+    current one (``stage``): ``frame``, ``flat``, ``p`` and ``views`` always
+    read the current frame.  Both are made at the
     first ``fold``, so a solve of Euler steps only never allocates them.
     """
 
@@ -268,8 +269,9 @@ class _Stencil:
         self.start, self.flat_size = sum(self.steps), L
         self.current = self._framed(np.zeros(math.prod(m + 2 for m in shape)))
         self.frame, self.flat, self.p, self.views = self.current
-        # the frame that holds the stage before last, and the folded rows
-        self.back = self.R = None
+        # the frame that holds the stage before last, the folded rows and the
+        # w they were folded for (None once C has changed since)
+        self.back = self.R = self.folded = None
         # the nodes at the low and the high end of each axis: the first and the
         # last row of a 2D grid, and the first and the last entry of every row;
         # in 1D the two end nodes, as scalar indices
@@ -314,6 +316,7 @@ class _Stencil:
         mean drift of its two nodes and a boundary face that of its one node."""
         C, dc, g, s, bk = self.C, self.diffusion_C, self.g, self.start, self.field_at[0]
         L = bk.size
+        self.folded = None
         # g is zero off the edge, so only its edge entries are reset
         g[self.edge] = self.diffusion_g[self.edge]
         for k, (h, o, (first, last)) in enumerate(zip(self.hs, self.steps, self.ends)):
@@ -342,6 +345,7 @@ class _Stencil:
         of A_12 p, for the diffusion matrix ``a`` (grid..., d, d); they enter
         ``C`` and ``g`` at the next ``set_drift``."""
         C, g, at = self.diffusion_C, self.diffusion_g, self.field_at
+        self.folded = None  # in 2D the corners below are written to C itself
         C[0] = 0.0
         g[...] = 0.0
         for k, (h, (first, last)) in enumerate(zip(self.hs, self.ends)):
@@ -375,7 +379,10 @@ class _Stencil:
 
     def fold(self, w: float) -> None:
         """Write ``R``, the rows of ``I + wL`` that a stretched step's stages
-        apply; the first call makes ``R`` and the second frame."""
+        apply, unless they are folded for this w and ``C`` is unchanged since;
+        the first call makes ``R`` and the second frame."""
+        if w == self.folded:
+            return
         if self.R is None:
             self.R = np.empty_like(self.C)
             self.R_rows = list(self.R)
@@ -384,6 +391,7 @@ class _Stencil:
         self.R[0] += 1.0
         for ghost in self.ghosts:
             self.R[0, ghost] = 0.0
+        self.folded = w
 
     def stage(self, mu: float, nu: float, upd: np.ndarray) -> None:
         """One RKL1 stage of a folded step, ``Y_j = mu R Y_{j-1} + nu Y_{j-2}``,

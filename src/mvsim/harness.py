@@ -9,15 +9,22 @@ under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them whose
 ``config`` block is the resolved config, and returns the report as a dict.
 A method failure is recorded in the report and does not abort the others.
 
-Everything written is a pure function of the config: no wall-clock content
-or host data, sorted JSON keys, and every CSV value written by the one writer
-``measures.write_csv`` as Python's ``repr``.  The particle and Picard methods
-run on one draw of the initial cloud and Brownian increments; the Malliavin
-paths draw their own ``n_paths`` particles under the same seed, the first
-``n_paths`` of that draw.  Each method files its results by snapshot time
-in ``at[t][route]``, where the comparisons read them.  The config is the
-only input that chooses what a run computes; the output directory only
-chooses where it is written.
+Everything written is a pure function of the config and the BLAS thread
+count: no wall-clock content or host data, sorted JSON keys, and every CSV
+value formatted by ``measures._reprs`` as Python's ``repr`` and written by
+``measures._write_rows``.  OpenBLAS splits a dot product above 10,000
+elements and the 2D FP statistic's matrix-vector product across its threads,
+which changes their rounding, so trees are compared under one thread count.
+
+The particle and Picard methods run on one draw of the initial cloud and
+Brownian increments; the Malliavin paths draw their own ``n_paths`` particles
+under the same seed, the first ``n_paths`` of that draw.  The particle,
+Picard and FP methods file their results through ``_Experiment._file``: each
+result at a snapshot time goes to ``at[t][route]``, where the comparisons
+read it, and to its CSV, named by ``emit_plotdata``'s one rule; every
+result's radial moments go to ``moments.csv`` and the report, and a
+statistic flow to ``statistics.csv``.  The config is the only input that chooses what a run computes; the output
+directory only chooses where it is written.
 """
 
 from __future__ import annotations
@@ -372,20 +379,6 @@ def emit_plotdata(artifact, outdir, preset: str, method: str) -> list[Path]:
     return written
 
 
-def _moments(d: Path, times, measures_or_grids) -> dict:
-    """Radial moments of orders 1, 2 and 4 by time, written to ``moments.csv``
-    in ``d`` and returned as the report's table."""
-    table = {}
-    for t, obj in zip(times, measures_or_grids):
-        moment = grid_radial_moment if isinstance(obj, GridDensity) else empirical_radial_moment
-        table[_tkey(t)] = {f"order{k}": moment(obj, k) for k in (1, 2, 4)}
-    orders = ("order1", "order2", "order4")
-    _write_csv(d / "moments.csv", "t," + ",".join(orders),
-               [np.asarray(times, dtype=float)]
-               + [[table[_tkey(t)][k] for t in times] for k in orders])
-    return table
-
-
 def _downsample(n: int, cap: int = 4097) -> np.ndarray:
     if n <= cap:
         return np.arange(n)
@@ -435,38 +428,52 @@ class _Experiment:
         self.noise = None if method == self.noise_users[-1] else noise
         return noise
 
+    def _file(self, method: str, times, results, flow=None) -> tuple[Path, dict]:
+        """File each result at a snapshot time in ``at[t][method]`` and write its
+        CSV, table the radial moments of orders 1, 2 and 4 of every result, and
+        write them to ``moments.csv``; a flow ``(times, stats)`` is written to
+        ``statistics.csv`` when the model has statistics.  Returns the method's
+        directory and its moment table."""
+        d = self._dir(method)
+        table, tabled = {}, []
+        for t, obj in zip(times, results):
+            on_grid = isinstance(obj, GridDensity)
+            if t in self.at:
+                self.at[t][method] = obj
+                emit_plotdata(obj if on_grid else (t, obj), d, self.preset.name, method)
+            moment = grid_radial_moment if on_grid else empirical_radial_moment
+            table[_tkey(t)] = {f"order{k}": moment(obj, k) for k in (1, 2, 4)}
+            tabled.append(t)
+        orders = ("order1", "order2", "order4")
+        _write_csv(d / "moments.csv", "t," + ",".join(orders),
+                   [np.asarray(tabled, dtype=float)]
+                   + [[row[k] for row in table.values()] for k in orders])
+        if flow is not None and self.model.q:
+            head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
+            _write_csv(d / "statistics.csv", head, [flow[0], *flow[1].T])
+        return d, table
+
     # method runners: each returns a report fragment
 
     def run_particles(self) -> dict:
-        cfg = self.cfg
         x0, dw = self._take_noise("particles")
         # the clouds and the moment table read t=0 and the snapshot times only
         mom_times = sorted({0.0} | set(self.snapshot_times))
         bundle = euler_paths(self.model, x0, self.grid, dw,
                              keep=[self.grid.index_of(t) for t in mom_times])
-        d = self._dir("particles")
+        flow = bundle.realized_flow
+        d, table = self._file("particles", mom_times,
+                              (bundle.snapshot(self.grid.index_of(t)) for t in mom_times),
+                              flow=(flow.times, flow.stats))
         for t, got in self.at.items():
-            mu = got["particles"] = bundle.snapshot(self.grid.index_of(t))
-            emit_plotdata((t, mu), d, self.preset.name, "particles")
+            mu = got["particles"]
             if np.ptp(mu.points, axis=0).all():  # a marginal with no spread has no KDE
-                got["kde"] = self._write_kde(d, t, mu)
-        mom_objs = [self.at[t]["particles"] if t in self.at
-                    else bundle.snapshot(self.grid.index_of(t)) for t in mom_times]
-        table = _moments(d, mom_times, mom_objs)
-        if self.model.q:
-            flow = bundle.realized_flow
-            head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
-            _write_csv(d / "statistics.csv", head, [flow.times, *flow.stats.T])
-        return {"status": "ok", "n_particles": cfg.n_particles, "moments": table}
-
-    def _write_kde(self, d: Path, t: float, mu: EmpiricalMeasure) -> list[GridDensity]:
-        """Write the KDE of each marginal (in 1D, of the cloud) and return them."""
-        dens = [kde_1d(_marginal_cloud(mu, i), ax, time=t) for i, ax in enumerate(self.axes)]
-        for i, den in enumerate(dens):
-            tag = _marginal_tag(i, self.model.d)
-            _publish(d / f"{self.preset.name}_particles_kde{tag}_t{t:g}.csv",
-                     lambda p: grid_density_to_csv(den, p))
-        return dens
+                got["kde"] = [kde_1d(_marginal_cloud(mu, i), ax, time=t)
+                              for i, ax in enumerate(self.axes)]
+                for i, den in enumerate(got["kde"]):
+                    emit_plotdata(den, d, self.preset.name,
+                                  "particles_kde" + _marginal_tag(i, self.model.d))
+        return {"n_particles": self.cfg.n_particles, "moments": table}
 
     def run_picard(self) -> dict:
         cfg = self.cfg
@@ -475,13 +482,9 @@ class _Experiment:
                                   max_iters=cfg.picard_max_iters,
                                   checkpoints=self.snapshot_times,
                                   n_slices=cfg.picard_n_slices)
-        d = self._dir("picard")
+        d, table = self._file("picard", run.checkpoint_times, run.final_clouds)
         emit_plotdata(run, d, self.preset.name, "picard")
-        for t, mu in zip(run.checkpoint_times, run.final_clouds):
-            self.at[t]["picard"] = mu
-            emit_plotdata((t, mu), d, self.preset.name, "picard")
-        table = _moments(d, run.checkpoint_times, run.final_clouds)
-        return {"status": "ok", "n_iters": run.n_iters, "converged": run.converged,
+        return {"n_iters": run.n_iters, "converged": run.converged,
                 "gaps": [float(g) for g in run.gaps], "moments": table}
 
     def run_fp(self) -> dict:
@@ -489,21 +492,14 @@ class _Experiment:
                             self.grid.horizon, dt=self.cfg.fp_dt,
                             snapshot_times=self.snapshot_times)
         sol = solve_fp(problem)
-        for t, p in zip(sol.snapshot_times, sol.snapshots):
-            self.at[t]["fp"] = p
-        d = self._dir("fp")
-        emit_plotdata(sol.snapshots, d, self.preset.name, "fp")
         idx = _downsample(sol.times.size)
+        d, table = self._file("fp", sol.snapshot_times, sol.snapshots,
+                              flow=(sol.times[idx], sol.stat_curve[idx]))
         _write_csv(d / "accounting.csv", "t,mass,min_value,boundary_flux",
                    [c[idx] for c in (sol.times, sol.mass_curve, sol.min_value_curve,
                                      sol.boundary_flux_curve)])
-        if self.model.q:
-            head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))
-            _write_csv(d / "statistics.csv", head,
-                       [sol.times[idx], *sol.stat_curve[idx].T])
-        table = _moments(d, sol.snapshot_times, sol.snapshots)
         defect = np.abs(sol.mass_curve + sol.boundary_flux_curve - 1.0)
-        return {"status": "ok", "n_steps": sol.n_steps,
+        return {"n_steps": sol.n_steps,
                 "operator_applications": sol.n_applications,
                 "final_mass": float(sol.mass_curve[-1]),
                 "final_boundary_flux": float(sol.boundary_flux_curve[-1]),
@@ -524,7 +520,7 @@ class _Experiment:
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
                    [range(n_paths), diag["lambda_min"], diag["gamma"], diag["bound"],
                     diag["margin"], diag["holds"].astype(int), diag["zy_max"]])
-        frag = {"status": "ok", "n_paths": n_paths, "lambda": float(lam),
+        frag = {"n_paths": n_paths, "lambda": float(lam),
                 "lambda_degenerate": lam <= 0.0,
                 "min_lambda_min": float(diag["lambda_min"].min()),
                 "min_margin": float(diag["margin"].min()),
@@ -578,15 +574,13 @@ def run_experiment(config, outdir=None) -> dict:
         exp.base.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"{exp.base}: {e.strerror or e}", field_path="outdir") from None
-    runners = {"particles": exp.run_particles, "picard": exp.run_picard,
-               "fp": exp.run_fp, "malliavin": exp.run_malliavin}
     methods: dict = {}
     # dependency order; fp independent but cheap to keep deterministic order
     for name in _METHODS:
         if name not in cfg.methods:
             continue
         try:
-            methods[name] = runners[name]()
+            methods[name] = {"status": "ok", **getattr(exp, f"run_{name}")()}
         except Exception as e:  # recorded, not fatal to the rest
             methods[name] = {"status": "failed",
                              "error": f"{type(e).__name__}: {e}"}

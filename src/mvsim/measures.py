@@ -6,9 +6,10 @@ Two representations are used throughout: weighted particle clouds
 Wasserstein metric: exact quantile coupling in one dimension, a sliced
 reduction above it, and L1 for same-grid densities.
 
-Every CSV value the package writes goes through one writer, ``write_csv``,
-which formats each column once and writes each value as Python's ``repr``
-of the plain int or float, so the round trip through text is exact.
+Every CSV value the package writes is formatted by one formatter, ``_reprs``,
+as Python's ``repr`` of the plain int or float, so the round trip through
+text is exact, and written by one row writer, ``_write_rows``: ``write_csv``
+formats each column once, ``grid_density_to_csv`` each axis node once.
 """
 
 from __future__ import annotations

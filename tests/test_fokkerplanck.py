@@ -677,6 +677,61 @@ class TestSuperSteps:
             # in 1D the mass curve sums the nodes as a snapshot's copy holds them
             assert float(mine.values.sum() * cell) == one.mass_curve[one.times == t][0]
 
+    @pytest.mark.parametrize("name,dt", [("ou", "auto"), ("example5-1", "auto"),
+                                         ("example5-1", 0.01)])
+    def test_kept_fold_changes_no_bit(self, monkeypatch, name, dt):
+        # R is kept while w and C stay the same; a solve that refolds it every
+        # stretched step gives the same bits.  At a fixed dt example5-1 repeats
+        # w while its drift rewrites C, so set_drift must drop the kept rows
+        inst = get_preset(name)
+        pr = build_fp_problem(inst.model, inst.law, inst.fp_domain, (401,), 1.0,
+                              snapshot_times=(0.25, 0.5, 1.0), dt=dt)
+        kept = solve_fp(pr)
+        fold = _Stencil.fold
+
+        def refold(self, w):
+            self.folded = None
+            fold(self, w)
+
+        monkeypatch.setattr(_Stencil, "fold", refold)
+        every = solve_fp(pr)
+        assert every.snapshot_times == kept.snapshot_times == (0.25, 0.5, 1.0)
+        assert (every.n_steps, every.n_applications) == (kept.n_steps, kept.n_applications)
+        for mine, theirs in zip(kept.snapshots, every.snapshots):
+            assert np.array_equal(mine.values, theirs.values)
+        for curve in ("times", "mass_curve", "boundary_flux_curve"):
+            assert np.array_equal(getattr(kept, curve), getattr(every, curve))
+
+    def test_fold_rebuilds_r_only_when_w_changes(self, monkeypatch):
+        # ou's coefficients are static, so C is written once: R is rebuilt at
+        # the first stretched step and wherever w differs from the step before,
+        # that is around the steps that end on a snapshot time
+        fold, ws, rebuilt = _Stencil.fold, [], []
+
+        class Counting:  # numpy, recording each product fold writes into R
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def multiply(self, x, y, out=None):
+                rebuilt.append(ws[-1])
+                return np.multiply(x, y, out=out)
+
+        def counted(self, w):
+            ws.append(w)
+            mvsim.fokkerplanck.np = Counting()
+            try:
+                fold(self, w)
+            finally:
+                mvsim.fokkerplanck.np = np
+
+        monkeypatch.setattr(_Stencil, "fold", counted)
+        inst = get_preset("ou")
+        solve_fp(build_fp_problem(inst.model, inst.law, inst.fp_domain, (401,), 1.0,
+                                  snapshot_times=(0.25, 0.5, 1.0)))
+        assert rebuilt == [w for i, w in enumerate(ws) if i == 0 or w != ws[i - 1]]
+        assert len(rebuilt) <= 2 * len(set(ws))
+        assert 10 * len(rebuilt) < len(ws)
+
     def test_stretched_2d_solve_with_a_cross_term_conserves_mass(self):
         # constant coefficients on a 49x41 grid, h = 0.125 on both axes: drift
         # terms 10.4, diffusion terms 320 (64 of them the cross term), so every

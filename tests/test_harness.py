@@ -458,6 +458,29 @@ class TestRunExperiment:
             assert list(report["methods"][method]["moments"]) == ["t=0", "t=1"]
         assert "t=-0" not in (tmp_path / "meanfield-ou" / "report.json").read_text()
 
+    @pytest.mark.parametrize("preset,fp,tags", [
+        ("meanfield-ou", {"nodes": [121]}, [""]),
+        ("example5-2", {"domain": [[-4.0, 6.0], [-4.0, 6.0]], "nodes": [81, 81]},
+         ["_x1", "_x2"])])
+    def test_every_route_writes_the_listed_files(self, tmp_path, preset, fp, tags):
+        # the output layout README lists, and nothing else: every snapshot file
+        # is named by one rule, and Picard writes no statistics.csv
+        cfg = {"preset": preset, "methods": ["particles", "picard", "fp", "malliavin"],
+               "n_particles": 200, "steps": 10, "seed": 0, "snapshot_times": [0.5, 1.0],
+               "fp": fp, "malliavin": {"n_paths": 5}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        assert {m["status"] for m in report["methods"].values()} == {"ok"}
+        listed = {"report.json", "particles/moments.csv", "particles/statistics.csv",
+                  f"picard/{preset}_picard_gaps.csv", "picard/moments.csv",
+                  "fp/accounting.csv", "fp/moments.csv", "fp/statistics.csv",
+                  "malliavin/paths.csv"}
+        for t in ("0.5", "1"):
+            listed |= {f"particles/{preset}_particles_t{t}.csv",
+                       f"picard/{preset}_picard_t{t}.csv", f"fp/{preset}_fp_t{t}.csv"}
+            listed |= {f"particles/{preset}_particles_kde{tag}_t{t}.csv" for tag in tags}
+        root = tmp_path / preset
+        assert {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()} == listed
+
     def test_equal_snapshot_times_merge(self, tmp_path):
         cfg = _base_config(snapshot_times=[1, 0.5, 1.0, 0.5])
         report = run_experiment(cfg, outdir=tmp_path)
