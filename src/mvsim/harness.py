@@ -18,12 +18,20 @@ which changes their rounding, so trees are compared under one thread count.
 
 The particle and Picard methods run on one draw of the initial cloud and
 Brownian increments; the Malliavin paths draw their own ``n_paths`` particles
-under the same seed, the first ``n_paths`` of that draw.  The particle,
-Picard and FP methods file their results through ``_Experiment._file``: each
-result at a snapshot time goes to ``at[t][route]``, where the comparisons
-read it, and to its CSV, named by ``emit_plotdata``'s one rule; every
-result's radial moments go to ``moments.csv`` and the report, and a
-statistic flow to ``statistics.csv``.  The config is the only input that chooses what a run computes; the output
+under the same seed, the first ``n_paths`` of that draw.  The methods run in
+the order of ``_METHODS``: Picard, particles, FP, Malliavin.  No method reads
+another's results, so the order changes no byte; it is chosen for memory.
+The draw is made on first use and released by the last method that reads
+it, and each runner drops its own references when its sweep or iteration
+ends, so the particle route, whose KDEs and cloud CSVs are the heaviest
+post-processing, holds the draw last and runs them after it is freed.
+
+The particle, Picard and FP methods file their results through
+``_Experiment._file``: each result at a snapshot time goes to
+``at[t][route]``, where the comparisons read it, and to its CSV, named by
+``emit_plotdata``'s one rule; every result's radial moments go to
+``moments.csv`` and the report, and a statistic flow to ``statistics.csv``.
+The config is the only input that chooses what a run computes; the output
 directory only chooses where it is written.
 """
 
@@ -52,7 +60,9 @@ from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 from .picard import PicardRun, iterate_frozen_flow
 from .presets import PresetInstance, get_preset, preset_defaults, preset_names
 
-_METHODS = ("particles", "picard", "fp", "malliavin")
+# the run order; the particle route runs after Picard, so the shared draw is
+# freed before its KDEs and cloud CSVs
+_METHODS = ("picard", "particles", "fp", "malliavin")
 _ENV_OUTDIR = "MVSIM_OUTDIR"
 
 
@@ -411,7 +421,8 @@ class _Experiment:
         self.base = outdir / preset.name
         # route results by snapshot time: at[t][route]
         self.at: dict[float, dict] = {t: {} for t in self.snapshot_times}
-        self.noise_users = [m for m in ("particles", "picard") if m in cfg.methods]
+        self.noise_users = [m for m in _METHODS
+                            if m in cfg.methods and m in ("particles", "picard")]
         self.noise: tuple[np.ndarray, np.ndarray] | None = None
 
     def _dir(self, method: str) -> Path:
@@ -421,7 +432,7 @@ class _Experiment:
 
     def _take_noise(self, method: str) -> tuple[np.ndarray, np.ndarray]:
         """The one ``(x0, increments)`` draw of the particle and Picard methods,
-        made on first use and released to the last of them that is configured.
+        made on first use and released to the last of them that runs.
         """
         noise = self.noise or draw_noise(self.model, self.law, self.grid,
                                          self.cfg.n_particles, self.cfg.seed)
@@ -462,8 +473,9 @@ class _Experiment:
         bundle = euler_paths(self.model, x0, self.grid, dw,
                              keep=[self.grid.index_of(t) for t in mom_times])
         flow = bundle.realized_flow
-        d, table = self._file("particles", mom_times,
-                              (bundle.snapshot(self.grid.index_of(t)) for t in mom_times),
+        clouds = [bundle.snapshot(self.grid.index_of(t)) for t in mom_times]
+        del bundle, x0, dw  # the bundle's increments pin the draw
+        d, table = self._file("particles", mom_times, clouds,
                               flow=(flow.times, flow.stats))
         for t, got in self.at.items():
             mu = got["particles"]
@@ -482,6 +494,7 @@ class _Experiment:
                                   max_iters=cfg.picard_max_iters,
                                   checkpoints=self.snapshot_times,
                                   n_slices=cfg.picard_n_slices)
+        del x0, dw
         d, table = self._file("picard", run.checkpoint_times, run.final_clouds)
         emit_plotdata(run, d, self.preset.name, "picard")
         return {"n_iters": run.n_iters, "converged": run.converged,
@@ -575,7 +588,8 @@ def run_experiment(config, outdir=None) -> dict:
     except OSError as e:
         raise ConfigError(f"{exp.base}: {e.strerror or e}", field_path="outdir") from None
     methods: dict = {}
-    # dependency order; fp independent but cheap to keep deterministic order
+    # no method reads another's results: the order only sets what is alive at
+    # each method's peak (see _METHODS)
     for name in _METHODS:
         if name not in cfg.methods:
             continue

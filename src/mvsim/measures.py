@@ -8,8 +8,9 @@ reduction above it, and L1 for same-grid densities.
 
 Every CSV value the package writes is formatted by one formatter, ``_reprs``,
 as Python's ``repr`` of the plain int or float, so the round trip through
-text is exact, and written by one row writer, ``_write_rows``: ``write_csv``
-formats each column once, ``grid_density_to_csv`` each axis node once.
+text is exact, and written by one row writer, ``_write_rows``, which streams
+the rows in bounded chunks: ``write_csv`` formats each column once,
+``grid_density_to_csv`` each axis node once.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ _KDE_CUTOFF = 8.5
 _KDE_BLOCK = 32
 # largest temporary a kernel builds at once, in float64 elements (32 MB)
 _CHUNK_ELEMENTS = 4_000_000
+# CSV lines joined into one write
+_ROWS_PER_WRITE = 4096
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -457,8 +460,15 @@ def _reprs(values) -> Iterator[str]:
 
 
 def _write_rows(path, header: str, cells) -> None:
+    """Write ``header`` and then the rows joining entry i of every cell column,
+    ``_ROWS_PER_WRITE`` lines per write, so no file's whole text is built."""
+    lines = itertools.chain([header], map(",".join, zip(*cells)))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+        # each write joins a line and the ones after it, and join drops its
+        # list before the last newline is added: one chunk peaks as one join
+        for first in lines:
+            fh.write("\n".join(itertools.chain(
+                [first], itertools.islice(lines, _ROWS_PER_WRITE - 1))) + "\n")
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -8,6 +8,7 @@ import math
 import pickle
 import platform
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -718,9 +719,53 @@ class TestRunExperiment:
                "picard": {"tol": 1e-14, "max_iters": 3}, "malliavin": {"n_paths": 3}}
         report = run_experiment(cfg, outdir=tmp_path)
         assert all(m["status"] == "ok" for m in report["methods"].values())
-        assert held == [("mvsim.harness", (0, 10, 20), (3, 60, 1))] \
-            + [("mvsim.picard", (10, 20), (2, 60, 1))] * 3 \
+        assert held == [("mvsim.picard", (10, 20), (2, 60, 1))] * 3 \
+            + [("mvsim.harness", (0, 10, 20), (3, 60, 1))] \
             + [("mvsim.harness", None, (21, 3, 1))]
+
+    def _watch_draw(self, monkeypatch) -> list:
+        """Weak references to the increments of every ``draw_noise`` call."""
+        draws = []
+
+        def draw(*args, _real=mvsim.harness.draw_noise, **kwargs):
+            x0, dw = _real(*args, **kwargs)
+            draws.append(weakref.ref(dw))
+            return x0, dw
+
+        monkeypatch.setattr(mvsim.harness, "draw_noise", draw)
+        return draws
+
+    def test_shared_draw_is_freed_before_the_particle_kdes(self, tmp_path, monkeypatch):
+        # the particle route holds the draw last and drops it after its
+        # sweep, so no KDE runs while the increments are alive
+        draws, alive = self._watch_draw(monkeypatch), []
+
+        def kde(*args, _real=mvsim.harness.kde_1d, **kwargs):
+            alive.append(draws[0]() is not None)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mvsim.harness, "kde_1d", kde)
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard"],
+               "n_particles": 60, "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
+               "picard": {"max_iters": 3}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        assert [m["status"] for m in report["methods"].values()] == ["ok", "ok"]
+        assert len(draws) == 1 and alive == [False, False]
+
+    def test_picard_frees_the_draw_before_it_writes(self, tmp_path, monkeypatch):
+        draws, alive = self._watch_draw(monkeypatch), []
+
+        def emit(*args, _real=mvsim.harness.emit_plotdata, **kwargs):
+            alive.append(draws[0]() is not None)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mvsim.harness, "emit_plotdata", emit)
+        cfg = {"preset": "meanfield-ou", "methods": ["picard"], "n_particles": 60,
+               "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
+               "picard": {"max_iters": 3}}
+        assert run_experiment(cfg, outdir=tmp_path)["methods"]["picard"]["status"] == "ok"
+        # one CSV per snapshot cloud, then the gap log
+        assert len(draws) == 1 and alive == [False] * 3
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "seed", 4.0), (None, "n_particles", 60.0), (None, "steps", 20.0),

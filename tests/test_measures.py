@@ -662,6 +662,27 @@ class TestSerialization:
         write_csv(path, "iter,gap", [range(0), np.empty(0)])
         assert path.read_bytes() == b"iter,gap\n"
 
+    @pytest.mark.parametrize("n", [0, mvsim.measures._ROWS_PER_WRITE - 1,
+                                   mvsim.measures._ROWS_PER_WRITE])
+    def test_rows_stream_in_chunks_with_the_joined_bytes(self, tmp_path, monkeypatch, n):
+        # zero rows, exactly one chunk (the header is its first line), and one
+        # row past a chunk boundary
+        cells = [[str(i) for i in range(n)], [repr(i / 7) for i in range(n)]]
+        rows = [",".join(row) for row in zip(*cells)]
+        widest = []
+
+        def tracked_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: (widest.append(text.count("\n")), write(text))[1]
+            return fh
+
+        monkeypatch.setattr(mvsim.measures, "open", tracked_open, raising=False)
+        path = tmp_path / "rows.csv"
+        mvsim.measures._write_rows(path, "i,v", cells)
+        assert path.read_bytes() == ("\n".join(["i,v", *rows]) + "\n").encode()
+        assert max(widest) <= mvsim.measures._ROWS_PER_WRITE
+
     def test_density_csv_roundtrip_1d(self, tmp_path):
         p = _gaussian_grid(GridAxis(-5.0, 5.0, 201))
         path = tmp_path / "p.csv"
