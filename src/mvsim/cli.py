@@ -23,7 +23,8 @@ from .harness import list_presets, read_config, run_experiment
 from .presets import get_preset
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, only: str | None = None) -> None:
+    p.set_defaults(handler=lambda args: _cmd_run(args, only))
     p.add_argument("config", help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None,
                    help="replace the config's seed")
@@ -38,17 +39,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_run_flags(sub.add_parser("run", help="run every method in the config"))
-    _add_run_flags(sub.add_parser("fp", help="run only the density solver"))
+    _add_run_flags(sub.add_parser("fp", help="run only the density solver"), "fp")
     _add_run_flags(sub.add_parser(
-        "malliavin", help="run only the first-variation diagnostics"))
+        "malliavin", help="run only the first-variation diagnostics"), "malliavin")
 
-    sub.add_parser("presets", help="list shipped presets")
+    sub.add_parser("presets", help="list shipped presets").set_defaults(handler=_cmd_presets)
 
     pe = sub.add_parser("check-ellipticity",
                         help="sample the diffusion spectrum floor of a preset")
     pe.add_argument("preset")
     pe.add_argument("--samples", type=int, default=4096)
     pe.add_argument("--seed", type=int, default=0)
+    pe.set_defaults(handler=_cmd_check_ellipticity)
     return parser
 
 
@@ -83,7 +85,7 @@ def _cmd_run(args, only: str | None = None) -> int:
     return 1 if failed else 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(args) -> int:
     for row in list_presets():
         defaults = " ".join(f"{k}={v:g}" for k, v in row["defaults"].items())
         print(f"{row['name']:18s} d={row['dimension']} T={row['horizon']:g}  "
@@ -117,20 +119,10 @@ def _cmd_check_ellipticity(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "fp":
-            return _cmd_run(args, only="fp")
-        if args.command == "malliavin":
-            return _cmd_run(args, only="malliavin")
-        if args.command == "presets":
-            return _cmd_presets()
-        if args.command == "check-ellipticity":
-            return _cmd_check_ellipticity(args)
+        return args.handler(args)
     except MvsimError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -81,15 +81,24 @@ def _check_args(model: CoefficientModel, x: np.ndarray, s: np.ndarray) -> tuple[
 
 
 def _check_finite(value: np.ndarray, what: str, t: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``value`` unless it holds a non-finite entry; for a stack of states
+    (..., d) the error names the first row, in C order, whose value is not
+    finite, and that row's state alone."""
     if not np.all(np.isfinite(value)):
+        where = f"x={x.tolist()}"
+        if x.ndim > 1:
+            rows = x.reshape(-1, x.shape[-1])
+            i = int(np.argmin(np.isfinite(value).reshape(len(rows), -1).all(axis=1)))
+            where = f"row {i} of {len(rows)}, x={rows[i].tolist()}"
         raise NumericError(
-            f"{what} evaluated to a non-finite value at t={t}, x={x.tolist()}, "
+            f"{what} evaluated to a non-finite value at t={t}, {where}, "
             f"s={np.asarray(s).tolist()}")
     return value
 
 
 def eval_drift(model: CoefficientModel, t: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Validated single-point drift evaluation, shape (d,)."""
+    """Validated drift at one state (d,) or a stack of states (..., d); the
+    result has the shape of ``x``."""
     x, s = _check_args(model, x, s)
     out = np.asarray(model.b(t, x, s), dtype=float)
     if out.shape != x.shape:
@@ -98,7 +107,8 @@ def eval_drift(model: CoefficientModel, t: float, x: np.ndarray, s: np.ndarray) 
 
 
 def eval_diffusion(model: CoefficientModel, t: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Validated single-point diffusion evaluation, shape (d, m)."""
+    """Validated diffusion at one state (d,) or a stack of states (..., d);
+    the result has shape (..., d, m)."""
     x, s = _check_args(model, x, s)
     out = np.asarray(model.sigma(t, x, s), dtype=float)
     want = x.shape[:-1] + (model.d, model.m)
@@ -114,7 +124,8 @@ def _sigma_sigma_t(sig: np.ndarray) -> np.ndarray:
 
 
 def diffusion_matrix(model: CoefficientModel, t: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A = sigma sigma^T, symmetrized against rounding, shape (d, d)."""
+    """A = sigma sigma^T, symmetrized against rounding, at one state (d,) or a
+    stack of states (..., d); the result has shape (..., d, d)."""
     return _sigma_sigma_t(eval_diffusion(model, t, x, s))
 
 

@@ -472,11 +472,9 @@ def solve_fp(problem: FPProblem) -> FPSolution:
 
     events = _plan_events(problem)
     snapshots: list[GridDensity] = []
-    snap_times: list[float] = []
     if any(t == 0.0 for t in problem.snapshot_times):
         snapshots.append(GridDensity(axes, p.copy(), time=0.0,
                                      mass_tol=_SNAPSHOT_MASS_TOL))
-        snap_times.append(0.0)
     snap_set = set(float(t) for t in problem.snapshot_times)
 
     s = phi_rows @ p.ravel()
@@ -586,11 +584,10 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             if target in snap_set:
                 snapshots.append(GridDensity(axes, p.copy(), time=target,
                                              mass_tol=_SNAPSHOT_MASS_TOL))
-                snap_times.append(target)
             ev_i += 1
 
     times, mass_curve, min_curve, flux_curve = (np.array(c) for c in curves)
-    return FPSolution(snapshots=snapshots, snapshot_times=tuple(snap_times),
+    return FPSolution(snapshots=snapshots, snapshot_times=tuple(g.time for g in snapshots),
                       times=times, mass_curve=mass_curve, min_value_curve=min_curve,
                       boundary_flux_curve=flux_curve,
                       stat_curve=np.array(stats).reshape(steps + 1, model.q),

@@ -442,11 +442,12 @@ class _Experiment:
     def _file(self, method: str, times, results, flow=None) -> tuple[Path, dict]:
         """File each result at a snapshot time in ``at[t][method]`` and write its
         CSV, table the radial moments of orders 1, 2 and 4 of every result, and
-        write them to ``moments.csv``; a flow ``(times, stats)`` is written to
+        write them to ``moments.csv``, whose ``t`` column is ``times``: a sequence
+        of floats, one per result.  A flow ``(times, stats)`` is written to
         ``statistics.csv`` when the model has statistics.  Returns the method's
         directory and its moment table."""
         d = self._dir(method)
-        table, tabled = {}, []
+        table = {}
         for t, obj in zip(times, results):
             on_grid = isinstance(obj, GridDensity)
             if t in self.at:
@@ -454,10 +455,9 @@ class _Experiment:
                 emit_plotdata(obj if on_grid else (t, obj), d, self.preset.name, method)
             moment = grid_radial_moment if on_grid else empirical_radial_moment
             table[_tkey(t)] = {f"order{k}": moment(obj, k) for k in (1, 2, 4)}
-            tabled.append(t)
         orders = ("order1", "order2", "order4")
         _write_csv(d / "moments.csv", "t," + ",".join(orders),
-                   [np.asarray(tabled, dtype=float)]
+                   [np.asarray(times, dtype=float)]
                    + [[row[k] for row in table.values()] for k in orders])
         if flow is not None and self.model.q:
             head = "t," + ",".join(f"s{k + 1}" for k in range(self.model.q))

@@ -219,19 +219,12 @@ def covariance_curve(fv: FirstVariationPath, path: ParticlePath,
 def malliavin_covariance(fv: FirstVariationPath, path: ParticlePath,
                          model: CoefficientModel, flow: StatisticFlow,
                          t_index: int, lam: float = 0.0) -> MalliavinCovariance:
-    """Covariance at one grid time (see ``covariance_curve``), accumulated
-    only up to that time."""
+    """Covariance at one grid time: the ``t_index`` entry of ``covariance_curve``,
+    so a Y singular anywhere on the path fails it as it fails the curve."""
     M = path.grid.steps
     if not 1 <= t_index <= M:
         raise ValueError(f"time index must lie in [1, {M}]")
-    # a Y singular anywhere on the path fails the snapshot as it fails the curve
-    _invertible(fv.Y[:, None], (path.index,))
-    k = t_index + 1
-    Q, lambda_min, gamma = _covariance(model, path.grid, path.states[:k, None], flow,
-                                       fv.Y[:k, None], (path.index,))
-    return MalliavinCovariance(t=float(path.grid.times()[t_index]), Q=Q[-1, 0],
-                               lambda_min=float(lambda_min[-1, 0]),
-                               gamma=float(gamma[-1, 0]), lam=float(lam), dt=path.grid.dt)
+    return covariance_curve(fv, path, model, flow, lam)[t_index]
 
 
 def ellipticity_bound_check(cov: MalliavinCovariance,

@@ -2,9 +2,9 @@
 
 Noise is generated from counter-based streams, one per particle: particle
 ``i`` under master seed ``seed`` always sees the stream keyed ``(seed, i)``,
-so output is bitwise reproducible for identical ``(seed, n, m, grid)`` no
-matter how work is split across workers.  The initial-condition stream uses a
-key outside the particle range.
+so output is bitwise reproducible for identical ``(seed, n, m, grid)``, and
+any ``n`` particles under one seed see the first ``n`` streams of a larger
+draw.  The initial-condition stream uses a key outside the particle range.
 """
 
 from __future__ import annotations

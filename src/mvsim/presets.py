@@ -239,13 +239,10 @@ def preset_defaults(name: str) -> dict:
 
 def get_preset(name: str, overrides: dict | None = None) -> PresetInstance:
     """Resolve a preset by name, applying numeric parameter overrides."""
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
-    build, defaults = _REGISTRY[name]
-    params = dict(defaults)
+    params = preset_defaults(name)
     for key, val in (overrides or {}).items():
         if key not in params:
             raise ValueError(
                 f"preset {name!r} has no parameter {key!r}; known: {', '.join(sorted(params))}")
         params[key] = float(val)
-    return build(params)
+    return _REGISTRY[name][0](params)

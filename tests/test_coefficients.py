@@ -152,6 +152,23 @@ def test_drift_nonfinite_raises():
         eval_drift(model, 0.0, np.array([[1.0]]), np.zeros(0))
 
 
+def test_stacked_nonfinite_diffusion_names_its_row():
+    model = CoefficientModel(
+        d=1, m=1, functionals=(),
+        b=lambda t, x, s: np.zeros_like(x),
+        sigma=lambda t, x, s: np.where(x > 0.5, np.nan, 1.0)[..., None],
+        b_static=True, sigma_static=True)
+    x = np.array([[0.1], [0.7], [0.2], [0.3]])
+    with pytest.raises(NumericError) as ei:
+        diffusion_matrix(model, 0.0, x, np.zeros(0))
+    assert str(ei.value) == ("diffusion evaluated to a non-finite value at t=0.0, "
+                             "row 1 of 4, x=[0.7], s=[]")
+    # one state keeps the single-point message
+    with pytest.raises(NumericError) as ei:
+        diffusion_matrix(model, 0.0, x[1], np.zeros(0))
+    assert str(ei.value) == "diffusion evaluated to a non-finite value at t=0.0, x=[0.7], s=[]"
+
+
 def test_jacobian_probe_exact_for_linear_drift():
     B = np.array([[0.2, -1.1], [0.7, 0.4]])
 

@@ -950,6 +950,16 @@ class TestCli:
         assert (base / "fp").is_dir()
         assert not (base / "particles").exists()
 
+    def test_malliavin_subcommand(self, tmp_path, capsys):
+        cfg = _base_config(methods=["particles", "fp"], malliavin={"n_paths": 6})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main(["malliavin", str(p), "--outdir", str(tmp_path / "out")]) == 0
+        base = tmp_path / "out" / "bm"
+        report = json.loads((base / "report.json").read_text())
+        assert set(report["methods"]) == {"malliavin"}
+        assert len((base / "malliavin" / "paths.csv").read_text().splitlines()) == 6 + 1
+
     def test_presets_listing(self, capsys):
         assert cli_main(["presets"]) == 0
         out = capsys.readouterr().out

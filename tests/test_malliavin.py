@@ -343,7 +343,7 @@ class TestCovariance:
 
     @pytest.mark.parametrize("name", ["example5-2", "gbm"])
     def test_snapshot_is_the_curve_entry(self, name):
-        # the snapshot accumulates only up to its time, with the curve's bits
+        # the snapshot is the curve's entry at its time, with the curve's bits
         inst, bundle, path, fv = _fv(name, steps=60, seed=3)
         flow = bundle.realized_flow
         curve = covariance_curve(fv, path, inst.model, flow, lam=0.1)
@@ -525,6 +525,16 @@ class TestBundleDiagnostics:
         with pytest.raises(ConditioningError, match="path 2 at index 4"):
             covariance_curve(simulate_first_variation(model, kinked, flow), kinked,
                              model, flow)
+
+    def test_non_finite_diffusion_is_named_with_its_path(self):
+        # sigma is NaN above x = 0.5, where only path 2 sits, at step 3
+        model = dataclasses.replace(
+            _kinked_model(0.0), sigma=lambda t, x, s: np.where(x > 0.5, np.nan, 1.0)[..., None])
+        with pytest.raises(NumericError) as ei:
+            bundle_diagnostics(model, _bundle_with_one_kink())
+        msg = str(ei.value)
+        assert "diffusion evaluated to a non-finite value" in msg
+        assert "row 2 of 4, x=[1.0]," in msg and "0.0]" not in msg
 
     def test_non_finite_path_is_named_with_its_step(self):
         bundle = _bundle_with_one_kink(path=1, step=5)
