@@ -16,15 +16,17 @@ value formatted by ``measures._reprs`` as Python's ``repr`` and written by
 elements and the 2D FP statistic's matrix-vector product across its threads,
 which changes their rounding, so trees are compared under one thread count.
 
-The particle and Picard methods run on one draw of the initial cloud and
-Brownian increments; the Malliavin paths draw their own ``n_paths`` particles
-under the same seed, the first ``n_paths`` of that draw.  The methods run in
-the order of ``_METHODS``: Picard, particles, FP, Malliavin.  No method reads
-another's results, so the order changes no byte; it is chosen for memory.
-The draw is made on first use and released by the last method that reads
-it, and each runner drops its own references when its sweep or iteration
-ends, so the particle route, whose KDEs and cloud CSVs are the heaviest
-post-processing, holds the draw last and runs them after it is freed.
+Every method that simulates particles reads one draw of the initial cloud
+and Brownian increments, as wide as its widest reader: the particle and
+Picard methods read its first ``n_particles`` particles, the Malliavin paths
+its first ``n_paths``.  Under one seed, n particles are the first n of any
+wider draw, so no method's files depend on which others run.  The methods
+run in the order of ``_METHODS``: Picard, Malliavin, particles, FP.  No
+method reads another's results, so the order changes no byte; it is chosen
+for memory.  The draw is made on first use and released by the last method
+that reads it, and each runner drops its own references when its sweep or
+iteration ends, so the particle route, whose KDEs and cloud CSVs are the
+heaviest post-processing, holds the draw last and runs them after it is freed.
 
 The particle, Picard and FP methods file their results through
 ``_Experiment._file``: each result at a snapshot time goes to
@@ -51,7 +53,7 @@ from .coefficients import CoefficientModel
 from .errors import ConfigError
 from .fokkerplanck import FPProblem, gaussian_on_grid, solve_fp
 from .malliavin import bundle_diagnostics
-from .measures import (EmpiricalMeasure, GridAxis, GridDensity,
+from .measures import (EmpiricalMeasure, GridAxis, GridDensity, _OffGrid,
                        empirical_to_csv, grid_density_to_csv, grid_marginal,
                        grid_radial_moment, empirical_radial_moment, kde_1d,
                        l1_grid_distance, w2_cloud_vs_density_1d, w2_sliced,
@@ -60,9 +62,9 @@ from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
 from .picard import PicardRun, iterate_frozen_flow
 from .presets import PresetInstance, get_preset, preset_defaults, preset_names
 
-# the run order; the particle route runs after Picard, so the shared draw is
-# freed before its KDEs and cloud CSVs
-_METHODS = ("picard", "particles", "fp", "malliavin")
+# the run order; the particle route reads the shared draw last, so it is
+# freed before its KDEs and cloud CSVs and before FP
+_METHODS = ("picard", "malliavin", "particles", "fp")
 _ENV_OUTDIR = "MVSIM_OUTDIR"
 
 
@@ -171,7 +173,6 @@ class ExperimentConfig:
     fp_nodes: tuple[int, ...] | None = _key("fp.nodes", _array(_integer(2), most=2), None)
     fp_dt: float | str = _key("fp.dt", _auto_or(_number(0, strict=True)), "auto")
     malliavin_paths: int = _key("malliavin.n_paths", _integer(1), 100)
-    malliavin_lambda: float | None = _key("malliavin.lambda", _number(0), None)
     malliavin_slack: float = _key("malliavin.slack_factor", _number(0), 10.0)
     outdir: str | None = _key("outdir", _string, None)
 
@@ -421,8 +422,9 @@ class _Experiment:
         self.base = outdir / preset.name
         # route results by snapshot time: at[t][route]
         self.at: dict[float, dict] = {t: {} for t in self.snapshot_times}
-        self.noise_users = [m for m in _METHODS
-                            if m in cfg.methods and m in ("particles", "picard")]
+        self.noise_users = [m for m in _METHODS if m in cfg.methods and m != "fp"]
+        self.noise_width = max((cfg.malliavin_paths if m == "malliavin" else cfg.n_particles
+                                for m in self.noise_users), default=0)
         self.noise: tuple[np.ndarray, np.ndarray] | None = None
 
     def _dir(self, method: str) -> Path:
@@ -430,14 +432,13 @@ class _Experiment:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def _take_noise(self, method: str) -> tuple[np.ndarray, np.ndarray]:
-        """The one ``(x0, increments)`` draw of the particle and Picard methods,
-        made on first use and released to the last of them that runs.
-        """
+    def _take_noise(self, method: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``n`` particles of the run's one ``(x0, increments)`` draw, made
+        on first use as wide as its widest reader and released to its last reader."""
         noise = self.noise or draw_noise(self.model, self.law, self.grid,
-                                         self.cfg.n_particles, self.cfg.seed)
+                                         self.noise_width, self.cfg.seed)
         self.noise = None if method == self.noise_users[-1] else noise
-        return noise
+        return noise[0][:n], noise[1][:, :n]
 
     def _file(self, method: str, times, results, flow=None) -> tuple[Path, dict]:
         """File each result at a snapshot time in ``at[t][method]`` and write its
@@ -467,7 +468,7 @@ class _Experiment:
     # method runners: each returns a report fragment
 
     def run_particles(self) -> dict:
-        x0, dw = self._take_noise("particles")
+        x0, dw = self._take_noise("particles", self.cfg.n_particles)
         # the clouds and the moment table read t=0 and the snapshot times only
         mom_times = sorted({0.0} | set(self.snapshot_times))
         bundle = euler_paths(self.model, x0, self.grid, dw,
@@ -479,17 +480,21 @@ class _Experiment:
                               flow=(flow.times, flow.stats))
         for t, got in self.at.items():
             mu = got["particles"]
-            if np.ptp(mu.points, axis=0).all():  # a marginal with no spread has no KDE
+            if not np.ptp(mu.points, axis=0).all():  # a marginal with no spread has no KDE
+                continue
+            try:
                 got["kde"] = [kde_1d(_marginal_cloud(mu, i), ax, time=t)
                               for i, ax in enumerate(self.axes)]
-                for i, den in enumerate(got["kde"]):
-                    emit_plotdata(den, d, self.preset.name,
-                                  "particles_kde" + _marginal_tag(i, self.model.d))
+            except _OffGrid:  # nor has a cloud whose kernels all miss the grid
+                continue
+            for i, den in enumerate(got["kde"]):
+                emit_plotdata(den, d, self.preset.name,
+                              "particles_kde" + _marginal_tag(i, self.model.d))
         return {"n_particles": self.cfg.n_particles, "moments": table}
 
     def run_picard(self) -> dict:
         cfg = self.cfg
-        x0, dw = self._take_noise("picard")
+        x0, dw = self._take_noise("picard", cfg.n_particles)
         run = iterate_frozen_flow(self.model, x0, dw, self.grid, tol=cfg.picard_tol,
                                   max_iters=cfg.picard_max_iters,
                                   checkpoints=self.snapshot_times,
@@ -521,14 +526,11 @@ class _Experiment:
                 "moments": table}
 
     def run_malliavin(self) -> dict:
-        cfg = self.cfg
-        lam = cfg.malliavin_lambda
-        if lam is None:
-            lam = self.preset.ellipticity_lambda or 0.0
-        n_paths = cfg.malliavin_paths
-        x0, dw = draw_noise(self.model, self.law, self.grid, n_paths, cfg.seed)
+        lam = self.preset.ellipticity_lambda or 0.0
+        n_paths = self.cfg.malliavin_paths
+        x0, dw = self._take_noise("malliavin", n_paths)
         bundle = euler_paths(self.model, x0, self.grid, dw)
-        diag = bundle_diagnostics(self.model, bundle, lam, cfg.malliavin_slack)
+        diag = bundle_diagnostics(self.model, bundle, lam, self.cfg.malliavin_slack)
         d = self._dir("malliavin")
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
                    [range(n_paths), diag["lambda_min"], diag["gamma"], diag["bound"],

@@ -36,6 +36,10 @@ _CHUNK_ELEMENTS = 4_000_000
 _ROWS_PER_WRITE = 4096
 
 
+class _OffGrid(ValueError):
+    """``kde_1d``'s refusal of a cloud whose every kernel fell outside the grid."""
+
+
 def _owned(a: np.ndarray) -> np.ndarray:
     """A read-only copy of ``a``: nothing else can write to it or pin its base."""
     a = np.array(a, dtype=float)
@@ -292,7 +296,7 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
     vals /= h * SQRT2PI
     total = float(np.dot(trapezoid_weights(axis), vals))
     if total <= 0:
-        raise ValueError("all kernel mass fell outside the grid")
+        raise _OffGrid("all kernel mass fell outside the grid")
     vals /= total
     return GridDensity((axis,), vals, time=time, mass_tol=1e-10)
 

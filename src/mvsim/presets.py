@@ -55,23 +55,6 @@ def _law_from(x0: np.ndarray, sigma0: float) -> InitialLaw:
     return InitialLaw.gaussian(x0, sigma0 ** 2 * np.eye(x0.size))
 
 
-def _build_bm(p: dict) -> PresetInstance:
-    sv = float(p["sigma"])
-    sigma, dsigma = _const_sigma_fields(1, 1, np.array([[sv]]))
-    model = CoefficientModel(
-        d=1, m=1, functionals=(),
-        b=lambda t, x, s: np.zeros_like(x),
-        sigma=sigma,
-        db_dx=lambda t, x, s: np.zeros(x.shape[:-1] + (1, 1)),
-        dsigma_dx=dsigma,
-        b_static=True, sigma_static=True)
-    return PresetInstance(
-        name="bm", summary="driftless constant-volatility diffusion",
-        params=p, model=model, law=_law_from(p["x0"], float(p["sigma0"])),
-        horizon=1.0, fp_domain=((-10.0, 10.0),), fp_nodes=(2001,),
-        ellipticity_lambda=sv * sv)
-
-
 def _build_ou(p: dict) -> PresetInstance:
     theta = float(p["theta"])
     sv = float(p["sigma"])
@@ -88,6 +71,13 @@ def _build_ou(p: dict) -> PresetInstance:
         params=p, model=model, law=_law_from(p["x0"], float(p["sigma0"])),
         horizon=1.0, fp_domain=((-6.0, 6.0),), fp_nodes=(2001,),
         ellipticity_lambda=sv * sv)
+
+
+def _build_bm(p: dict) -> PresetInstance:
+    # ou at theta = 0: its drift -0.0 * x adds nothing to a step or a stencil
+    return replace(_build_ou({"theta": 0.0, **p}), name="bm",
+                   summary="driftless constant-volatility diffusion", params=p,
+                   fp_domain=((-10.0, 10.0),))
 
 
 def _build_gbm(p: dict) -> PresetInstance:

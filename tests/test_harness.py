@@ -123,6 +123,7 @@ class TestValidateConfig:
         (_base_config(fp={"dt": "fast"}), "fp.dt", "'fast' is neither 'auto' nor a number"),
         (_base_config(picard=5), "picard", "5 is not of type 'object'"),
         (_base_config(threads=1), "threads", "unknown key 'threads'"),
+        (_base_config(malliavin={"lambda": 0.5}), "malliavin.lambda", "unknown key 'lambda'"),
     ])
     def test_each_rule_names_its_field(self, doc, where, message):
         with pytest.raises(ConfigError) as ei:
@@ -180,14 +181,14 @@ class TestExperimentConfig:
         assert cfg.malliavin_paths == 100
         assert cfg.fp_dt == "auto"
         assert (cfg.picard_n_slices, cfg.malliavin_slack) == (64, 10.0)
-        assert cfg.snapshot_times is cfg.fp_domain is cfg.malliavin_lambda is None
+        assert cfg.snapshot_times is cfg.fp_domain is None
 
     def test_every_key_reaches_its_field(self):
         doc = _base_config(
             overrides={"sigma": 2.0}, horizon=2.0, snapshot_times=[1.0, 2.0],
             picard={"tol": 0.1, "max_iters": 3, "n_slices": 5},
             fp={"domain": [[-9.0, 9.0]], "nodes": [33], "dt": 0.01},
-            malliavin={"n_paths": 7, "lambda": 0.5, "slack_factor": 2.0},
+            malliavin={"n_paths": 7, "slack_factor": 2.0},
             outdir="out")
         cfg = ExperimentConfig.from_dict(doc)
         assert dataclasses.asdict(cfg) == {
@@ -195,8 +196,8 @@ class TestExperimentConfig:
             "steps": 20, "seed": 1, "overrides": {"sigma": 2.0}, "horizon": 2.0,
             "snapshot_times": (1.0, 2.0), "picard_tol": 0.1, "picard_max_iters": 3,
             "picard_n_slices": 5, "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,),
-            "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_lambda": 0.5,
-            "malliavin_slack": 2.0, "outdir": "out"}
+            "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_slack": 2.0,
+            "outdir": "out"}
         # the echo is the document without the run's location
         echo = cfg.echo()
         assert echo == {k: v for k, v in doc.items() if k != "outdir"}
@@ -240,7 +241,7 @@ class TestExperimentConfig:
         echo = cfg.echo()
         assert echo["snapshot_times"] == [1.0, 0.5, 0.5]
         assert ExperimentConfig.from_dict(echo) == cfg
-        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 18
+        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 17
         assert dataclasses.replace(cfg) == cfg
         back = pickle.loads(pickle.dumps(cfg))
         assert back == cfg and back.echo() == echo == cfg.echo()
@@ -651,17 +652,52 @@ class TestRunExperiment:
         assert ei.value.field_path == "fp.domain"
 
     def test_particles_and_picard_draw_their_noise_once(self, tmp_path, brownian_calls):
+        # the Malliavin paths read the same draw as well
         cfg = {"preset": "meanfield-ou", "n_particles": 300, "steps": 20,
                "seed": 4, "snapshot_times": [0.5, 1.0],
-               "picard": {"tol": 1e-3, "max_iters": 4}}
-        run_experiment(dict(cfg, methods=["particles", "picard"]),
+               "picard": {"tol": 1e-3, "max_iters": 4}, "malliavin": {"n_paths": 25}}
+        run_experiment(dict(cfg, methods=["particles", "picard", "malliavin"]),
                        outdir=tmp_path / "both")
-        assert len(brownian_calls) == 1
-        for method in ("particles", "picard"):
+        assert [args[1] for args, _ in brownian_calls] == [300]
+        for method in ("particles", "picard", "malliavin"):
             run_experiment(dict(cfg, methods=[method]), outdir=tmp_path / method)
             sub = Path("meanfield-ou") / method
             alone = _tree_digest(tmp_path / method / sub)
             assert alone and alone == _tree_digest(tmp_path / "both" / sub)
+
+    def test_a_wider_malliavin_draw_leaves_the_particles_alone(self, tmp_path,
+                                                                brownian_calls):
+        # 25 paths widen the one draw past the 10 particles, which read its
+        # first 10: the particle and Picard trees are those of a run without paths
+        cfg = {"preset": "meanfield-ou", "n_particles": 10, "steps": 20, "seed": 4,
+               "snapshot_times": [0.5, 1.0], "picard": {"max_iters": 3},
+               "malliavin": {"n_paths": 25}}
+        run_experiment(dict(cfg, methods=["particles", "picard", "malliavin"]),
+                       outdir=tmp_path / "wide")
+        assert [args[1] for args, _ in brownian_calls] == [25]
+        run_experiment(dict(cfg, methods=["particles", "picard"]), outdir=tmp_path / "narrow")
+        for method in ("particles", "picard"):
+            sub = Path("meanfield-ou") / method
+            narrow = _tree_digest(tmp_path / "narrow" / sub)
+            assert narrow and narrow == _tree_digest(tmp_path / "wide" / sub)
+
+    def test_kde_off_the_grid_is_skipped(self, tmp_path):
+        # every kernel of the cloud misses [3, 5]: the particle route keeps its
+        # clouds and moments and writes no KDE, and FP fails on its own
+        cfg = {"preset": "meanfield-ou", "methods": ["particles", "fp"],
+               "n_particles": 500, "steps": 20, "seed": 0, "snapshot_times": [0.5, 1.0],
+               "fp": {"domain": [[3.0, 5.0]], "nodes": [101]}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        methods = report["methods"]
+        assert methods["particles"]["status"] == "ok"
+        assert methods["fp"] == {"status": "failed", "error": "ValueError: axis 0 box "
+                                 "[3.0, 5.0] does not cover six standard deviations "
+                                 "around the initial mean 1.0"}
+        d = tmp_path / "meanfield-ou" / "particles"
+        assert (d / "moments.csv").is_file()
+        assert (d / "meanfield-ou_particles_t1.csv").is_file()
+        assert not list(d.glob("*_kde*"))
+        assert report["comparisons"] == {}
 
     def test_comparisons_pair_the_routes_at_each_time(self, tmp_path):
         # every reported distance is recomputed from the two routes' files
@@ -691,14 +727,14 @@ class TestRunExperiment:
                                                   ("example5-2", 10)])
     def test_malliavin_paths_reuse_the_particle_draw(self, tmp_path, brownian_calls,
                                                      name, n_particles):
-        # the 25 paths draw their own noise under the run's seed, which is
-        # the first 25 particles of the particle draw when there are that many
+        # the run draws once, as wide as its widest reader, and the 25 paths
+        # read its first 25 particles, which are the 25 a run of them alone draws
         cfg = {"preset": name, "n_particles": n_particles, "steps": 16, "seed": 9,
                "malliavin": {"n_paths": 25}}
         run_experiment(dict(cfg, methods=["particles", "malliavin"]), outdir=tmp_path / "both")
-        assert [args[1] for args, _ in brownian_calls] == [n_particles, 25]
+        assert [args[1] for args, _ in brownian_calls] == [max(n_particles, 25)]
         run_experiment(dict(cfg, methods=["malliavin"]), outdir=tmp_path / "alone")
-        assert len(brownian_calls) == 3
+        assert [args[1] for args, _ in brownian_calls[1:]] == [25]
         sub = Path(name) / "malliavin"
         alone = _tree_digest(tmp_path / "alone" / sub)
         assert alone and alone == _tree_digest(tmp_path / "both" / sub)
@@ -720,8 +756,8 @@ class TestRunExperiment:
         report = run_experiment(cfg, outdir=tmp_path)
         assert all(m["status"] == "ok" for m in report["methods"].values())
         assert held == [("mvsim.picard", (10, 20), (2, 60, 1))] * 3 \
-            + [("mvsim.harness", (0, 10, 20), (3, 60, 1))] \
-            + [("mvsim.harness", None, (21, 3, 1))]
+            + [("mvsim.harness", None, (21, 3, 1))] \
+            + [("mvsim.harness", (0, 10, 20), (3, 60, 1))]
 
     def _watch_draw(self, monkeypatch) -> list:
         """Weak references to the increments of every ``draw_noise`` call."""
@@ -924,9 +960,15 @@ class TestCli:
         assert rc == 1
         assert "bm/fp: failed" in capsys.readouterr().out
 
-    def test_violated_ellipticity_bound_fails_the_malliavin_route(self, tmp_path, capsys):
-        # bm's sigma is 1, so lambda 100 misses the bound on every path by 99
-        cfg = _base_config(methods=["malliavin"], malliavin={"n_paths": 5, "lambda": 100})
+    def test_violated_ellipticity_bound_fails_the_malliavin_route(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # bm's sigma is 1, so a preset lambda of 100 misses the bound on every
+        # path by 99
+        def preset(*args, _real=mvsim.harness.get_preset, **kwargs):
+            return dataclasses.replace(_real(*args, **kwargs), ellipticity_lambda=100.0)
+
+        monkeypatch.setattr(mvsim.harness, "get_preset", preset)
+        cfg = _base_config(methods=["malliavin"], malliavin={"n_paths": 5})
         frag = run_experiment(cfg, outdir=tmp_path / "lib")["methods"]["malliavin"]
         assert frag == {"status": "failed",
                         "error": "ellipticity bound violated on at least one path",

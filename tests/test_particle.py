@@ -148,7 +148,8 @@ class TestDrawNoise:
     @pytest.mark.parametrize("n", [1, 25, 100])
     def test_fewer_particles_draw_a_prefix(self, law, n):
         # n particles under a seed are the first n of any larger draw, byte
-        # for byte, so a route can draw its own n without the larger draw
+        # for byte, so each route of a run reads its first n particles from
+        # one draw as wide as its widest reader
         model = _const_model(d=law.d)
         grid = TimeGrid(1.0, 16)
         x_few, dw_few = draw_noise(model, law, grid, n, seed=9)
