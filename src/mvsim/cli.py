@@ -107,7 +107,7 @@ def _cmd_check_ellipticity(args) -> int:
     lo = np.array([b[0] for b in inst.fp_domain])
     hi = np.array([b[1] for b in inst.fp_domain])
     rep = check_ellipticity(inst.model, (0.0, inst.horizon), (lo, hi),
-                            s_samples=None, n=args.samples, seed=args.seed)
+                            n=args.samples, seed=args.seed)
     print(f"preset {inst.name}: sampled lambda_min = {rep.lambda_min_estimate:.6g} "
           f"over {rep.n_samples} points")
     print(f"  argmin: t={rep.argmin_t:.4g} x={np.array2string(rep.argmin_x, precision=4)}")

@@ -136,22 +136,20 @@ class EllipticityReport:
     lambda_min_estimate: float
     argmin_t: float
     argmin_x: np.ndarray
-    argmin_s: np.ndarray
     n_samples: int
 
 
 def check_ellipticity(model: CoefficientModel,
                       t_range: tuple[float, float],
                       x_box: tuple[np.ndarray, np.ndarray],
-                      s_samples: list[np.ndarray] | None,
                       n: int,
                       seed: int) -> EllipticityReport:
-    """Estimate min over (t, x, s) of the smallest eigenvalue of sigma sigma^T.
+    """Estimate min over (t, x) of the smallest eigenvalue of sigma sigma^T,
+    scanned at the zero statistic s = 0.
 
     Points in (t, x) are drawn from a scrambled low-discrepancy sequence, so
     runs with the same seed and growing ``n`` evaluate nested point sets and
-    the estimate is monotone nonincreasing in ``n``.  Each sampled point is
-    crossed with every entry of ``s_samples`` (default: the zero statistic).
+    the estimate is monotone nonincreasing in ``n``.
     """
     if n < 1:
         raise ValueError("need at least one sample point")
@@ -160,8 +158,6 @@ def check_ellipticity(model: CoefficientModel,
     x_hi = np.asarray(x_box[1], dtype=float).reshape(model.d)
     if np.any(x_hi < x_lo) or t_hi < t_lo:
         raise ValueError("region bounds are inverted")
-    if s_samples is None:
-        s_samples = [np.zeros(model.q)]
 
     # scipy.stats takes about a second to import; only this function needs it
     from scipy.stats import qmc
@@ -171,17 +167,16 @@ def check_ellipticity(model: CoefficientModel,
     ts = t_lo + unit[:, 0] * (t_hi - t_lo)
     xs = x_lo + unit[:, 1:] * (x_hi - x_lo)
 
+    s = np.zeros(model.q)
     best = np.inf
-    arg = (t_lo, x_lo, np.asarray(s_samples[0], dtype=float))
+    arg = (t_lo, x_lo)
     for t, x in zip(ts, xs):
-        for s in s_samples:
-            lam = float(sym_eigvals(diffusion_matrix(model, float(t), x,
-                                                   np.asarray(s, dtype=float)))[0])
-            if lam < best:
-                best = lam
-                arg = (float(t), x.copy(), np.asarray(s, dtype=float))
+        lam = float(sym_eigvals(diffusion_matrix(model, float(t), x, s))[0])
+        if lam < best:
+            best = lam
+            arg = (float(t), x.copy())
     return EllipticityReport(lambda_min_estimate=best, argmin_t=arg[0],
-                             argmin_x=arg[1], argmin_s=arg[2], n_samples=n)
+                             argmin_x=arg[1], n_samples=n)
 
 
 def jacobian_consistency_probe(model: CoefficientModel,

@@ -167,13 +167,11 @@ class ExperimentConfig:
                                                     None)
     picard_tol: float = _key("picard.tol", _number(0, strict=True), 1e-3)
     picard_max_iters: int = _key("picard.max_iters", _integer(2), 8)
-    picard_n_slices: int = _key("picard.n_slices", _integer(1), 64)
     fp_domain: tuple[tuple[float, float], ...] | None = _key(
         "fp.domain", _array(_array(_finite, least=2, most=2), most=2), None)
     fp_nodes: tuple[int, ...] | None = _key("fp.nodes", _array(_integer(2), most=2), None)
     fp_dt: float | str = _key("fp.dt", _auto_or(_number(0, strict=True)), "auto")
     malliavin_paths: int = _key("malliavin.n_paths", _integer(1), 100)
-    malliavin_slack: float = _key("malliavin.slack_factor", _number(0), 10.0)
     outdir: str | None = _key("outdir", _string, None)
 
     def __post_init__(self):
@@ -497,8 +495,7 @@ class _Experiment:
         x0, dw = self._take_noise("picard", cfg.n_particles)
         run = iterate_frozen_flow(self.model, x0, dw, self.grid, tol=cfg.picard_tol,
                                   max_iters=cfg.picard_max_iters,
-                                  checkpoints=self.snapshot_times,
-                                  n_slices=cfg.picard_n_slices)
+                                  checkpoints=self.snapshot_times)
         del x0, dw
         d, table = self._file("picard", run.checkpoint_times, run.final_clouds)
         emit_plotdata(run, d, self.preset.name, "picard")
@@ -530,7 +527,7 @@ class _Experiment:
         n_paths = self.cfg.malliavin_paths
         x0, dw = self._take_noise("malliavin", n_paths)
         bundle = euler_paths(self.model, x0, self.grid, dw)
-        diag = bundle_diagnostics(self.model, bundle, lam, self.cfg.malliavin_slack)
+        diag = bundle_diagnostics(self.model, bundle, lam)
         d = self._dir("malliavin")
         _write_csv(d / "paths.csv", "path,lambda_min,gamma,bound,margin,holds,zy_max",
                    [range(n_paths), diag["lambda_min"], diag["gamma"], diag["bound"],
@@ -557,8 +554,7 @@ class _Experiment:
                 if self.model.d == 1:
                     entry["w2_particles_vs_fp"] = w2_cloud_vs_density_1d(cloud, fp)
             if cloud is not None and "picard" in got:
-                entry["w2_particles_vs_picard"] = w2_sliced(
-                    cloud, got["picard"], n_slices=self.cfg.picard_n_slices, seed=0)
+                entry["w2_particles_vs_picard"] = w2_sliced(cloud, got["picard"])
             if entry:
                 out[_tkey(t)] = entry
         return out

@@ -48,6 +48,8 @@ from .measures import StatisticFlow
 from .particle import ParticlePath, PathBundle, TimeGrid, _check_flow
 
 _COND_FLOOR = 1e-12
+# the ellipticity floor's slack, in units of dt * ||Q||: the quadrature error
+_SLACK_FACTOR = 10.0
 
 
 @dataclass
@@ -228,7 +230,7 @@ def malliavin_covariance(fv: FirstVariationPath, path: ParticlePath,
 
 
 def ellipticity_bound_check(cov: MalliavinCovariance,
-                            slack_factor: float = 10.0) -> EllipticityBoundReport:
+                            slack_factor: float = _SLACK_FACTOR) -> EllipticityBoundReport:
     """Check lambda_min(Q(t)) >= t lambda / gamma^4 - slack.
 
     The slack absorbs quadrature error: ``slack_factor * dt * ||Q||``.  A
@@ -242,18 +244,18 @@ def ellipticity_bound_check(cov: MalliavinCovariance,
 
 
 def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
-                       lam: float = 0.0, slack_factor: float = 10.0) -> dict:
+                       lam: float = 0.0) -> dict:
     """Horizon diagnostics of every path of a bundle under its realized flow.
 
     Returns arrays over the paths: ``lambda_min`` and ``gamma`` of Q; the
-    ``bound``, ``margin`` and ``holds`` of ``ellipticity_bound_check``; and
-    ``zy_max``, the largest ZY residual along the path.
+    ``bound``, ``margin`` and ``holds`` of ``ellipticity_bound_check`` at its
+    default slack; and ``zy_max``, the largest ZY residual along the path.
     """
     grid, flow, states = bundle.grid, bundle.realized_flow, bundle._whole("bundle_diagnostics")
     paths = np.arange(bundle.n)
     Y, Z = _sweep(model, grid, states, bundle.increments, flow, paths)
     Q, lambda_min, gamma = _covariance(model, grid, states, flow, Y, paths)
     bound, margin, _, holds = _bound(float(grid.times()[-1]), float(lam), gamma[-1],
-                                     lambda_min[-1], Q[-1], grid.dt, slack_factor)
+                                     lambda_min[-1], Q[-1], grid.dt, _SLACK_FACTOR)
     return {"lambda_min": lambda_min[-1], "gamma": gamma[-1], "bound": bound,
             "margin": margin, "holds": holds, "zy_max": _zy(Z, Y).max(axis=0)}

@@ -388,7 +388,7 @@ def w2_sliced(a: EmpiricalMeasure, b: EmpiricalMeasure,
 
 def w2_to_dirac0(mu: EmpiricalMeasure) -> float:
     """W2 distance to the point mass at the origin: sqrt(sum w ||x||^2)."""
-    return math.sqrt(float(np.dot(mu.weights, np.sum(mu.points ** 2, axis=1))))
+    return math.sqrt(_radial_moment(mu.points, mu.weights, 2))
 
 
 def l1_grid_distance(p: GridDensity, r: GridDensity) -> float:
@@ -439,16 +439,20 @@ def w2_cloud_vs_density_1d(mu: EmpiricalMeasure, p: GridDensity,
     return math.sqrt(float(np.mean((qa - qb) ** 2)))
 
 
+def _radial_moment(points: np.ndarray, weights: np.ndarray, order: float) -> float:
+    """sum_i w_i ||x_i||^order over points (n, d) and weights (n,)."""
+    r = np.sqrt(np.sum(points ** 2, axis=1))
+    return float(np.dot(weights, r ** order))
+
+
 def empirical_radial_moment(mu: EmpiricalMeasure, order: float) -> float:
     """E ||X||^order under the cloud."""
-    r = np.sqrt(np.sum(mu.points ** 2, axis=1))
-    return float(np.dot(mu.weights, r ** order))
+    return _radial_moment(mu.points, mu.weights, order)
 
 
 def grid_radial_moment(p: GridDensity, order: float) -> float:
     """Integral of ||x||^order p(x) by the trapezoid rule."""
-    r = np.sqrt(np.sum(p.node_coords() ** 2, axis=1))
-    return float(np.dot((p.node_weights() * p.values).ravel(), r ** order))
+    return _radial_moment(p.node_coords(), (p.node_weights() * p.values).ravel(), order)
 
 
 def _reprs(values) -> Iterator[str]:

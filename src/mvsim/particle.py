@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .measures import EmpiricalMeasure, StatisticFlow, _weighted_statistics
+from .measures import EmpiricalMeasure, StatisticFlow, _radial_moment, _weighted_statistics
 
 # stream id for initial-condition sampling; particle ids stay below 2**63
 _INIT_STREAM = np.uint64(1) << np.uint64(63)
@@ -314,8 +314,5 @@ def moment_curve(bundle: PathBundle, p: float) -> np.ndarray:
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
     states = bundle._whole("moment_curve")
-    out = np.empty(bundle.grid.steps + 1)
-    for k in range(out.size):
-        r = np.sqrt(np.sum(states[k] ** 2, axis=1))
-        out[k] = float(np.mean(r ** p))
-    return out
+    uw = np.full(bundle.n, 1.0 / bundle.n)
+    return np.array([_radial_moment(x, uw, p) for x in states])

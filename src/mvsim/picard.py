@@ -10,6 +10,10 @@ That noise is one ``particle.draw_noise`` call, made by ``picard_run`` before
 ``iterate_frozen_flow``; ``picard_vs_direct`` and the harness run the
 iteration and the interacting system on one such draw.
 
+Every gap, between two solves or between the iterate and the interacting
+system, is ``measures.w2_sliced`` at its default directions and seed (exact W2
+in 1D), the metric of the harness's particle-to-Picard comparison too.
+
 No solve holds a ``(steps + 1, N, d)`` path array: each one stores only its
 checkpoint time slices (``euler_paths(..., keep=...)``) beside its realized
 flow.  The iteration keeps two solves at a time, the one before and the
@@ -44,33 +48,30 @@ class PicardRun:
     n_iters: int
 
 
-def convergence_gap(a: list[EmpiricalMeasure], b: list[EmpiricalMeasure],
-                    n_slices: int = 64, seed: int = 0) -> float:
+def convergence_gap(a: list[EmpiricalMeasure], b: list[EmpiricalMeasure]) -> float:
     """Max over matching checkpoints of ``w2_sliced`` (exact W2 in 1D)."""
     if len(a) != len(b) or not a:
         raise ValueError("checkpoint lists must be non-empty and equally long")
-    return max(w2_sliced(ma, mb, n_slices=n_slices, seed=seed) for ma, mb in zip(a, b))
+    return max(w2_sliced(ma, mb) for ma, mb in zip(a, b))
 
 
 def picard_run(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
                tol: float, max_iters: int,
-               checkpoints: tuple[float, ...], n_slices: int = 64) -> PicardRun:
+               checkpoints: tuple[float, ...]) -> PicardRun:
     """Draw the noise of ``n`` particles under ``seed``, then iterate on it."""
     x0, dw = draw_noise(model, law, grid, n, seed)
-    return iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints,
-                               n_slices=n_slices)
+    return iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints)
 
 
 def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
                         grid: TimeGrid, tol: float, max_iters: int,
-                        checkpoints: tuple[float, ...],
-                        n_slices: int = 64) -> PicardRun:
+                        checkpoints: tuple[float, ...]) -> PicardRun:
     """Iterate frozen-flow solves until the checkpoint W2 gap drops below tol.
 
     Every solve starts from ``x0`` and is driven by ``increments``.  Stops
     after the first pair of consecutive solves whose gap is <= ``tol``
     (``converged=True``) or after ``max_iters`` solves (``converged=False``).
-    Above 1D the gap is sliced W2 over ``n_slices`` directions.
+    The gap is ``convergence_gap``.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -92,7 +93,7 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
         frozen = bundle.realized_flow
         del bundle  # the clouds own their points: the kept slices go now
         if prev is not None:
-            gaps.append(convergence_gap(prev, clouds, n_slices=n_slices))
+            gaps.append(convergence_gap(prev, clouds))
             if gaps[-1] <= tol:
                 converged = True
                 break
@@ -104,17 +105,14 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
 
 def picard_vs_direct(model, law: InitialLaw, grid: TimeGrid, n: int, seed: int,
                      tol: float, max_iters: int,
-                     checkpoints: tuple[float, ...], n_slices: int = 64) -> float:
+                     checkpoints: tuple[float, ...]) -> float:
     """Sup-over-checkpoints W2 between the converged iterate and the
-    interacting system, both run on one draw of the noise.
-
-    Above 1D every gap, the iteration's and this one, is sliced W2 over
-    ``n_slices`` directions.
+    interacting system, both run on one draw of the noise; the gap is
+    ``convergence_gap``, as the iteration's own are.
     """
     x0, dw = draw_noise(model, law, grid, n, seed)
-    run = iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints,
-                              n_slices=n_slices)
+    run = iterate_frozen_flow(model, x0, dw, grid, tol, max_iters, checkpoints)
     ck_idx = [grid.index_of(t) for t in checkpoints]
     direct = euler_paths(model, x0, grid, dw, flow=None, keep=ck_idx)
     direct_clouds = [direct.snapshot(k) for k in ck_idx]
-    return convergence_gap(run.final_clouds, direct_clouds, n_slices=n_slices)
+    return convergence_gap(run.final_clouds, direct_clouds)

@@ -94,7 +94,7 @@ def test_ellipticity_correlated_preset():
     rep = check_ellipticity(
         inst.model, (0.0, 1.0),
         (np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
-        s_samples=None, n=512, seed=0)
+        n=512, seed=0)
     assert rep.lambda_min_estimate == pytest.approx(0.1, rel=1e-10)
 
 
@@ -103,7 +103,7 @@ def test_ellipticity_degenerate_at_origin():
     rep = check_ellipticity(
         inst.model, (0.0, 1.0),
         (np.array([-2.0]), np.array([2.0])),
-        s_samples=None, n=4096, seed=0)
+        n=4096, seed=0)
     # A(x) = x^2/10 vanishes at 0; a quasi-uniform scan lands close
     assert 0.0 <= rep.lambda_min_estimate < 1e-4
     assert abs(rep.argmin_x[0]) < 0.05
@@ -113,7 +113,7 @@ def test_ellipticity_identity_sigma():
     rep = check_ellipticity(
         _identity_sigma_model(), (0.0, 1.0),
         (np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
-        s_samples=None, n=64, seed=3)
+        n=64, seed=3)
     assert rep.lambda_min_estimate == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_ellipticity_estimate_monotone_in_sample_count():
     # low-discrepancy samples are a prefix sequence for a fixed seed
     inst = get_preset("example5-1")
     box = (np.array([-2.0]), np.array([2.0]))
-    vals = [check_ellipticity(inst.model, (0.0, 1.0), box, None, n, seed=7)
+    vals = [check_ellipticity(inst.model, (0.0, 1.0), box, n, seed=7)
             .lambda_min_estimate for n in (128, 256, 512, 1024)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a
@@ -139,7 +139,7 @@ def test_ellipticity_nonfinite_diffusion_reports_location():
     with pytest.raises(NumericError, match="non-finite"):
         check_ellipticity(model, (0.0, 1.0),
                           (np.array([0.0]), np.array([0.0])),
-                          s_samples=None, n=8, seed=0)
+                          n=8, seed=0)
 
 
 def test_drift_nonfinite_raises():

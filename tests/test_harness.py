@@ -21,7 +21,8 @@ from mvsim import (ConfigError, build_fp_problem, get_preset, run_experiment, so
 from mvsim.cli import main as cli_main
 from mvsim.harness import ExperimentConfig, emit_plotdata, list_presets
 from mvsim.measures import (GridAxis, GridDensity, EmpiricalMeasure, grid_density_from_csv,
-                            l1_grid_distance, w2_cloud_vs_density_1d, w2_empirical_1d)
+                            l1_grid_distance, w2_cloud_vs_density_1d, w2_empirical_1d,
+                            w2_sliced)
 from mvsim.picard import picard_run
 from mvsim.particle import InitialLaw, TimeGrid
 
@@ -124,6 +125,9 @@ class TestValidateConfig:
         (_base_config(picard=5), "picard", "5 is not of type 'object'"),
         (_base_config(threads=1), "threads", "unknown key 'threads'"),
         (_base_config(malliavin={"lambda": 0.5}), "malliavin.lambda", "unknown key 'lambda'"),
+        (_base_config(picard={"n_slices": 4}), "picard.n_slices", "unknown key 'n_slices'"),
+        (_base_config(malliavin={"slack_factor": 2.0}), "malliavin.slack_factor",
+         "unknown key 'slack_factor'"),
     ])
     def test_each_rule_names_its_field(self, doc, where, message):
         with pytest.raises(ConfigError) as ei:
@@ -180,24 +184,22 @@ class TestExperimentConfig:
         assert cfg.picard_max_iters == 8
         assert cfg.malliavin_paths == 100
         assert cfg.fp_dt == "auto"
-        assert (cfg.picard_n_slices, cfg.malliavin_slack) == (64, 10.0)
         assert cfg.snapshot_times is cfg.fp_domain is None
 
     def test_every_key_reaches_its_field(self):
         doc = _base_config(
             overrides={"sigma": 2.0}, horizon=2.0, snapshot_times=[1.0, 2.0],
-            picard={"tol": 0.1, "max_iters": 3, "n_slices": 5},
+            picard={"tol": 0.1, "max_iters": 3},
             fp={"domain": [[-9.0, 9.0]], "nodes": [33], "dt": 0.01},
-            malliavin={"n_paths": 7, "slack_factor": 2.0},
+            malliavin={"n_paths": 7},
             outdir="out")
         cfg = ExperimentConfig.from_dict(doc)
         assert dataclasses.asdict(cfg) == {
             "preset": "bm", "methods": ("particles",), "n_particles": 100,
             "steps": 20, "seed": 1, "overrides": {"sigma": 2.0}, "horizon": 2.0,
             "snapshot_times": (1.0, 2.0), "picard_tol": 0.1, "picard_max_iters": 3,
-            "picard_n_slices": 5, "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,),
-            "fp_dt": 0.01, "malliavin_paths": 7, "malliavin_slack": 2.0,
-            "outdir": "out"}
+            "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,), "fp_dt": 0.01,
+            "malliavin_paths": 7, "outdir": "out"}
         # the echo is the document without the run's location
         echo = cfg.echo()
         assert echo == {k: v for k, v in doc.items() if k != "outdir"}
@@ -241,7 +243,7 @@ class TestExperimentConfig:
         echo = cfg.echo()
         assert echo["snapshot_times"] == [1.0, 0.5, 0.5]
         assert ExperimentConfig.from_dict(echo) == cfg
-        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 17
+        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 15
         assert dataclasses.replace(cfg) == cfg
         back = pickle.loads(pickle.dumps(cfg))
         assert back == cfg and back.echo() == echo == cfg.echo()
@@ -349,19 +351,6 @@ class TestRunExperiment:
         on_disk = json.loads((tmp_path / "bm" / "report.json").read_text())
         assert on_disk["comparisons"]["t=1"] == pytest.approx(entry)
 
-    def test_picard_gap_uses_configured_slices(self, tmp_path):
-        # a 2D Picard gap is sliced W2 over picard.n_slices directions
-        cfg = {"preset": "example5-2", "methods": ["picard"], "n_particles": 200,
-               "steps": 10, "seed": 3, "snapshot_times": [1.0],
-               "picard": {"tol": 1e-12, "max_iters": 3, "n_slices": 4}}
-        gaps = run_experiment(cfg, outdir=tmp_path)["methods"]["picard"]["gaps"]
-        inst = get_preset("example5-2")
-        kw = dict(n=200, seed=3, tol=1e-12, max_iters=3, checkpoints=(1.0,))
-        four = picard_run(inst.model, inst.law, TimeGrid(1.0, 10), n_slices=4, **kw)
-        default = picard_run(inst.model, inst.law, TimeGrid(1.0, 10), **kw)
-        assert gaps == [float(g) for g in four.gaps]
-        assert four.gaps != default.gaps
-
     # Picard on each shipped config as computed by the dense measures kernels
     # (the per-slice sliced W2 loop): (n_iters, converged, gaps)
     SHIPPED_PICARD = {
@@ -400,7 +389,7 @@ class TestRunExperiment:
          "malliavin": {"n_paths": 4}},
         {"preset": "example5-2", "methods": ["particles", "picard", "fp", "malliavin"],
          "n_particles": 100, "steps": 10, "seed": 2, "horizon": 0.2,
-         "picard": {"max_iters": 2, "n_slices": 4},
+         "picard": {"max_iters": 2},
          "fp": {"domain": [[-4.0, 6.0], [-4.0, 6.0]], "nodes": [81, 81]},
          "malliavin": {"n_paths": 3}}])
     def test_config_echo_reruns_the_tree(self, tmp_path, cfg):
@@ -723,6 +712,32 @@ class TestRunExperiment:
                 "w2_particles_vs_fp": w2_cloud_vs_density_1d(cloud("particles", t), fp),
                 "l1_kde_vs_fp": l1_grid_distance(kde, fp)}, rel=1e-12, abs=0)
 
+    def test_2d_comparisons_and_gaps_are_sliced_w2_at_its_defaults(self, tmp_path):
+        # in 2D the particle-to-Picard distance is recomputed from the two
+        # routes' cloud files by w2_sliced at its defaults, and the reported
+        # gaps are picard_run's, whose gaps are w2_sliced at its defaults too
+        cfg = {"preset": "example5-2", "methods": ["particles", "picard"],
+               "n_particles": 200, "steps": 10, "seed": 3, "snapshot_times": [0.5, 1.0],
+               "picard": {"tol": 1e-12, "max_iters": 3}}
+        report = run_experiment(cfg, outdir=tmp_path)
+        base = tmp_path / "example5-2"
+
+        def cloud(method, t):
+            rows = np.loadtxt(base / method / f"example5-2_{method}_t{t:g}.csv",
+                              delimiter=",", skiprows=1)
+            return EmpiricalMeasure(rows[:, 1:], rows[:, 0])
+
+        for t in (0.5, 1.0):
+            a, b = cloud("particles", t), cloud("picard", t)
+            assert a.d == 2
+            assert report["comparisons"][f"t={t:g}"]["w2_particles_vs_picard"] \
+                == w2_sliced(a, b)
+        inst = get_preset("example5-2")
+        run = picard_run(inst.model, inst.law, TimeGrid(1.0, 10), n=200, seed=3,
+                         tol=1e-12, max_iters=3, checkpoints=(0.5, 1.0))
+        gaps = report["methods"]["picard"]["gaps"]
+        assert len(gaps) == 2 and gaps == [float(g) for g in run.gaps]
+
     @pytest.mark.parametrize("name,n_particles", [("example5-1", 60), ("example5-2", 40),
                                                   ("example5-2", 10)])
     def test_malliavin_paths_reuse_the_particle_draw(self, tmp_path, brownian_calls,
@@ -805,15 +820,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "seed", 4.0), (None, "n_particles", 60.0), (None, "steps", 20.0),
-        ("picard", "max_iters", 3.0), ("picard", "n_slices", 8.0),
-        ("fp", "nodes", [101.0]), ("malliavin", "n_paths", 3.0)])
+        ("picard", "max_iters", 3.0), ("malliavin", "n_paths", 3.0),
+        ("fp", "nodes", [101.0])])
     def test_integral_float_counts_run_as_ints(self, tmp_path, section, key, value):
         # an integer field admits an integral float such as 1.0: each count runs
         # as its int, and the tree, the report's config echo included, is the
         # int config's
         cfg = {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
                "n_particles": 60, "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
-               "picard": {"max_iters": 3, "n_slices": 8}, "fp": {"nodes": [101]},
+               "picard": {"max_iters": 3}, "fp": {"nodes": [101]},
                "malliavin": {"n_paths": 3}}
         floats = copy.deepcopy(cfg)
         (floats[section] if section else floats)[key] = value

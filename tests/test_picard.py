@@ -20,6 +20,7 @@ from mvsim import (
     picard_vs_direct,
     simulate_frozen_flow,
     simulate_interacting,
+    w2_sliced,
 )
 
 
@@ -61,8 +62,8 @@ class TestConvergenceGap:
         a = EmpiricalMeasure(pts, np.full(40, 1 / 40))
         b = EmpiricalMeasure(pts[perm], np.full(40, 1 / 40))
         shifted = EmpiricalMeasure(pts + 0.3, np.full(40, 1 / 40))
-        g1 = convergence_gap([a], [shifted], n_slices=128, seed=1)
-        g2 = convergence_gap([b], [shifted], n_slices=128, seed=1)
+        g1 = convergence_gap([a], [shifted])
+        g2 = convergence_gap([b], [shifted])
         assert g1 == pytest.approx(g2, rel=1e-12)
 
 
@@ -245,31 +246,32 @@ class TestPicardVsDirect:
         assert tight <= loose + 1e-12
 
     def test_gaps_use_the_given_slices_in_2d(self):
-        # above 1D the iteration's gaps and the final gap are sliced W2 over
-        # n_slices directions; the default of 64 gives different numbers
+        # above 1D the final gap is sliced W2 over w2_sliced's default
+        # directions; another slice count gives a different number
         inst = get_preset("example5-2")
         grid = TimeGrid(1.0, 10)
         kw = dict(n=200, seed=3, tol=1e-12, max_iters=3, checkpoints=(1.0,))
-        d = picard_vs_direct(inst.model, inst.law, grid, n_slices=4, **kw)
-        run = picard_run(inst.model, inst.law, grid, n_slices=4, **kw)
+        d = picard_vs_direct(inst.model, inst.law, grid, **kw)
+        run = picard_run(inst.model, inst.law, grid, **kw)
         direct = simulate_interacting(inst.model, inst.law, grid, 200, 3)
-        assert d == convergence_gap(run.final_clouds, [direct.snapshot(10)],
-                                    n_slices=4)
-        assert d != picard_vs_direct(inst.model, inst.law, grid, **kw)
+        final, snap = run.final_clouds[0], direct.snapshot(10)
+        assert d == w2_sliced(final, snap)
+        assert d != w2_sliced(final, snap, n_slices=4)
 
-    @pytest.mark.parametrize("preset, grid, n_slices", [
-        ("example5-1", TimeGrid(1.0, 20), 64),
-        ("example5-2", TimeGrid(1.0, 10), 4),
+    @pytest.mark.parametrize("preset, grid", [
+        ("example5-1", TimeGrid(1.0, 20)),
+        ("example5-2", TimeGrid(1.0, 10)),
     ])
-    def test_draws_once_and_matches_the_two_routes(self, brownian_calls, preset,
-                                                   grid, n_slices):
+    def test_draws_once_and_matches_the_two_routes(self, brownian_calls, preset, grid):
         # the iterate and the interacting system run on one draw of the
-        # noise, the same draw each makes on its own under this seed
+        # noise, the same draw each makes on its own under this seed; the
+        # gap is w2_sliced at its defaults (exact W2 in 1D)
         inst = get_preset(preset)
         kw = dict(n=300, seed=6, tol=1e-12, max_iters=3, checkpoints=(0.5, 1.0))
-        d = picard_vs_direct(inst.model, inst.law, grid, n_slices=n_slices, **kw)
+        d = picard_vs_direct(inst.model, inst.law, grid, **kw)
         assert len(brownian_calls) == 1
-        run = picard_run(inst.model, inst.law, grid, n_slices=n_slices, **kw)
+        run = picard_run(inst.model, inst.law, grid, **kw)
         direct = simulate_interacting(inst.model, inst.law, grid, 300, 6)
         clouds = [direct.snapshot(grid.index_of(t)) for t in (0.5, 1.0)]
-        assert d == convergence_gap(run.final_clouds, clouds, n_slices=n_slices)
+        assert d == convergence_gap(run.final_clouds, clouds)
+        assert d == max(w2_sliced(a, b) for a, b in zip(run.final_clouds, clouds))
