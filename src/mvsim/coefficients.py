@@ -186,10 +186,12 @@ def jacobian_consistency_probe(model: CoefficientModel,
 
     Returns ``max |analytic - fd| / (1 + |analytic|)`` over all probe points
     and matrix entries, covering both ``db_dx`` and every noise column of
-    ``dsigma_dx``.
+    ``dsigma_dx``.  A non-finite difference quotient raises ``NumericError``.
     """
     if model.db_dx is None or model.dsigma_dx is None:
         raise ValueError("model does not provide state Jacobians")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be finite and positive, got {h}")
     worst = 0.0
     for t, x, s in points:
         x, s = _check_args(model, x, s)
@@ -205,6 +207,8 @@ def jacobian_consistency_probe(model: CoefficientModel,
             fd_b[:, j] = (model.b(t, x + e, s) - model.b(t, x - e, s)) / (2 * h)
             dsig = (model.sigma(t, x + e, s) - model.sigma(t, x - e, s)) / (2 * h)
             fd_s[:, :, j] = dsig.T
+        _check_finite(fd_b, "drift difference quotient", t, x, s)
+        _check_finite(fd_s, "diffusion difference quotient", t, x, s)
         worst = max(worst, float(np.max(np.abs(jb - fd_b) / (1.0 + np.abs(jb)))))
         worst = max(worst, float(np.max(np.abs(js - fd_s) / (1.0 + np.abs(js)))))
     return worst

@@ -85,7 +85,8 @@ _MAX_STAGES = 16
 
 @dataclass(frozen=True)
 class FPProblem:
-    """A density evolution problem on a fixed box.
+    """A density evolution problem on the grid of its initial density ``p0``
+    (``axes``), with its snapshot times in [0, horizon] stored sorted, each once.
 
     ``dt`` is either the string ``"auto"`` (step size from the stability
     bound each step, with a 0.9 safety factor) or a fixed positive float that
@@ -94,30 +95,31 @@ class FPProblem:
     """
 
     model: CoefficientModel
-    axes: tuple[GridAxis, ...]
     p0: GridDensity
     horizon: float
     dt: float | str = "auto"
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.axes) not in (1, 2):
-            raise ValueError("only 1D and 2D problems are supported")
-        if len(self.axes) != self.model.d:
+        if self.p0.dim != self.model.d:
             raise ValueError(
-                f"grid dimension {len(self.axes)} does not match model dimension {self.model.d}")
-        if self.p0.axes != tuple(self.axes):
-            raise ValueError("initial density lives on a different grid")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+                f"grid dimension {self.p0.dim} does not match model dimension {self.model.d}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise ValueError(f"dt policy must be 'auto' or a float, got {self.dt!r}")
         elif not self.dt > 0:
             raise ValueError(f"fixed dt must be positive, got {self.dt}")
-        for t in self.snapshot_times:
+        times = tuple(sorted(set(float(t) for t in self.snapshot_times)))
+        for t in times:
             if not 0.0 <= t <= self.horizon + 1e-12:
                 raise ValueError(f"snapshot time {t} outside [0, {self.horizon}]")
+        object.__setattr__(self, "snapshot_times", times)
+
+    @property
+    def axes(self) -> tuple[GridAxis, ...]:
+        return self.p0.axes
 
 
 @dataclass
@@ -182,11 +184,8 @@ def build_fp_problem(model: CoefficientModel, law: InitialLaw,
         raise ValueError("domain and nodes describe different dimensions")
     axes = tuple(GridAxis(float(lo), float(hi), int(n))
                  for (lo, hi), n in zip(domain, nodes))
-    p0 = gaussian_on_grid(law, axes)
-    if not snapshot_times:
-        snapshot_times = (float(horizon),)
-    return FPProblem(model=model, axes=axes, p0=p0, horizon=float(horizon),
-                     dt=dt, snapshot_times=tuple(sorted(set(float(t) for t in snapshot_times))))
+    return FPProblem(model=model, p0=gaussian_on_grid(law, axes), horizon=float(horizon),
+                     dt=dt, snapshot_times=tuple(snapshot_times) or (float(horizon),))
 
 
 def _drift(model: CoefficientModel, t: float, coords: np.ndarray,
@@ -203,23 +202,13 @@ def _diffusion(model: CoefficientModel, t: float, coords: np.ndarray,
 
 
 def derive_fp_coefficients(model: CoefficientModel, t: float,
-                           axes: tuple[GridAxis, ...],
                            p: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     """Drift field (grid..., d) and diffusion-matrix field (grid..., d, d)
-    entering the derived forward equation at time t, with s taken from p."""
-    if p.axes != tuple(axes):
-        raise ValueError("density lives on a different grid than the requested axes")
+    entering the derived forward equation at time t on p's grid, with s from p."""
     s = grid_statistics(p, model.functionals)
-    shape = tuple(ax.n for ax in axes)
+    shape = p.values.shape
     coords = p.node_coords()
     return _drift(model, t, coords, shape, s), _diffusion(model, t, coords, shape, s)
-
-
-def _plan_events(problem: FPProblem) -> list[float]:
-    events = sorted(set(float(t) for t in problem.snapshot_times if t > 0.0))
-    if not events or events[-1] < problem.horizon:
-        events.append(float(problem.horizon))
-    return events
 
 
 def _statistic_rows(model: CoefficientModel, dens: GridDensity) -> np.ndarray:
@@ -470,12 +459,15 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     p[...] = problem.p0.values
     upd = np.empty_like(op.flat)
 
-    events = _plan_events(problem)
+    # steps end on the positive snapshot times, each recording a density, and on the horizon
+    events = [t for t in problem.snapshot_times if t > 0.0]
+    n_snaps = len(events)
+    if not events or events[-1] < problem.horizon:
+        events.append(float(problem.horizon))
     snapshots: list[GridDensity] = []
-    if any(t == 0.0 for t in problem.snapshot_times):
+    if 0.0 in problem.snapshot_times:
         snapshots.append(GridDensity(axes, p.copy(), time=0.0,
                                      mass_tol=_SNAPSHOT_MASS_TOL))
-    snap_set = set(float(t) for t in problem.snapshot_times)
 
     s = phi_rows @ p.ravel()
     curves = [array("d") for _ in range(4)]  # t, mass, min value, boundary flux
@@ -581,7 +573,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             raise StabilityError(f"exceeded {_MAX_STEPS} steps before the horizon")
 
         if hit:
-            if target in snap_set:
+            if ev_i < n_snaps:
                 snapshots.append(GridDensity(axes, p.copy(), time=target,
                                              mass_tol=_SNAPSHOT_MASS_TOL))
             ev_i += 1

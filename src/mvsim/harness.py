@@ -503,7 +503,7 @@ class _Experiment:
                 "gaps": [float(g) for g in run.gaps], "moments": table}
 
     def run_fp(self) -> dict:
-        problem = FPProblem(self.model, self.axes, gaussian_on_grid(self.law, self.axes),
+        problem = FPProblem(self.model, gaussian_on_grid(self.law, self.axes),
                             self.grid.horizon, dt=self.cfg.fp_dt,
                             snapshot_times=self.snapshot_times)
         sol = solve_fp(problem)

@@ -68,10 +68,10 @@ class EmpiricalMeasure:
             raise ValueError(f"{points.shape[0]} points but {weights.shape[0]} weights")
         if not np.all(np.isfinite(points)):
             raise ValueError("cloud contains non-finite points")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(weights >= 0):
+            raise ValueError("weights must be nonnegative numbers")
         total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1 within 1e-12")
 
     @classmethod
@@ -125,8 +125,8 @@ class GridAxis:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("axis needs at least 2 nodes")
-        if not self.hi > self.lo:
-            raise ValueError(f"axis bounds inverted: [{self.lo}, {self.hi}]")
+        if not (self.hi > self.lo and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"axis bounds inverted or not finite: [{self.lo}, {self.hi}]")
 
     @property
     def spacing(self) -> float:
@@ -172,7 +172,7 @@ class GridDensity:
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape}, grid wants {want}")
         m = self.mass()
-        if abs(m - 1.0) > self.mass_tol:
+        if not abs(m - 1.0) <= self.mass_tol:
             raise ValueError(
                 f"trapezoid mass {m} outside 1 +- {self.mass_tol}")
 
@@ -205,8 +205,8 @@ class StatisticFlow:
         if self.stats.ndim != 2 or self.stats.shape[0] != self.times.shape[0]:
             raise ValueError(
                 f"stats shape {self.stats.shape} incompatible with {self.times.shape[0]} times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         if not np.all(np.isfinite(self.stats)):
             raise ValueError("statistic flow contains non-finite entries")
 
@@ -275,8 +275,8 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
     if mu.d != 1:
         raise ValueError("kde_1d expects a 1D cloud")
     h = silverman_bandwidth(mu) if bandwidth == "auto" else float(bandwidth)
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     nodes = axis.nodes()
     x, w, _ = mu.sorted_1d
     first = np.searchsorted(x, nodes - _KDE_CUTOFF * h, side="left")
@@ -431,6 +431,8 @@ def w2_cloud_vs_density_1d(mu: EmpiricalMeasure, p: GridDensity,
     """
     if mu.d != 1 or p.dim != 1:
         raise ValueError("both arguments must be one-dimensional")
+    if n_quantiles < 1:
+        raise ValueError(f"need at least one quantile, got {n_quantiles}")
     u = (np.arange(n_quantiles) + 0.5) / n_quantiles
     xa, _, ca = mu.sorted_1d
     ia = np.minimum(np.searchsorted(ca, u, side="left"), len(xa) - 1)

@@ -34,8 +34,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
 

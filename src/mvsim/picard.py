@@ -73,7 +73,7 @@ def iterate_frozen_flow(model, x0: np.ndarray, increments: np.ndarray,
     (``converged=True``) or after ``max_iters`` solves (``converged=False``).
     The gap is ``convergence_gap``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iters < 2:
         raise ValueError("need at least two inner solves to measure a gap")

@@ -1,5 +1,6 @@
 """Coefficient model evaluation, ellipticity probing, Jacobian audits."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,25 @@ def test_jacobian_probe_flags_wrong_jacobian():
         b_static=True, sigma_static=True)
     pts = [(0.0, np.array([0.3]), np.zeros(0))]
     assert jacobian_consistency_probe(model, pts, h=1e-5) > 1e-2
+
+
+def test_jacobian_probe_does_not_pass_on_nan():
+    # a zero step divides 0 by 0, and a drift undefined at x + h makes the
+    # quotient NaN; neither may read as perfect agreement
+    model = CoefficientModel(
+        d=1, m=1, functionals=(),
+        b=lambda t, x, s: np.where(x < 0.4, np.sin(x), math.nan),
+        sigma=lambda t, x, s: np.ones(x.shape[:-1] + (1, 1)),
+        db_dx=lambda t, x, s: np.cos(x)[..., None],
+        dsigma_dx=lambda t, x, s: np.zeros(x.shape[:-1] + (1, 1, 1)),
+        b_static=True, sigma_static=True)
+    pts = [(0.0, np.array([0.25]), np.zeros(0))]
+    assert 0.0 < jacobian_consistency_probe(model, pts, h=1e-5) < 1e-8
+    for h in (0.0, -1e-5, math.nan):
+        with pytest.raises(ValueError, match="step h"):
+            jacobian_consistency_probe(model, pts, h=h)
+    with pytest.raises(NumericError, match=r"drift difference quotient .* x=\[0.25\]"):
+        jacobian_consistency_probe(model, pts, h=0.25)
 
 
 def test_jacobian_probe_all_presets_consistent():

@@ -205,11 +205,30 @@ class TestProblemSetup:
         axes = (GridAxis(-8.0, 8.0, 101),)
         p0 = gaussian_on_grid(STD_LAW, axes)
         with pytest.raises(ValueError, match="horizon"):
-            FPProblem(_const_model(), axes, p0, horizon=0.0)
+            FPProblem(_const_model(), p0, horizon=0.0)
         with pytest.raises(ValueError, match="dt policy"):
-            FPProblem(_const_model(), axes, p0, horizon=1.0, dt="fast")
+            FPProblem(_const_model(), p0, horizon=1.0, dt="fast")
         with pytest.raises(ValueError, match="dt must be positive"):
-            FPProblem(_const_model(), axes, p0, horizon=1.0, dt=-0.1)
+            FPProblem(_const_model(), p0, horizon=1.0, dt=-0.1)
+
+    def test_direct_problem_keeps_each_snapshot_time_once_in_order(self):
+        p0 = gaussian_on_grid(STD_LAW, (GridAxis(-10.0, 10.0, 201),))
+        pr = FPProblem(_const_model(), p0, 0.5, snapshot_times=(0.5, 0.0, 0.25, 0.5))
+        assert [f.name for f in dataclasses.fields(pr)] == [
+            "model", "p0", "horizon", "dt", "snapshot_times"]
+        assert pr.axes is pr.p0.axes
+        assert pr.snapshot_times == (0.0, 0.25, 0.5)
+        sol = solve_fp(pr)
+        assert sol.snapshot_times == (0.0, 0.25, 0.5)
+        assert [g.time for g in sol.snapshots] == [0.0, 0.25, 0.5]
+
+    def test_non_finite_horizon_refused(self):
+        inst = get_preset("ou")
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            build_fp_problem(inst.model, inst.law, inst.fp_domain, (201,), math.inf)
+        p0 = gaussian_on_grid(inst.law, (GridAxis(*inst.fp_domain[0], 201),))
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            FPProblem(inst.model, p0, math.nan)
 
     def test_snapshot_range_checked(self):
         with pytest.raises(ValueError, match="outside"):
@@ -221,7 +240,7 @@ class TestDerivedCoefficients:
     def test_constant_diffusion_field(self):
         axes = (GridAxis(-10.0, 10.0, 201),)
         p = gaussian_on_grid(STD_LAW, axes)
-        b, A = derive_fp_coefficients(_const_model(a=2.0), 0.0, axes, p)
+        b, A = derive_fp_coefficients(_const_model(a=2.0), 0.0, p)
         assert b.shape == (201, 1) and A.shape == (201, 1, 1)
         np.testing.assert_array_equal(b, 0.0)
         np.testing.assert_allclose(A, 2.0, rtol=1e-12)
@@ -230,7 +249,7 @@ class TestDerivedCoefficients:
         inst = get_preset("example5-2")
         axes = tuple(GridAxis(lo, hi, 41) for lo, hi in inst.fp_domain)
         p = gaussian_on_grid(inst.law, axes)
-        _, A = derive_fp_coefficients(inst.model, 0.0, axes, p)
+        _, A = derive_fp_coefficients(inst.model, 0.0, p)
         np.testing.assert_allclose(A[3, 7], [[0.5, 0.4], [0.4, 0.5]],
                                    rtol=1e-12)
 
@@ -241,15 +260,9 @@ class TestDerivedCoefficients:
         law = InitialLaw.gaussian([0.5], [[0.25]])
         p = gaussian_on_grid(law, axes)
         s = grid_statistics(p, inst.model.functionals)
-        b, _ = derive_fp_coefficients(inst.model, 0.3, axes, p)
+        b, _ = derive_fp_coefficients(inst.model, 0.3, p)
         direct = inst.model.b(0.3, p.node_coords(), s)
         np.testing.assert_allclose(b, direct.reshape(401, 1), rtol=1e-12)
-
-    def test_axes_mismatch(self):
-        axes = (GridAxis(-8.0, 8.0, 101),)
-        p = gaussian_on_grid(STD_LAW, (GridAxis(-8.0, 8.0, 201),))
-        with pytest.raises(ValueError, match="different grid"):
-            derive_fp_coefficients(_const_model(), 0.0, axes, p)
 
 
 class TestSolve1D:
@@ -382,8 +395,8 @@ class TestSolve2D:
         axes = (line, inert) if live == 0 else (inert, line)
         vals = np.outer(q.values, r) if live == 0 else np.outer(r, q.values)
         marks = (0.15, 0.3)
-        one = solve_fp(FPProblem(model(1, 0), (line,), q, 0.3, snapshot_times=marks))
-        two = solve_fp(FPProblem(model(2, live), axes, GridDensity(axes, vals), 0.3,
+        one = solve_fp(FPProblem(model(1, 0), q, 0.3, snapshot_times=marks))
+        two = solve_fp(FPProblem(model(2, live), GridDensity(axes, vals), 0.3,
                                  snapshot_times=marks))
 
         assert two.n_steps == one.n_steps
@@ -477,7 +490,7 @@ class TestFailureModes:
         axes = (GridAxis(-8.0, 8.0, 201),)
         vals = gaussian_on_grid(STD_LAW, axes).values
         vals[60] = 1e308
-        pr = FPProblem(_const_model(a=2.0), axes, GridDensity(axes, vals, mass_tol=math.inf),
+        pr = FPProblem(_const_model(a=2.0), GridDensity(axes, vals, mass_tol=math.inf),
                        horizon=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"non-finite .*\(step 1\)"):
@@ -492,7 +505,7 @@ class TestFailureModes:
         axes = (GridAxis(-8.0, 8.0, 201),)
         vals = np.zeros(201)
         vals[[60, 140]] = 1e308
-        pr = FPProblem(model, axes, GridDensity(axes, vals, mass_tol=math.inf), horizon=0.5)
+        pr = FPProblem(model, GridDensity(axes, vals, mass_tol=math.inf), horizon=0.5)
         with np.errstate(over="ignore"):
             with pytest.raises(ConservationError, match=r"\(step 1\)"):
                 solve_fp(pr)
@@ -625,7 +638,7 @@ class TestSuperSteps:
         pr = build_fp_problem(model, STD_LAW, ((-10.0, 10.0),), (201,), 0.045)
         sol = solve_fp(pr)
         assert (sol.n_steps, sol.n_applications) == (1, 6)
-        b, a = derive_fp_coefficients(model, 0.0, pr.axes, pr.p0)
+        b, a = derive_fp_coefficients(model, 0.0, pr.p0)
         op = _Stencil((201,), [pr.axes[0].spacing])
         op.set_diffusion(a)
         op.set_drift(b)
@@ -770,7 +783,7 @@ class TestSuperSteps:
         spike = np.zeros(201)
         spike[100] = 1.0 / ax.spacing
         model = _const_model(a=2.0, drift=lambda t, x, st: np.full_like(x, 2.0))
-        pr = FPProblem(model=model, axes=(ax,), p0=GridDensity((ax,), spike, time=0.0),
+        pr = FPProblem(model=model, p0=GridDensity((ax,), spike, time=0.0),
                        horizon=0.2)
         assert solve_euler(pr).min_value_curve.min() >= 0.0
         with pytest.raises(PositivityError, match=r"undershot to -\S+ in the step from t=0 "

@@ -15,6 +15,7 @@ from mvsim import (
     EmpiricalMeasure,
     GridAxis,
     GridDensity,
+    StatisticFlow,
     StatisticFunctional,
     empirical_statistics,
     grid_statistics,
@@ -557,6 +558,25 @@ class TestContainers:
         with pytest.raises(ValueError, match="trapezoid mass"):
             GridDensity((ax,), np.ones(21), mass_tol=1e-6)
 
+    def test_nan_density_refused(self):
+        # a NaN mass is outside every window, the widest included
+        ax = GridAxis(-1.0, 1.0, 21)
+        for tol in (1e-6, math.inf):
+            with pytest.raises(ValueError, match="trapezoid mass nan"):
+                GridDensity((ax,), np.full(21, math.nan), mass_tol=tol)
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                kde_1d(_cloud([0.0, 1.0]), ax, bandwidth=h)
+
+    def test_nan_weight_refused(self):
+        with pytest.raises(ValueError, match="weights"):
+            EmpiricalMeasure(np.zeros((2, 1)), np.array([math.nan, 1.0]))
+
+    def test_statistic_flow_refuses_a_nan_time(self):
+        for times in ([0.0, math.nan, 1.0], [math.nan]):
+            with pytest.raises(ValueError, match="times must be finite"):
+                StatisticFlow(times, np.zeros((len(times), 1)))
+
     def test_grid_rules_2d_are_the_outer_product_and_meshgrid(self):
         axes = (GridAxis(-1.5, 2.0, 7), GridAxis(0.25, 3.0, 5))
         p = GridDensity(axes, np.random.default_rng(4).random((7, 5)), mass_tol=math.inf)
@@ -577,6 +597,11 @@ class TestContainers:
             GridAxis(1.0, -1.0, 11)
         with pytest.raises(ValueError, match="at least 2"):
             GridAxis(0.0, 1.0, 1)
+
+    def test_grid_axis_refuses_non_finite_bounds(self):
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                GridAxis(lo, hi, 5)
 
     def test_spacing_uniform(self):
         ax = GridAxis(-2.0, 2.0, 5)
@@ -759,3 +784,8 @@ class TestMarginalsAndQuantiles:
         mu = _cloud([2.0])
         got = w2_cloud_vs_density_1d(mu, p, n_quantiles=8192)
         assert got == pytest.approx(math.sqrt(5.0), rel=1e-3)
+
+    def test_cloud_versus_density_needs_a_quantile(self):
+        p = _gaussian_grid(GridAxis(-10.0, 10.0, 401))
+        with pytest.raises(ValueError, match="at least one quantile"):
+            w2_cloud_vs_density_1d(_cloud([2.0]), p, n_quantiles=0)

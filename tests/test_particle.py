@@ -51,6 +51,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="not a node"):
             TimeGrid(1.0, 3).index_of(0.5)
 
+    def test_non_finite_horizon_refused(self):
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon must be finite"):
+                TimeGrid(horizon, 10)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
             TimeGrid(0.0, 5)

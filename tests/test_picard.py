@@ -116,6 +116,12 @@ class TestPicardRun:
         assert run.n_iters == 3
         assert len(run.gaps) == 2
 
+    def test_nan_tolerance_refused(self):
+        inst = get_preset("meanfield-ou")
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            picard_run(inst.model, inst.law, TimeGrid(1.0, 10), 20,
+                       seed=0, tol=math.nan, max_iters=3, checkpoints=(1.0,))
+
     def test_one_path_array_alive_at_a_time(self, monkeypatch):
         # every earlier solve's states are gone when the next solve starts
         real, states = mvsim.picard.euler_paths, []
