@@ -89,9 +89,9 @@ class FPProblem:
     (``axes``), with its snapshot times in [0, horizon] stored sorted, each once.
 
     ``dt`` is either the string ``"auto"`` (step size from the stability
-    bound each step, with a 0.9 safety factor) or a fixed positive float that
-    is checked against the bound before every step, the stretched bound where
-    the step is an RKL1 super-step (see the module docstring).
+    bound each step, with a 0.9 safety factor) or a fixed positive finite
+    float that is checked against the bound before every step, the stretched
+    bound where the step is an RKL1 super-step (see the module docstring).
     """
 
     model: CoefficientModel
@@ -109,8 +109,8 @@ class FPProblem:
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise ValueError(f"dt policy must be 'auto' or a float, got {self.dt!r}")
-        elif not self.dt > 0:
-            raise ValueError(f"fixed dt must be positive, got {self.dt}")
+        elif not 0 < self.dt < math.inf:
+            raise ValueError(f"fixed dt must be positive and finite, got {self.dt}")
         times = tuple(sorted(set(float(t) for t in self.snapshot_times)))
         for t in times:
             if not 0.0 <= t <= self.horizon + 1e-12:

@@ -32,7 +32,8 @@ The Malliavin covariance at time t is assembled as
 with A = sigma sigma^T, and its smallest eigenvalue is compared against the
 spectral floor t * lambda / gamma^4, where gamma is the realized sup of the
 operator norms of Y and Y^-1 up to t.  One core runs all of this on
-``(paths, d, d)`` stacks; the per-path functions are batches of one.
+``(paths, d, d)`` stacks; the per-path functions are batches of one, each
+reading the model, path and flow its ``FirstVariationPath`` was swept from.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ _SLACK_FACTOR = 10.0
 
 @dataclass
 class FirstVariationPath:
-    """Y and Z along one trajectory: both (steps + 1, d, d)."""
+    """Y and Z, both (steps + 1, d, d), swept along ``path`` under ``model`` and ``flow``."""
 
-    grid: TimeGrid
+    model: CoefficientModel
+    path: ParticlePath
+    flow: StatisticFlow
     Y: np.ndarray
     Z: np.ndarray
-    path_index: int
 
 
 @dataclass
@@ -70,7 +72,6 @@ class MalliavinCovariance:
     Q: np.ndarray
     lambda_min: float
     gamma: float
-    lam: float
     dt: float
 
 
@@ -130,8 +131,7 @@ def _invertible(Y: np.ndarray, paths, first: int = 0) -> tuple:
 def _covariance(model: CoefficientModel, grid: TimeGrid, states: np.ndarray,
                 flow: StatisticFlow, Y: np.ndarray, paths) -> tuple:
     """Q (K, P, d, d), with lambda_min(Q) and gamma (K, P), at the first K grid
-    times, where states (K, P, d) and Y (K, P, d, d) cover those times."""
-    _check_flow(model, grid, flow)
+    times, which states (K, P, d), Y (K, P, d, d) and the swept flow cover."""
     A = np.stack([diffusion_matrix(model, float(t), x, s)
                   for t, x, s in zip(grid.times(), states, flow.stats)])
     smin, smax = _invertible(Y, paths)
@@ -169,8 +169,7 @@ def simulate_first_variation(model: CoefficientModel, path: ParticlePath,
     """
     Y, Z = _sweep(model, path.grid, path.states[:, None], path.increments[:, None],
                   flow, (path.index,))
-    return FirstVariationPath(grid=path.grid, Y=Y[:, 0], Z=Z[:, 0],
-                              path_index=path.index)
+    return FirstVariationPath(model=model, path=path, flow=flow, Y=Y[:, 0], Z=Z[:, 0])
 
 
 def zy_residual(fv: FirstVariationPath) -> np.ndarray:
@@ -178,14 +177,13 @@ def zy_residual(fv: FirstVariationPath) -> np.ndarray:
     return _zy(fv.Z, fv.Y)
 
 
-def malliavin_derivative(fv: FirstVariationPath, path: ParticlePath,
-                         model: CoefficientModel, flow: StatisticFlow,
-                         r_index: int, j: int, t_index: int) -> np.ndarray:
+def malliavin_derivative(fv: FirstVariationPath, r_index: int, j: int,
+                         t_index: int) -> np.ndarray:
     """D_r^j X(t) = Y(t) Y(r)^-1 sigma_j(r) on the grid; zero for r > t.
 
     ``Y(r)`` is applied through a linear solve, never an explicit inverse.
     """
-    _check_flow(model, path.grid, flow)
+    model, path = fv.model, fv.path
     M = path.grid.steps
     if not (0 <= r_index <= M and 0 <= t_index <= M):
         raise ValueError(f"time indices must lie in [0, {M}]")
@@ -194,15 +192,13 @@ def malliavin_derivative(fv: FirstVariationPath, path: ParticlePath,
     if r_index > t_index:
         return np.zeros(model.d)
     t_r = float(path.grid.times()[r_index])
-    sig = np.asarray(model.sigma(t_r, path.states[r_index], flow.stats[r_index]),
+    sig = np.asarray(model.sigma(t_r, path.states[r_index], fv.flow.stats[r_index]),
                      dtype=float).reshape(model.d, model.m)
-    _invertible(fv.Y[r_index][None, None], (fv.path_index,), first=r_index)
+    _invertible(fv.Y[r_index][None, None], (path.index,), first=r_index)
     return fv.Y[t_index] @ np.linalg.solve(fv.Y[r_index], sig[:, j])
 
 
-def covariance_curve(fv: FirstVariationPath, path: ParticlePath,
-                     model: CoefficientModel, flow: StatisticFlow,
-                     lam: float = 0.0) -> list[MalliavinCovariance]:
+def covariance_curve(fv: FirstVariationPath) -> list[MalliavinCovariance]:
     """Malliavin covariance at every grid time by cumulative trapezoid.
 
     One pass computes the whole curve: the reduced integrand
@@ -210,37 +206,38 @@ def covariance_curve(fv: FirstVariationPath, path: ParticlePath,
     at each output time.  ``gamma`` at time t is the realized sup over r <= t
     of max(||Y(r)||, ||Y(r)^-1||) in operator norm.
     """
-    Q, lambda_min, gamma = _covariance(model, path.grid, path.states[:, None], flow,
-                                       fv.Y[:, None], (path.index,))
-    return [MalliavinCovariance(t=float(t), Q=q, lambda_min=float(lm), gamma=float(g),
-                                lam=float(lam), dt=path.grid.dt)
-            for t, q, lm, g in zip(path.grid.times(), Q[:, 0], lambda_min[:, 0],
-                                   gamma[:, 0])]
+    grid = fv.path.grid
+    Q, lambda_min, gamma = _covariance(fv.model, grid, fv.path.states[:, None], fv.flow,
+                                       fv.Y[:, None], (fv.path.index,))
+    return [MalliavinCovariance(float(t), q, float(lm), float(g), grid.dt)
+            for t, q, lm, g in zip(grid.times(), Q[:, 0], lambda_min[:, 0], gamma[:, 0])]
 
 
-def malliavin_covariance(fv: FirstVariationPath, path: ParticlePath,
-                         model: CoefficientModel, flow: StatisticFlow,
-                         t_index: int, lam: float = 0.0) -> MalliavinCovariance:
+def malliavin_covariance(fv: FirstVariationPath, t_index: int) -> MalliavinCovariance:
     """Covariance at one grid time: the ``t_index`` entry of ``covariance_curve``,
     so a Y singular anywhere on the path fails it as it fails the curve."""
-    M = path.grid.steps
+    M = fv.path.grid.steps
     if not 1 <= t_index <= M:
         raise ValueError(f"time index must lie in [1, {M}]")
-    return covariance_curve(fv, path, model, flow, lam)[t_index]
+    return covariance_curve(fv)[t_index]
 
 
-def ellipticity_bound_check(cov: MalliavinCovariance,
+def ellipticity_bound_check(cov: MalliavinCovariance, lam: float,
                             slack_factor: float = _SLACK_FACTOR) -> EllipticityBoundReport:
     """Check lambda_min(Q(t)) >= t lambda / gamma^4 - slack.
 
     The slack absorbs quadrature error: ``slack_factor * dt * ||Q||``.  A
-    nonpositive lambda makes the floor trivial and is flagged.
+    nonpositive lambda makes the floor trivial and is flagged.  A lambda that is
+    not finite, or a slack factor that is negative or not finite, is refused.
     """
-    bound, margin, slack, holds = _bound(cov.t, cov.lam, cov.gamma, cov.lambda_min,
+    if not (np.isfinite(lam) and 0.0 <= slack_factor < np.inf):
+        raise ValueError(f"floor lambda {lam} must be finite and slack factor "
+                         f"{slack_factor} finite and nonnegative")
+    bound, margin, slack, holds = _bound(cov.t, lam, cov.gamma, cov.lambda_min,
                                          cov.Q, cov.dt, slack_factor)
     return EllipticityBoundReport(
         holds=bool(holds), margin=float(margin), bound=float(bound),
-        slack=float(slack), lambda_degenerate=bool(cov.lam <= 0.0))
+        slack=float(slack), lambda_degenerate=bool(lam <= 0.0))
 
 
 def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
@@ -251,6 +248,8 @@ def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
     ``bound``, ``margin`` and ``holds`` of ``ellipticity_bound_check`` at its
     default slack; and ``zy_max``, the largest ZY residual along the path.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"floor lambda must be finite, got {lam}")
     grid, flow, states = bundle.grid, bundle.realized_flow, bundle._whole("bundle_diagnostics")
     paths = np.arange(bundle.n)
     Y, Z = _sweep(model, grid, states, bundle.increments, flow, paths)

@@ -155,7 +155,7 @@ class GridDensity:
 
     Every grid rule below is written for any number of axes, so a 1D grid is
     the one-axis case.  Values may dip slightly negative (explicit schemes
-    undershoot); the trapezoid mass must stay within ``mass_tol`` of 1.
+    undershoot); the trapezoid mass must be finite and within ``mass_tol`` of 1.
     """
 
     axes: tuple[GridAxis, ...]
@@ -172,7 +172,7 @@ class GridDensity:
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape}, grid wants {want}")
         m = self.mass()
-        if not abs(m - 1.0) <= self.mass_tol:
+        if not (math.isfinite(m) and abs(m - 1.0) <= self.mass_tol):
             raise ValueError(
                 f"trapezoid mass {m} outside 1 +- {self.mass_tol}")
 

@@ -152,8 +152,7 @@ def test_criterion_4_covariance_identities_and_defect_order():
     fv = simulate_first_variation(inst.model, bundle.path(0),
                                   bundle.realized_flow)
     for k in (50, 100):
-        cov = malliavin_covariance(fv, bundle.path(0), inst.model,
-                                   bundle.realized_flow, t_index=k)
+        cov = malliavin_covariance(fv, t_index=k)
         rel_a = max(rel_a, abs(cov.Q[0, 0] - k / 100) / (k / 100))
 
     two = get_preset("example5-2")
@@ -166,8 +165,7 @@ def test_criterion_4_covariance_identities_and_defect_order():
         b_static=True, sigma_static=True)
     b2 = simulate_interacting(flat, two.law, TimeGrid(1.0, 100), 1, seed=0)
     fv2 = simulate_first_variation(flat, b2.path(0), b2.realized_flow)
-    cov2 = malliavin_covariance(fv2, b2.path(0), flat, b2.realized_flow,
-                                t_index=100)
+    cov2 = malliavin_covariance(fv2, t_index=100)
     A = np.array([[0.5, 0.4], [0.4, 0.5]])
     rel_a = max(rel_a, float(np.abs(cov2.Q - A).max() / np.abs(A).max()))
     ok_a = rel_a < 1e-10
@@ -184,8 +182,7 @@ def test_criterion_4_covariance_identities_and_defect_order():
                                       1, seed=seed)
             gfv = simulate_first_variation(gbm.model, gb.path(0),
                                            gb.realized_flow)
-            q = malliavin_covariance(gfv, gb.path(0), gbm.model,
-                                     gb.realized_flow, t_index=M).Q[0, 0]
+            q = malliavin_covariance(gfv, t_index=M).Q[0, 0]
             w_t = float(gb.increments.sum())
             x_exact = math.exp((mu_ - 0.5 * s_ ** 2) + s_ * w_t)
             errs.append(abs(q - s_ ** 2 * x_exact ** 2))
@@ -237,10 +234,9 @@ def test_criterion_5_spectral_floor_holds_on_every_path():
     margins = []
     holds = []
     for i in range(100):
-        path = bundle.path(i)
-        fv = simulate_first_variation(inst.model, path, flow)
-        cov = covariance_curve(fv, path, inst.model, flow, lam=0.1)[-1]
-        rep = ellipticity_bound_check(cov)
+        fv = simulate_first_variation(inst.model, bundle.path(i), flow)
+        cov = covariance_curve(fv)[-1]
+        rep = ellipticity_bound_check(cov, 0.1)
         holds.append(rep.holds)
         margins.append(rep.margin)
     elapsed = time.monotonic() - t0

@@ -211,6 +211,12 @@ class TestProblemSetup:
         with pytest.raises(ValueError, match="dt must be positive"):
             FPProblem(_const_model(), p0, horizon=1.0, dt=-0.1)
 
+    def test_infinite_fixed_dt_refused_where_it_enters(self):
+        # refused by the problem, not at the solver's first step
+        p0 = gaussian_on_grid(STD_LAW, (GridAxis(-8.0, 8.0, 101),))
+        with pytest.raises(ValueError, match="fixed dt must be positive and finite, got inf"):
+            FPProblem(_const_model(), p0, horizon=1.0, dt=math.inf)
+
     def test_direct_problem_keeps_each_snapshot_time_once_in_order(self):
         p0 = gaussian_on_grid(STD_LAW, (GridAxis(-10.0, 10.0, 201),))
         pr = FPProblem(_const_model(), p0, 0.5, snapshot_times=(0.5, 0.0, 0.25, 0.5))

@@ -160,23 +160,35 @@ class TestFirstVariation:
         with pytest.raises(ValueError, match="does not match grid"):
             simulate_first_variation(inst.model, bundle.path(0), bad)
 
-    @pytest.mark.parametrize("call", ["first_variation", "derivative", "curve",
-                                      "snapshot", "bundle"])
+    @pytest.mark.parametrize("call", ["first_variation", "bundle"])
     def test_flow_on_another_time_grid_rejected(self, call):
         # the right shape on [0, 2] against paths on [0, 1]
-        inst, bundle, path, fv = _fv("meanfield-ou", steps=20)
+        inst, bundle = _run("meanfield-ou", steps=20)
         flow = bundle.realized_flow
         moved = StatisticFlow(2.0 * flow.times, flow.stats)
         run = {
-            "first_variation": lambda: simulate_first_variation(inst.model, path, moved),
-            "derivative": lambda: malliavin_derivative(fv, path, inst.model, moved, 0, 0, 20),
-            "curve": lambda: covariance_curve(fv, path, inst.model, moved),
-            "snapshot": lambda: malliavin_covariance(fv, path, inst.model, moved, 20),
+            "first_variation": lambda: simulate_first_variation(inst.model, bundle.path(0),
+                                                                moved),
             "bundle": lambda: bundle_diagnostics(
                 inst.model, dataclasses.replace(bundle, realized_flow=moved)),
         }[call]
         with pytest.raises(ValueError, match="different time grid"):
             run()
+
+    def test_each_input_given_once(self, monkeypatch):
+        # the per-path calls read the sweep's own model, path and flow, and
+        # a bundle's flow is checked once, by the sweep
+        from mvsim import malliavin
+
+        inst, bundle, path, fv = _fv("example5-2", steps=20)
+        assert fv.model is inst.model and fv.path is path
+        assert fv.flow is bundle.realized_flow
+        calls = []
+        check = malliavin._check_flow
+        monkeypatch.setattr(malliavin, "_check_flow",
+                            lambda *a: calls.append(a) or check(*a))
+        bundle_diagnostics(inst.model, bundle, lam=0.1)
+        assert len(calls) == 1
 
 
 class TestZyResidual:
@@ -242,38 +254,29 @@ class TestMalliavinDerivative:
         fv = simulate_first_variation(quiet, path, bundle.realized_flow)
         for j in range(2):
             for r in (0, 20, 50):
-                d = malliavin_derivative(fv, path, quiet,
-                                         bundle.realized_flow,
-                                         r_index=r, j=j, t_index=50)
+                d = malliavin_derivative(fv, r_index=r, j=j, t_index=50)
                 np.testing.assert_allclose(d, SIGMA_2D[:, j], rtol=1e-12)
 
     def test_future_perturbation_is_zero(self):
-        inst, bundle, path, fv = _fv("example5-2", steps=50)
-        d = malliavin_derivative(fv, path, inst.model, bundle.realized_flow,
-                                 r_index=40, j=0, t_index=20)
+        _, _, _, fv = _fv("example5-2", steps=50)
+        d = malliavin_derivative(fv, r_index=40, j=0, t_index=20)
         np.testing.assert_array_equal(d, np.zeros(2))
 
     def test_multiplicative_case_scales_with_state(self):
         inst, bundle, path, fv = _fv("gbm", steps=200, seed=2)
         s = 0.05
         for r, t in ((1, 200), (50, 200), (120, 150)):
-            d = malliavin_derivative(fv, path, inst.model,
-                                     bundle.realized_flow,
-                                     r_index=r, j=0, t_index=t)
+            d = malliavin_derivative(fv, r_index=r, j=0, t_index=t)
             np.testing.assert_allclose(d, s * path.states[t], rtol=1e-10)
 
     def test_index_validation(self):
-        inst, bundle, path, fv = _fv("bm", steps=10)
-        flow = bundle.realized_flow
+        _, _, _, fv = _fv("bm", steps=10)
         with pytest.raises(ValueError, match="time indices"):
-            malliavin_derivative(fv, path, inst.model, flow,
-                                 r_index=-1, j=0, t_index=5)
+            malliavin_derivative(fv, r_index=-1, j=0, t_index=5)
         with pytest.raises(ValueError, match="time indices"):
-            malliavin_derivative(fv, path, inst.model, flow,
-                                 r_index=1, j=0, t_index=11)
+            malliavin_derivative(fv, r_index=1, j=0, t_index=11)
         with pytest.raises(ValueError, match="noise index"):
-            malliavin_derivative(fv, path, inst.model, flow,
-                                 r_index=1, j=5, t_index=5)
+            malliavin_derivative(fv, r_index=1, j=5, t_index=5)
 
     def test_singular_flow_matrix_raises(self):
         # drift slope -1/dt zeroes the Euler factor, so Y(r) loses rank
@@ -281,20 +284,17 @@ class TestMalliavinDerivative:
         model = _linear_model(np.array([[-float(steps)]]))
         bundle = simulate_interacting(model, InitialLaw.point([1.0]),
                                       TimeGrid(1.0, steps), 1, seed=0)
-        path = bundle.path(0)
-        fv = simulate_first_variation(model, path, bundle.realized_flow)
+        fv = simulate_first_variation(model, bundle.path(0), bundle.realized_flow)
         assert fv.Y[1, 0, 0] == 0.0
         with pytest.raises(ConditioningError, match="singular to tolerance"):
-            malliavin_derivative(fv, path, model, bundle.realized_flow,
-                                 r_index=1, j=0, t_index=5)
+            malliavin_derivative(fv, r_index=1, j=0, t_index=5)
 
 
 class TestCovariance:
     def test_additive_noise_gives_t_times_identity(self):
-        inst, bundle, path, fv = _fv("bm", steps=100)
+        _, _, _, fv = _fv("bm", steps=100)
         for k in (20, 100):
-            cov = malliavin_covariance(fv, path, inst.model,
-                                       bundle.realized_flow, t_index=k)
+            cov = malliavin_covariance(fv, t_index=k)
             t = k / 100
             np.testing.assert_allclose(cov.Q, [[t]], rtol=1e-10)
             assert cov.lambda_min == pytest.approx(t, rel=1e-10)
@@ -307,20 +307,18 @@ class TestCovariance:
                                       seed=0)
         fv = simulate_first_variation(quiet, bundle.path(0),
                                       bundle.realized_flow)
-        cov = malliavin_covariance(fv, bundle.path(0), quiet,
-                                   bundle.realized_flow, t_index=50)
+        cov = malliavin_covariance(fv, t_index=50)
         np.testing.assert_allclose(cov.Q, SIGMA_2D @ SIGMA_2D.T, rtol=1e-10)
         assert cov.lambda_min == pytest.approx(0.1, rel=1e-9)
 
     def test_time_zero_rejected(self):
-        inst, bundle, path, fv = _fv("bm", steps=10)
+        _, _, _, fv = _fv("bm", steps=10)
         with pytest.raises(ValueError, match="time index must lie"):
-            malliavin_covariance(fv, path, inst.model,
-                                 bundle.realized_flow, t_index=0)
+            malliavin_covariance(fv, t_index=0)
 
     def test_curve_is_psd_and_nondecreasing(self):
-        inst, bundle, path, fv = _fv("example5-2", steps=50, seed=4)
-        curve = covariance_curve(fv, path, inst.model, bundle.realized_flow)
+        _, _, _, fv = _fv("example5-2", steps=50, seed=4)
+        curve = covariance_curve(fv)
         assert len(curve) == 51
         assert np.all(curve[0].Q == 0.0)
         prev = np.zeros((2, 2))
@@ -339,45 +337,33 @@ class TestCovariance:
         fv = simulate_first_variation(model, bundle.path(0),
                                       bundle.realized_flow)
         with pytest.raises(ConditioningError, match="singular to tolerance"):
-            covariance_curve(fv, bundle.path(0), model, bundle.realized_flow)
+            covariance_curve(fv)
 
     @pytest.mark.parametrize("name", ["example5-2", "gbm"])
     def test_snapshot_is_the_curve_entry(self, name):
         # the snapshot is the curve's entry at its time, with the curve's bits
-        inst, bundle, path, fv = _fv(name, steps=60, seed=3)
-        flow = bundle.realized_flow
-        curve = covariance_curve(fv, path, inst.model, flow, lam=0.1)
+        _, _, _, fv = _fv(name, steps=60, seed=3)
+        curve = covariance_curve(fv)
         for k in (1, 2, 17, 59, 60):
-            cov = malliavin_covariance(fv, path, inst.model, flow, t_index=k, lam=0.1)
+            cov = malliavin_covariance(fv, t_index=k)
             assert np.array_equal(cov.Q, curve[k].Q)
             assert np.array_equal(cov.lambda_min, curve[k].lambda_min)
             assert np.array_equal(cov.gamma, curve[k].gamma)
-            assert (cov.t, cov.lam, cov.dt) == (curve[k].t, curve[k].lam, curve[k].dt)
+            assert (cov.t, cov.dt) == (curve[k].t, curve[k].dt)
 
     def test_singular_step_after_the_snapshot_still_fails_it(self):
         model = _kinked_model(-10.0)
         bundle = _bundle_with_one_kink()
-        kinked = bundle.path(2)
-        fv = simulate_first_variation(model, kinked, bundle.realized_flow)
+        fv = simulate_first_variation(model, bundle.path(2), bundle.realized_flow)
         with pytest.raises(ConditioningError, match="path 2 at index 4"):
-            malliavin_covariance(fv, kinked, model, bundle.realized_flow, t_index=2)
-
-    def test_lam_is_recorded_not_added(self):
-        inst, bundle, path, fv = _fv("example5-2", steps=50, seed=1)
-        plain = malliavin_covariance(fv, path, inst.model,
-                                     bundle.realized_flow, t_index=50)
-        reg = malliavin_covariance(fv, path, inst.model,
-                                   bundle.realized_flow, t_index=50, lam=0.1)
-        np.testing.assert_array_equal(plain.Q, reg.Q)
-        assert reg.lam == 0.1 and plain.lam == 0.0
+            malliavin_covariance(fv, t_index=2)
 
 
 class TestBoundCheck:
     def test_identity_flow_bound_is_tight(self):
-        inst, bundle, path, fv = _fv("bm", steps=100)
-        cov = malliavin_covariance(fv, path, inst.model,
-                                   bundle.realized_flow, t_index=100, lam=1.0)
-        rep = ellipticity_bound_check(cov, slack_factor=0.0)
+        _, _, _, fv = _fv("bm", steps=100)
+        cov = malliavin_covariance(fv, t_index=100)
+        rep = ellipticity_bound_check(cov, 1.0, slack_factor=0.0)
         # gamma = 1 and lambda = 1 here, so the unslacked bound is exact
         assert rep.holds
         assert rep.bound == pytest.approx(1.0, rel=1e-12)
@@ -385,10 +371,9 @@ class TestBoundCheck:
         assert not rep.lambda_degenerate
 
     def test_degenerate_lambda_is_flagged(self):
-        inst, bundle, path, fv = _fv("example5-1", steps=50, seed=2)
-        cov = malliavin_covariance(fv, path, inst.model,
-                                   bundle.realized_flow, t_index=50)
-        rep = ellipticity_bound_check(cov)
+        _, _, _, fv = _fv("example5-1", steps=50, seed=2)
+        cov = malliavin_covariance(fv, t_index=50)
+        rep = ellipticity_bound_check(cov, 0.0)
         assert rep.lambda_degenerate
         assert rep.bound == 0.0
         assert rep.holds
@@ -398,15 +383,30 @@ class TestBoundCheck:
         bundle = simulate_interacting(inst.model, inst.law, TimeGrid(1.0, 100),
                                       20, seed=12)
         for i in range(20):
-            path = bundle.path(i)
-            fv = simulate_first_variation(inst.model, path,
+            fv = simulate_first_variation(inst.model, bundle.path(i),
                                           bundle.realized_flow)
-            cov = malliavin_covariance(fv, path, inst.model,
-                                       bundle.realized_flow, t_index=100,
-                                       lam=0.1)
-            rep = ellipticity_bound_check(cov)
+            cov = malliavin_covariance(fv, t_index=100)
+            rep = ellipticity_bound_check(cov, 0.1)
             assert rep.holds, f"path {i}"
             assert rep.margin > 0.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_refused(self, lam):
+        # a NaN floor would read as a violated floor on every path
+        inst, bundle, _, fv = _fv("example5-2", steps=20)
+        cov = covariance_curve(fv)[-1]
+        with pytest.raises(ValueError, match="floor lambda"):
+            ellipticity_bound_check(cov, lam)
+        with pytest.raises(ValueError, match="floor lambda"):
+            bundle_diagnostics(inst.model, bundle, lam)
+
+    @pytest.mark.parametrize("slack_factor", [-1e9, -1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_slack_refused(self, slack_factor):
+        # a slack factor of -1e9 would fail a floor that holds with margin
+        _, _, _, fv = _fv("example5-2", steps=20)
+        cov = covariance_curve(fv)[-1]
+        with pytest.raises(ValueError, match="slack factor"):
+            ellipticity_bound_check(cov, 0.1, slack_factor=slack_factor)
 
 
 def _kinked_model(slope):
@@ -496,8 +496,8 @@ class TestBundleDiagnostics:
         for i in paths:
             path = bundle.path(i)
             fv = simulate_first_variation(inst.model, path, flow)
-            curve = covariance_curve(fv, path, inst.model, flow, lam=lam)
-            rep = ellipticity_bound_check(curve[-1])
+            curve = covariance_curve(fv)
+            rep = ellipticity_bound_check(curve[-1], lam)
             ref = _per_path_loops(inst.model, path, flow)
             for got, want in zip((Y, Z, Q, lam_min, gamma), ref):
                 assert np.array_equal(got[:, i], want)
@@ -519,12 +519,9 @@ class TestBundleDiagnostics:
         flow = bundle.realized_flow
         with pytest.raises(ConditioningError, match="path 2 at index 4 is singular"):
             bundle_diagnostics(model, bundle, lam=1.0)
-        healthy, kinked = bundle.path(1), bundle.path(2)
-        covariance_curve(simulate_first_variation(model, healthy, flow), healthy,
-                         model, flow)
+        covariance_curve(simulate_first_variation(model, bundle.path(1), flow))
         with pytest.raises(ConditioningError, match="path 2 at index 4"):
-            covariance_curve(simulate_first_variation(model, kinked, flow), kinked,
-                             model, flow)
+            covariance_curve(simulate_first_variation(model, bundle.path(2), flow))
 
     def test_non_finite_diffusion_is_named_with_its_path(self):
         # sigma is NaN above x = 0.5, where only path 2 sits, at step 3

@@ -568,6 +568,12 @@ class TestContainers:
             with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
                 kde_1d(_cloud([0.0, 1.0]), ax, bandwidth=h)
 
+    def test_infinite_density_refused_under_an_infinite_window(self):
+        # abs(inf - 1) <= inf holds, so the window alone would let it through
+        ax = GridAxis(-1.0, 1.0, 21)
+        with pytest.raises(ValueError, match="trapezoid mass inf"):
+            GridDensity((ax,), np.full(21, math.inf), mass_tol=math.inf)
+
     def test_nan_weight_refused(self):
         with pytest.raises(ValueError, match="weights"):
             EmpiricalMeasure(np.zeros((2, 1)), np.array([math.nan, 1.0]))
