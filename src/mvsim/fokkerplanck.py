@@ -5,7 +5,9 @@ The density equation is always derived from the SDE coefficients,
     dp/dt = - sum_i d_i(b_i p) + 1/2 sum_ij d_i d_j(A_ij p),   A = sigma sigma^T,
 
 with the statistic vector s recomputed from the evolving density each step, so
-the nonlocal coupling is carried through the drift/diffusion fields.
+the nonlocal coupling is carried through the drift/diffusion fields.  s is
+``measures.grid_statistics``'s reduction, its rows built once per solve, so
+the readers of a solve's densities give the solver's own bits.
 
 Scheme: Runge-Kutta-Legendre super-steps (RKL1; Meyer, Balsara & Aslam
 2014, J. Comput. Phys. 257:594-626), stepped by one loop for 1D and 2D alike.
@@ -68,7 +70,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, _sigma_sigma_t
 from .errors import ConservationError, NumericError, PositivityError, StabilityError
-from .measures import GridAxis, GridDensity, _node_weights, grid_statistics
+from .measures import GridAxis, GridDensity, _node_weights, _statistic_rows, grid_statistics
 from .particle import InitialLaw
 
 # tolerances of the stepping loop
@@ -204,19 +206,12 @@ def _diffusion(model: CoefficientModel, t: float, coords: np.ndarray,
 def derive_fp_coefficients(model: CoefficientModel, t: float,
                            p: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     """Drift field (grid..., d) and diffusion-matrix field (grid..., d, d)
-    entering the derived forward equation at time t on p's grid, with s from p."""
+    entering the derived forward equation at time t on p's grid, with s from p:
+    at a density ``solve_fp`` steps from, its fields bit for bit."""
     s = grid_statistics(p, model.functionals)
     shape = p.values.shape
     coords = p.node_coords()
     return _drift(model, t, coords, shape, s), _diffusion(model, t, coords, shape, s)
-
-
-def _statistic_rows(model: CoefficientModel, dens: GridDensity) -> np.ndarray:
-    """Rows r_k with s_k = r_k . p.ravel(): trapezoid weights times phi."""
-    w = dens.node_weights().ravel()
-    coords = dens.node_coords()
-    return np.array([w * np.asarray(f.phi(coords), dtype=float)
-                     for f in model.functionals]).reshape(model.q, w.size)
 
 
 def _offsets(steps: list[int]) -> list[int]:
@@ -439,7 +434,8 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     ConservationError
         if mass drifts from 1 by more than 1e-4 net of boundary flux.
     NumericError
-        if the density stops being finite, or a NaN in the drift or diffusion
+        if a statistic functional is non-finite at a node (before stepping),
+        the density stops being finite, or a NaN in the drift or diffusion
         field makes the stability limit NaN (checked before the step).
     """
     model = problem.model
@@ -449,7 +445,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
     hs = [ax.spacing for ax in axes]
     cell = math.prod(hs)
     coords = problem.p0.node_coords()
-    phi_rows = _statistic_rows(model, problem.p0)
+    phi_rows = _statistic_rows(problem.p0, model.functionals)
     fixed_dt = None if problem.dt == "auto" else float(problem.dt)
 
     # p sits inside a frame of ghost nodes that stays zero: the Dirichlet
@@ -587,6 +583,7 @@ def solve_fp(problem: FPProblem) -> FPSolution:
 
 
 def fp_statistics_curve(solution: FPSolution, functionals) -> np.ndarray:
-    """Statistic vectors of each snapshot, shape (n_snapshots, q)."""
+    """Statistic vectors of each snapshot, shape (n_snapshots, q); for the
+    model's functionals, ``stat_curve`` at the snapshot times bit for bit."""
     return np.array([grid_statistics(p, functionals) for p in solution.snapshots]
                     ).reshape(len(solution.snapshots), len(functionals))

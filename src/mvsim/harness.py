@@ -30,9 +30,11 @@ heaviest post-processing, holds the draw last and runs them after it is freed.
 
 The particle, Picard and FP methods file their results through
 ``_Experiment._file``: each result at a snapshot time goes to
-``at[t][route]``, where the comparisons read it, and to its CSV, named by
-``emit_plotdata``'s one rule; every result's radial moments go to
-``moments.csv`` and the report, and a statistic flow to ``statistics.csv``.
+``at[t][route]``, where the comparisons read it, and to its snapshot file,
+named by ``emit_plotdata``'s one rule (KDE files included); every result's
+radial moments go to ``moments.csv`` and the report, and a statistic flow to
+``statistics.csv``.  Every other file a method writes (Picard's gap log,
+``accounting.csv``, ``paths.csv``) goes through ``_write_csv``.
 The config is the only input that chooses what a run computes; the output
 directory only chooses where it is written.
 """
@@ -59,7 +61,7 @@ from .measures import (EmpiricalMeasure, GridAxis, GridDensity, _OffGrid,
                        l1_grid_distance, w2_cloud_vs_density_1d, w2_sliced,
                        write_csv)
 from .particle import InitialLaw, TimeGrid, draw_noise, euler_paths
-from .picard import PicardRun, iterate_frozen_flow
+from .picard import iterate_frozen_flow
 from .presets import PresetInstance, get_preset, preset_defaults, preset_names
 
 # the run order; the particle route reads the shared draw last, so it is
@@ -356,36 +358,18 @@ def _tkey(t: float) -> str:
     return f"t={t:g}"
 
 
-def emit_plotdata(artifact, outdir, preset: str, method: str) -> list[Path]:
-    """Write plot-ready CSVs: ``{preset}_{method}_t{time:g}.csv`` for a GridDensity
-    or a ``(time, EmpiricalMeasure)`` pair, ``{preset}_{method}_gaps.csv`` for a
-    PicardRun (its gap log, one row per consecutive solve pair), and those of
-    each item for a sequence of these.
+def emit_plotdata(t: float, result, outdir, preset: str, method: str) -> Path:
+    """Write ``{preset}_{method}_t{t:g}.csv``, the snapshot file of a
+    GridDensity or an EmpiricalMeasure filed at time ``t``, and return its path.
     """
+    if not isinstance(result, (GridDensity, EmpiricalMeasure)):
+        raise TypeError(f"no plot-data writer for {type(result).__name__}")
+    writer = grid_density_to_csv if isinstance(result, GridDensity) else empirical_to_csv
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if isinstance(artifact, GridDensity):
-        dest = out / f"{preset}_{method}_t{artifact.time:g}.csv"
-        _publish(dest, lambda p: grid_density_to_csv(artifact, p))
-        written.append(dest)
-    elif isinstance(artifact, PicardRun):
-        dest = out / f"{preset}_{method}_gaps.csv"
-        gaps = np.asarray(artifact.gaps, dtype=float)
-        _write_csv(dest, "iter,gap", [range(2, gaps.size + 2), gaps])
-        written.append(dest)
-    elif isinstance(artifact, tuple) and len(artifact) == 2 \
-            and isinstance(artifact[1], EmpiricalMeasure):
-        t, mu = artifact
-        dest = out / f"{preset}_{method}_t{float(t):g}.csv"
-        _publish(dest, lambda p: empirical_to_csv(mu, p))
-        written.append(dest)
-    elif isinstance(artifact, (list, tuple)):
-        for item in artifact:
-            written.extend(emit_plotdata(item, out, preset, method))
-    else:
-        raise TypeError(f"no plot-data writer for {type(artifact).__name__}")
-    return written
+    dest = out / f"{preset}_{method}_t{float(t):g}.csv"
+    _publish(dest, lambda p: writer(result, p))
+    return dest
 
 
 def _downsample(n: int, cap: int = 4097) -> np.ndarray:
@@ -451,7 +435,7 @@ class _Experiment:
             on_grid = isinstance(obj, GridDensity)
             if t in self.at:
                 self.at[t][method] = obj
-                emit_plotdata(obj if on_grid else (t, obj), d, self.preset.name, method)
+                emit_plotdata(t, obj, d, self.preset.name, method)
             moment = grid_radial_moment if on_grid else empirical_radial_moment
             table[_tkey(t)] = {f"order{k}": moment(obj, k) for k in (1, 2, 4)}
         orders = ("order1", "order2", "order4")
@@ -486,7 +470,7 @@ class _Experiment:
             except _OffGrid:  # nor has a cloud whose kernels all miss the grid
                 continue
             for i, den in enumerate(got["kde"]):
-                emit_plotdata(den, d, self.preset.name,
+                emit_plotdata(t, den, d, self.preset.name,
                               "particles_kde" + _marginal_tag(i, self.model.d))
         return {"n_particles": self.cfg.n_particles, "moments": table}
 
@@ -498,7 +482,9 @@ class _Experiment:
                                   checkpoints=self.snapshot_times)
         del x0, dw
         d, table = self._file("picard", run.checkpoint_times, run.final_clouds)
-        emit_plotdata(run, d, self.preset.name, "picard")
+        # the gap log: one row per consecutive pair of solves, from solves 1 and 2
+        _write_csv(d / f"{self.preset.name}_picard_gaps.csv", "iter,gap",
+                   [range(2, len(run.gaps) + 2), run.gaps])
         return {"n_iters": run.n_iters, "converged": run.converged,
                 "gaps": [float(g) for g in run.gaps], "moments": table}
 

@@ -242,7 +242,7 @@ def ellipticity_bound_check(cov: MalliavinCovariance, lam: float,
 
 def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
                        lam: float = 0.0) -> dict:
-    """Horizon diagnostics of every path of a bundle under its realized flow.
+    """Horizon diagnostics of every path of a bundle under ``bundle.flow``.
 
     Returns arrays over the paths: ``lambda_min`` and ``gamma`` of Q; the
     ``bound``, ``margin`` and ``holds`` of ``ellipticity_bound_check`` at its
@@ -250,7 +250,7 @@ def bundle_diagnostics(model: CoefficientModel, bundle: PathBundle,
     """
     if not np.isfinite(lam):
         raise ValueError(f"floor lambda must be finite, got {lam}")
-    grid, flow, states = bundle.grid, bundle.realized_flow, bundle._whole("bundle_diagnostics")
+    grid, flow, states = bundle.grid, bundle.flow, bundle._whole("bundle_diagnostics")
     paths = np.arange(bundle.n)
     Y, Z = _sweep(model, grid, states, bundle.increments, flow, paths)
     Q, lambda_min, gamma = _covariance(model, grid, states, flow, Y, paths)

@@ -210,15 +210,10 @@ class StatisticFlow:
         if not np.all(np.isfinite(self.stats)):
             raise ValueError("statistic flow contains non-finite entries")
 
-    @property
-    def q(self) -> int:
-        return self.stats.shape[1]
 
-
-def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals,
-                         unit: str = "particle") -> np.ndarray:
-    """s_k = sum_i w_i phi_k(x_i), shape (q,); a non-finite phi_k(x_i) is an
-    error naming the functional and the ``unit`` (particle or node) i.
+def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals) -> np.ndarray:
+    """s_k = sum_i w_i phi_k(x_i) over a cloud, shape (q,); a non-finite
+    phi_k(x_i) is an error naming the functional and the particle i.
 
     A non-finite phi_k(x_i) makes s_k non-finite, even at a zero weight, so
     only a non-finite s_k is scanned for its cause; finite values whose
@@ -231,8 +226,23 @@ def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals,
             bad = ~np.isfinite(vals)
             if bad.any():
                 raise NumericError(
-                    f"functional {f.id!r} is non-finite at {unit} {int(np.argmax(bad))}")
+                    f"functional {f.id!r} is non-finite at particle {int(np.argmax(bad))}")
     return out
+
+
+def _statistic_rows(p: GridDensity, functionals) -> np.ndarray:
+    """Rows r_k with s_k = r_k . p.values.ravel(), shape (q, n_nodes): trapezoid
+    weights times phi_k at the nodes; a non-finite phi_k is an error naming
+    the functional and the node."""
+    w, coords = p.node_weights().ravel(), p.node_coords()
+    rows = np.empty((len(functionals), w.size))
+    for k, f in enumerate(functionals):
+        rows[k] = np.asarray(f.phi(coords), dtype=float)
+        bad = ~np.isfinite(rows[k])
+        if bad.any():
+            raise NumericError(f"functional {f.id!r} is non-finite at node {int(np.argmax(bad))}")
+        rows[k] *= w
+    return rows
 
 
 def empirical_statistics(mu: EmpiricalMeasure, functionals) -> np.ndarray:
@@ -241,9 +251,9 @@ def empirical_statistics(mu: EmpiricalMeasure, functionals) -> np.ndarray:
 
 
 def grid_statistics(p: GridDensity, functionals) -> np.ndarray:
-    """s_k = trapezoid integral of phi_k(x) p(x), shape (q,)."""
-    return _weighted_statistics(p.node_coords(), (p.node_weights() * p.values).ravel(),
-                                functionals, unit="node")
+    """s_k = trapezoid integral of phi_k(x) p(x), shape (q,), by the reduction
+    ``solve_fp`` steps with: the rows of ``_statistic_rows`` times the values."""
+    return _statistic_rows(p, functionals) @ p.values.ravel()
 
 
 def silverman_bandwidth(mu: EmpiricalMeasure) -> float:

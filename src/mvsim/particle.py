@@ -174,7 +174,8 @@ class PathBundle:
     """Simulated ensemble: states (steps+1, n, d), increments (steps, n, m).
 
     ``realized_flow`` holds the statistics of the simulated cloud at every
-    grid time, computed with the same reduction as ``empirical_statistics``.
+    grid time (the reduction of ``empirical_statistics``), and ``flow`` the
+    flow the coefficients read: ``frozen_flow``, or the realized one if None.
     A bundle made with ``euler_paths(..., keep=...)`` holds only the grid
     indices ``kept``, in ascending order, as states (len(kept), n, d); it
     has no whole paths to give.
@@ -185,6 +186,11 @@ class PathBundle:
     increments: np.ndarray
     realized_flow: StatisticFlow
     kept: tuple[int, ...] | None = None  # None: every grid index
+    frozen_flow: StatisticFlow | None = None
+
+    @property
+    def flow(self) -> StatisticFlow:
+        return self.realized_flow if self.frozen_flow is None else self.frozen_flow
 
     @property
     def n(self) -> int:
@@ -292,7 +298,7 @@ def euler_paths(model, x0: np.ndarray, grid: TimeGrid, increments: np.ndarray,
     realized[grid.steps] = _weighted_statistics(x, uw, model.functionals)
     return PathBundle(grid=grid, states=states, increments=increments,
                       realized_flow=StatisticFlow(times, realized),
-                      kept=None if keep is None else tuple(held))
+                      kept=None if keep is None else tuple(held), frozen_flow=flow)
 
 
 def simulate_interacting(model, law: InitialLaw, grid: TimeGrid,

@@ -1,5 +1,6 @@
 """Coefficient model evaluation, ellipticity probing, Jacobian audits."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -348,3 +349,47 @@ def test_example52_printed_is_the_printed_formula(t):
         assert got.shape == expected.shape and np.array_equal(got, expected)
     assert np.array_equal(inst.law.mean, plain.law.mean)
     assert np.array_equal(inst.law.cov, plain.law.cov)
+
+
+def _no_jacobians():
+    return dataclasses.replace(_identity_sigma_model(), db_dx=None, dsigma_dx=None)
+
+
+def _wrong_shapes():
+    return dataclasses.replace(_identity_sigma_model(), b=lambda t, x, s: x[..., :1],
+                               sigma=lambda t, x, s: np.ones(x.shape[:-1] + (2, 1)))
+
+
+_X2 = np.zeros((3, 2))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: dataclasses.replace(_identity_sigma_model(), d=0),
+                 "state dimension must be >= 1, got 0", id="model-d"),
+    pytest.param(lambda: dataclasses.replace(_identity_sigma_model(), m=0),
+                 "noise dimension must be >= 1, got 0", id="model-m"),
+    pytest.param(lambda: eval_drift(_identity_sigma_model(), 0.0, np.zeros((3, 3)), np.zeros(0)),
+                 "state has dimension 3, model expects 2", id="state-dimension"),
+    pytest.param(lambda: eval_diffusion(_identity_sigma_model(), 0.0, _X2, np.zeros(1)),
+                 r"statistic vector has shape \(1,\), model expects \(0,\)", id="statistic-shape"),
+    pytest.param(lambda: eval_drift(_wrong_shapes(), 0.0, _X2, np.zeros(0)),
+                 r"drift returned shape \(3, 1\), expected \(3, 2\)", id="drift-shape"),
+    pytest.param(lambda: eval_diffusion(_wrong_shapes(), 0.0, _X2, np.zeros(0)),
+                 r"diffusion returned shape \(3, 2, 1\), expected \(3, 2, 2\)",
+                 id="diffusion-shape"),
+    pytest.param(lambda: check_ellipticity(_identity_sigma_model(), (0.0, 1.0),
+                                           (np.zeros(2), np.ones(2)), n=0, seed=0),
+                 "need at least one sample point", id="ellipticity-no-samples"),
+    pytest.param(lambda: check_ellipticity(_identity_sigma_model(), (0.0, 1.0),
+                                           (np.ones(2), np.zeros(2)), n=4, seed=0),
+                 "region bounds are inverted", id="ellipticity-inverted-box"),
+    pytest.param(lambda: check_ellipticity(_identity_sigma_model(), (1.0, 0.0),
+                                           (np.zeros(2), np.ones(2)), n=4, seed=0),
+                 "region bounds are inverted", id="ellipticity-inverted-times"),
+    pytest.param(lambda: jacobian_consistency_probe(_no_jacobians(),
+                                                    [(0.0, np.zeros(2), np.zeros(0))]),
+                 "does not provide state Jacobians", id="probe-without-jacobians"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

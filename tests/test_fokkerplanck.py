@@ -1,7 +1,9 @@
 """Density evolution: grid setup, derived coefficients, and the FTCS march."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +541,38 @@ def test_statistics_curve_shape_and_parity():
     assert abs(stats[0, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("config", ["example5-1", "example5-2", "meanfield-ou"])
+def test_readers_of_a_solve_give_its_own_bits(config):
+    # grid_statistics, fp_statistics_curve and derive_fp_coefficients reduce a
+    # density as the solver does, so they read its statistic and drift bit for
+    # bit, on the config's grid at t = 0 and every quarter
+    cfg = json.loads(Path(f"configs/{config}.json").read_text())
+    inst = get_preset(cfg["preset"])
+    problem = build_fp_problem(inst.model, inst.law, cfg["fp"]["domain"], cfg["fp"]["nodes"],
+                               inst.horizon, snapshot_times=(0.0, 0.25, 0.5, 0.75, 1.0))
+    sol, p0, fns = solve_fp(problem), problem.p0, inst.model.functionals
+    assert len(fns) == 1 and len(sol.snapshots) == 5
+    assert np.array_equal(grid_statistics(p0, fns), sol.stat_curve[0])
+    rows = [int(np.flatnonzero(sol.times == t)[0]) for t in sol.snapshot_times]
+    assert np.array_equal(fp_statistics_curve(sol, fns), sol.stat_curve[rows])
+    b, _ = derive_fp_coefficients(inst.model, 0.0, p0)
+    assert np.array_equal(b, inst.model.b(0.0, p0.node_coords(),
+                                          sol.stat_curve[0]).reshape(b.shape))
+
+
+@pytest.mark.parametrize("call", ["grid_statistics", "solve_fp"])
+def test_nan_functional_names_its_node(call):
+    # phi is NaN at x = 5, node 150 of the grid, and finite everywhere else
+    phi = StatisticFunctional("holed", lambda x: np.where(x[..., 0] == 5.0, np.nan, x[..., 0]))
+    model = dataclasses.replace(_const_model(drift=lambda t, x, s: -s[0] * x),
+                                functionals=(phi,), b_static=False)
+    problem = build_fp_problem(model, STD_LAW, ((-10.0, 10.0),), (201,), 0.1)
+    run = {"grid_statistics": lambda: grid_statistics(problem.p0, (phi,)),
+           "solve_fp": lambda: solve_fp(problem)}[call]
+    with pytest.raises(NumericError, match="functional 'holed' is non-finite at node 150$"):
+        run()
+
+
 def _curves_equal(one, two):
     assert one.n_steps == two.n_steps
     assert one.n_applications == two.n_applications
@@ -795,3 +829,12 @@ class TestSuperSteps:
         with pytest.raises(PositivityError, match=r"undershot to -\S+ in the step from t=0 "
                                                   r"\(step 1, stage [1-8] of 9\)"):
             solve_fp(pr)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: gaussian_on_grid(STD_LAW, (GridAxis(-8.0, 8.0, 11),) * 2),
+                 "initial law dimension 1 does not match grid dimension 2", id="law-vs-grid"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -287,36 +287,36 @@ class TestEmitPlotdata:
     def test_grid_density_filename(self, tmp_path):
         ax = GridAxis(-1.0, 1.0, 21)
         dens = GridDensity((ax,), np.full(21, 0.5), time=0.5)
-        paths = emit_plotdata(dens, tmp_path, "demo", "fp")
-        assert paths == [tmp_path / "demo_fp_t0.5.csv"]
-        assert paths[0].read_text().splitlines()[0] == "x,p"
+        path = emit_plotdata(0.5, dens, tmp_path, "demo", "fp")
+        assert path == tmp_path / "demo_fp_t0.5.csv"
+        assert path.read_text().splitlines()[0] == "x,p"
 
     def test_cloud_pair(self, tmp_path):
         mu = EmpiricalMeasure(np.zeros((3, 1)), np.full(3, 1 / 3))
-        paths = emit_plotdata((0.25, mu), tmp_path, "demo", "particles")
-        assert paths == [tmp_path / "demo_particles_t0.25.csv"]
+        path = emit_plotdata(0.25, mu, tmp_path, "demo", "particles")
+        assert path == tmp_path / "demo_particles_t0.25.csv"
+        assert path.read_text().splitlines()[0] == "w,x1"
 
     def test_picard_gap_log(self, tmp_path):
-        inst = get_preset("meanfield-ou")
-        run = picard_run(inst.model, inst.law, TimeGrid(1.0, 20), 200,
-                         seed=0, tol=1e-4, max_iters=6, checkpoints=(1.0,))
-        paths = emit_plotdata(run, tmp_path, "demo", "picard")
-        lines = paths[0].read_text().splitlines()
+        # the harness writes the gap log beside the snapshot files
+        cfg = {"preset": "meanfield-ou", "methods": ["picard"], "n_particles": 200,
+               "steps": 20, "seed": 0, "picard": {"tol": 1e-4, "max_iters": 6}}
+        frag = run_experiment(cfg, outdir=tmp_path)["methods"]["picard"]
+        lines = (tmp_path / "meanfield-ou" / "picard" / "meanfield-ou_picard_gaps.csv"
+                 ).read_text().splitlines()
         assert lines[0] == "iter,gap"
-        assert len(lines) - 1 == run.n_iters - 1
+        assert len(lines) - 1 == frag["n_iters"] - 1
         # the first recorded gap compares solves one and two
         assert lines[1].startswith("2,")
-
-    def test_sequence_recursion(self, tmp_path):
-        ax = GridAxis(-1.0, 1.0, 11)
-        items = [GridDensity((ax,), np.full(11, 0.5), time=t)
-                 for t in (0.1, 0.2)]
-        paths = emit_plotdata(items, tmp_path, "demo", "fp")
-        assert len(paths) == 2
+        assert [float(line.split(",")[1]) for line in lines[1:]] == frag["gaps"]
 
     def test_unknown_artifact(self, tmp_path):
-        with pytest.raises(TypeError, match="no plot-data writer"):
-            emit_plotdata(42, tmp_path, "demo", "fp")
+        # only a GridDensity or an EmpiricalMeasure has a snapshot file
+        mu = EmpiricalMeasure(np.zeros((3, 1)), np.full(3, 1 / 3))
+        for result in (42, None, [mu], (0.25, mu)):
+            with pytest.raises(TypeError, match="no plot-data writer"):
+                emit_plotdata(0.0, result, tmp_path, "demo", "fp")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("error,match", [(ValueError("bad row"), "^bad row$"),
                                              (OSError("disk full"), "failed writing .*x.csv")])
@@ -806,17 +806,17 @@ class TestRunExperiment:
     def test_picard_frees_the_draw_before_it_writes(self, tmp_path, monkeypatch):
         draws, alive = self._watch_draw(monkeypatch), []
 
-        def emit(*args, _real=mvsim.harness.emit_plotdata, **kwargs):
+        def publish(*args, _real=mvsim.harness._publish, **kwargs):
             alive.append(draws[0]() is not None)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(mvsim.harness, "emit_plotdata", emit)
+        monkeypatch.setattr(mvsim.harness, "_publish", publish)
         cfg = {"preset": "meanfield-ou", "methods": ["picard"], "n_particles": 60,
                "steps": 20, "seed": 4, "snapshot_times": [0.5, 1.0],
                "picard": {"max_iters": 3}}
         assert run_experiment(cfg, outdir=tmp_path)["methods"]["picard"]["status"] == "ok"
-        # one CSV per snapshot cloud, then the gap log
-        assert len(draws) == 1 and alive == [False] * 3
+        # every write: one CSV per snapshot cloud, moments.csv, the gap log, report.json
+        assert len(draws) == 1 and alive == [False] * 5
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "seed", 4.0), (None, "n_particles", 60.0), (None, "steps", 20.0),
@@ -854,7 +854,8 @@ class TestRunExperiment:
         sol = solve_fp(build_fp_problem(inst.model, inst.law, cfg["fp"]["domain"],
                                         cfg["fp"]["nodes"], inst.horizon,
                                         snapshot_times=cfg["snapshot_times"]))
-        mine = emit_plotdata(sol.snapshots, tmp_path / "lib", inst.name, "fp")
+        mine = [emit_plotdata(p.time, p, tmp_path / "lib", inst.name, "fp")
+                for p in sol.snapshots]
         theirs = sorted((tmp_path / "run" / inst.name / "fp").glob("*_t*.csv"))
         assert [p.name for p in theirs] == sorted(p.name for p in mine) and len(theirs) == 4
         for p in theirs:
@@ -1045,3 +1046,15 @@ class TestCli:
                   "--seed", "42"])
         report = json.loads((tmp_path / "a" / "bm" / "report.json").read_text())
         assert report["config"]["seed"] == 42
+
+
+@pytest.mark.parametrize("doc, match", [
+    pytest.param(_base_config(snapshot_times=[1.5]), r"snapshot time 1\.5 outside \[0, 1\.0\]",
+                 id="past-the-preset-horizon"),
+    pytest.param(_base_config(horizon=0.5, snapshot_times=[0.75]),
+                 r"snapshot time 0\.75 outside \[0, 0\.5\]", id="past-the-config-horizon"),
+])
+def test_refusals(doc, match):
+    with pytest.raises(ConfigError, match=match) as ei:
+        validate_config(doc)
+    assert ei.value.field_path == "snapshot_times"

@@ -14,6 +14,7 @@ from mvsim import (
     NumericError,
     PathBundle,
     StatisticFlow,
+    StatisticFunctional,
     TimeGrid,
     bundle_diagnostics,
     covariance_curve,
@@ -28,7 +29,7 @@ from mvsim import (
 )
 from mvsim._linalg import sym_eigvals
 from mvsim.malliavin import _covariance, _sweep
-from mvsim.particle import coarsen_increments, euler_paths
+from mvsim.particle import coarsen_increments, draw_noise, euler_paths
 
 SIGMA_2D = np.array([[2.0, 1.0], [1.0, 2.0]]) / math.sqrt(10.0)
 
@@ -512,6 +513,26 @@ class TestBundleDiagnostics:
             assert (diag["bound"][i], diag["margin"][i], diag["holds"][i]) \
                 == (rep.bound, rep.margin, rep.holds)
 
+    def test_frozen_flow_bundle_reads_the_flow_it_was_swept_under(self):
+        # b = -(1 + s^2) x frozen at s = 2: the Euler map's derivative is
+        # Y = (1 - 5 dt)^steps, whatever statistics the paths themselves realize
+        model = CoefficientModel(
+            d=1, m=1, functionals=(StatisticFunctional("mean", lambda x: x[..., 0]),),
+            b=lambda t, x, s: -(1.0 + s[0] ** 2) * x,
+            sigma=lambda t, x, s: np.ones(x.shape[:-1] + (1, 1)),
+            db_dx=lambda t, x, s: np.full(x.shape[:-1] + (1, 1), -(1.0 + s[0] ** 2)),
+            dsigma_dx=lambda t, x, s: np.zeros(x.shape[:-1] + (1, 1, 1)))
+        grid = TimeGrid(1.0, 50)
+        x0, dw = draw_noise(model, InitialLaw.gaussian([1.0], [[0.01]]), grid, 8, seed=0)
+        frozen = StatisticFlow(grid.times(), np.full((51, 1), 2.0))
+        bundle = euler_paths(model, x0, grid, dw, flow=frozen)
+        diag = bundle_diagnostics(model, bundle)
+        np.testing.assert_allclose(diag["gamma"], 0.9 ** -50, rtol=1e-12)
+        assert bundle.flow is frozen
+        # an interacting bundle's coefficients read its realized flow
+        interacting = euler_paths(model, x0, grid, dw)
+        assert interacting.flow is interacting.realized_flow
+
     def test_singular_path_is_named_with_its_index(self):
         # the drift slope -1/dt zeroes path 2's Euler factor at step 3
         model = _kinked_model(-10.0)
@@ -540,3 +561,15 @@ class TestBundleDiagnostics:
         fv = simulate_first_variation(_kinked_model(np.inf), bundle.path(0),
                                       bundle.realized_flow)
         assert np.all(fv.Y == 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda model, b: simulate_first_variation(model, b.path(0), b.realized_flow),
+                 id="first-variation"),
+    pytest.param(lambda model, b: bundle_diagnostics(model, b), id="bundle"),
+])
+def test_refusals(call):
+    # the sweep refuses a model that has no state Jacobians
+    model = dataclasses.replace(_kinked_model(0.0), db_dx=None, dsigma_dx=None)
+    with pytest.raises(ValueError, match="model does not provide state Jacobians"):
+        call(model, _bundle_with_one_kink())

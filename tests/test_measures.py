@@ -139,11 +139,11 @@ class TestEmpiricalStatistics:
                 empirical_statistics(mu, (phi,))
 
     def test_finite_values_whose_weighted_sum_overflows_give_inf(self):
-        # weights that do not sum to 1, as on the grid route
+        # weights that do not sum to 1
         phi = StatisticFunctional("id", lambda p: p[..., 0])
         with np.errstate(over="ignore"):
             s = mvsim.measures._weighted_statistics(
-                np.array([[1e308], [1e308]]), np.array([1.0, 1.0]), (phi,), unit="node")
+                np.array([[1e308], [1e308]]), np.array([1.0, 1.0]), (phi,))
         assert s[0] == math.inf
 
     def test_empty_functionals(self):
@@ -795,3 +795,40 @@ class TestMarginalsAndQuantiles:
         p = _gaussian_grid(GridAxis(-10.0, 10.0, 401))
         with pytest.raises(ValueError, match="at least one quantile"):
             w2_cloud_vs_density_1d(_cloud([2.0]), p, n_quantiles=0)
+
+
+_AX = GridAxis(-1.0, 1.0, 5)
+_FLAT = GridDensity((_AX,), np.full(5, 0.5), mass_tol=1e-12)
+_PLANE = EmpiricalMeasure.from_samples(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: EmpiricalMeasure(np.zeros((3, 1)), np.full(2, 0.5)),
+                 "3 points but 2 weights", id="cloud-count-mismatch"),
+    pytest.param(lambda: GridDensity((_AX,) * 3, np.full((5, 5, 5), 0.25)),
+                 "only 1D and 2D grids are supported", id="grid-three-axes"),
+    pytest.param(lambda: GridDensity((_AX,), np.full(4, 0.5)),
+                 r"values shape \(4,\), grid wants \(5,\)", id="grid-shape"),
+    pytest.param(lambda: StatisticFlow(np.arange(3.0), np.zeros(3)),
+                 r"stats shape \(3,\) incompatible with 3 times", id="flow-shape"),
+    pytest.param(lambda: StatisticFlow(np.arange(3.0), np.array([[0.0], [np.inf], [0.0]])),
+                 "statistic flow contains non-finite entries", id="flow-non-finite"),
+    pytest.param(lambda: silverman_bandwidth(_PLANE), "bandwidth rule applies to 1D clouds",
+                 id="bandwidth-2d"),
+    pytest.param(lambda: silverman_bandwidth(_cloud([1.0, 1.0, 1.0])),
+                 "degenerate cloud", id="bandwidth-degenerate"),
+    pytest.param(lambda: kde_1d(_PLANE, _AX), "kde_1d expects a 1D cloud", id="kde-2d"),
+    pytest.param(lambda: w2_sliced(_PLANE, _cloud([0.0, 1.0])), "dimension mismatch: 2 vs 1",
+                 id="sliced-dimension-mismatch"),
+    pytest.param(lambda: mvsim.measures.grid_cdf_quantiles(
+        GridDensity((_AX, _AX), np.full((5, 5), 0.25)), np.array([0.5])),
+                 "quantiles require a 1D density", id="quantiles-2d"),
+    pytest.param(lambda: w2_cloud_vs_density_1d(_PLANE, _FLAT),
+                 "both arguments must be one-dimensional", id="cloud-vs-density-2d-cloud"),
+    pytest.param(lambda: w2_cloud_vs_density_1d(
+        _cloud([0.0, 1.0]), GridDensity((_AX, _AX), np.full((5, 5), 0.25))),
+                 "both arguments must be one-dimensional", id="cloud-vs-density-2d-grid"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

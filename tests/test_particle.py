@@ -478,3 +478,33 @@ def test_second_moment_bounded_across_presets():
             cs.append(float(moment_curve(bundle, 2).max()) / (1.0 + init2))
         assert cs[1] < 2.0 * cs[0], name
         assert cs[0] < 2.0 * cs[1], name
+
+
+_GRID = TimeGrid(1.0, 4)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: InitialLaw.gaussian([0.0, 0.0], np.eye(3)),
+                 r"cov shape \(3, 3\) does not match dimension 2", id="gaussian-cov-shape"),
+    pytest.param(lambda: particle_stream(-1, 0), r"seed must lie in \[0, 2\*\*63\), got -1",
+                 id="seed-negative"),
+    pytest.param(lambda: generate_brownian(1 << 63, 2, 1, _GRID), "seed must lie in",
+                 id="seed-too-wide"),
+    pytest.param(lambda: generate_brownian(0, 0, 1, _GRID), "need at least one particle",
+                 id="brownian-no-particles"),
+    pytest.param(lambda: generate_brownian(0, 2, 0, _GRID), "noise dimension must be >= 1",
+                 id="brownian-no-noise"),
+    pytest.param(lambda: initial_states(InitialLaw.point([0.0]), 0, 0),
+                 "need at least one particle", id="initial-no-particles"),
+    pytest.param(lambda: draw_noise(_const_model(d=2), InitialLaw.point([0.0]), _GRID, 2, 0),
+                 "initial law dimension 1, model expects 2", id="noise-dimension"),
+    pytest.param(lambda: euler_paths(_const_model(d=2), np.zeros((2, 1)), _GRID,
+                                     np.zeros((4, 2, 2))),
+                 "initial states have dimension 1, model expects 2", id="euler-x0-dimension"),
+    pytest.param(lambda: euler_paths(_const_model(), np.zeros((2, 1)), _GRID,
+                                     np.zeros((4, 3, 1))),
+                 r"increments shape \(4, 3, 1\), expected \(4, 2, 1\)", id="euler-increments"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

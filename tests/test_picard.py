@@ -281,3 +281,15 @@ class TestPicardVsDirect:
         clouds = [direct.snapshot(grid.index_of(t)) for t in (0.5, 1.0)]
         assert d == convergence_gap(run.final_clouds, clouds)
         assert d == max(w2_sliced(a, b) for a, b in zip(run.final_clouds, clouds))
+
+
+@pytest.mark.parametrize("kw, match", [
+    pytest.param({"max_iters": 1}, "need at least two inner solves", id="one-solve"),
+    pytest.param({"checkpoints": ()}, "need at least one checkpoint time", id="no-checkpoints"),
+])
+def test_refusals(kw, match):
+    inst, grid = get_preset("meanfield-ou"), TimeGrid(1.0, 10)
+    x0, dw = draw_noise(inst.model, inst.law, grid, 20, 0)
+    args = {"tol": 1e-3, "max_iters": 4, "checkpoints": (1.0,), **kw}
+    with pytest.raises(ValueError, match=match):
+        mvsim.picard.iterate_frozen_flow(inst.model, x0, dw, grid, **args)
