@@ -9,12 +9,14 @@ under ``<outdir>/<preset>/<method>/`` and a ``report.json`` beside them whose
 ``config`` block is the resolved config, and returns the report as a dict.
 A method failure is recorded in the report and does not abort the others.
 
-Everything written is a pure function of the config and the BLAS thread
-count: no wall-clock content or host data, sorted JSON keys, and every CSV
+Everything written is a pure function of the config, for a given numpy
+build: no wall-clock content or host data, sorted JSON keys, and every CSV
 value formatted by ``measures._reprs`` as Python's ``repr`` and written by
-``measures._write_rows``.  OpenBLAS splits a dot product above 10,000
-elements and the 2D FP statistic's matrix-vector product across its threads,
-which changes their rounding, so trees are compared under one thread count.
+``measures._write_rows``.  The BLAS thread count does not reach the bytes:
+every dot product over a cloud or a grid is ``measures._weighted_sum``, one
+thread in one fixed order, where OpenBLAS would split a long dot product or
+the 2D FP statistic's matrix-vector product across its threads and so change
+their rounding.
 
 Every method that simulates particles reads one draw of the initial cloud
 and Brownian increments, as wide as its widest reader: the particle and

@@ -211,9 +211,18 @@ class StatisticFlow:
             raise ValueError("statistic flow contains non-finite entries")
 
 
+def _weighted_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_n rows[..., n] weights[n], shape ``rows.shape[:-1]``: every dot
+    product over a cloud or a grid.  ``einsum`` at its default ``optimize=False``
+    runs on one thread in an order set by the shapes, so unlike a BLAS dot or
+    matrix-vector product, which splits a long sum across threads, its bits do
+    not depend on the BLAS thread count."""
+    return np.einsum("...n,n->...", rows, weights)
+
+
 def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals) -> np.ndarray:
-    """s_k = sum_i w_i phi_k(x_i) over a cloud, shape (q,); a non-finite
-    phi_k(x_i) is an error naming the functional and the particle i.
+    """s_k = sum_i w_i phi_k(x_i) over a cloud by ``_weighted_sum``, shape (q,);
+    a non-finite phi_k(x_i) is an error naming the functional and the particle i.
 
     A non-finite phi_k(x_i) makes s_k non-finite, even at a zero weight, so
     only a non-finite s_k is scanned for its cause; finite values whose
@@ -221,7 +230,7 @@ def _weighted_statistics(points: np.ndarray, weights: np.ndarray, functionals) -
     out = np.empty(len(functionals))
     for k, f in enumerate(functionals):
         vals = np.asarray(f.phi(points), dtype=float)
-        out[k] = float(np.dot(weights, vals))
+        out[k] = _weighted_sum(vals, weights)
         if not math.isfinite(out[k]):
             bad = ~np.isfinite(vals)
             if bad.any():
@@ -252,8 +261,9 @@ def empirical_statistics(mu: EmpiricalMeasure, functionals) -> np.ndarray:
 
 def grid_statistics(p: GridDensity, functionals) -> np.ndarray:
     """s_k = trapezoid integral of phi_k(x) p(x), shape (q,), by the reduction
-    ``solve_fp`` steps with: the rows of ``_statistic_rows`` times the values."""
-    return _statistic_rows(p, functionals) @ p.values.ravel()
+    ``solve_fp`` steps with: the rows of ``_statistic_rows`` summed against the
+    values by ``_weighted_sum``."""
+    return _weighted_sum(_statistic_rows(p, functionals), p.values.ravel())
 
 
 def silverman_bandwidth(mu: EmpiricalMeasure) -> float:
@@ -261,8 +271,8 @@ def silverman_bandwidth(mu: EmpiricalMeasure) -> float:
     if mu.d != 1:
         raise ValueError("bandwidth rule applies to 1D clouds")
     x = mu.points[:, 0]
-    mean = float(np.dot(mu.weights, x))
-    var = float(np.dot(mu.weights, (x - mean) ** 2))
+    mean = float(_weighted_sum(x, mu.weights))
+    var = float(_weighted_sum((x - mean) ** 2, mu.weights))
     if mu.n > 1 and np.allclose(mu.weights, 1.0 / mu.n):
         var *= mu.n / (mu.n - 1)
     sd = math.sqrt(var)
@@ -304,7 +314,7 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
             np.exp(z, out=z)
             vals[j:k] += w[a:b] @ z
     vals /= h * SQRT2PI
-    total = float(np.dot(trapezoid_weights(axis), vals))
+    total = float(_weighted_sum(vals, trapezoid_weights(axis)))
     if total <= 0:
         raise _OffGrid("all kernel mass fell outside the grid")
     vals /= total
@@ -336,7 +346,7 @@ def w2_empirical_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
         ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
         ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
         gaps = xa[ia] - xb[ib]
-    cost = float(np.dot(lens, gaps ** 2))
+    cost = float(_weighted_sum(gaps ** 2, lens))
     return math.sqrt(max(cost, 0.0))
 
 
@@ -362,8 +372,9 @@ def w2_sliced(a: EmpiricalMeasure, b: EmpiricalMeasure,
     """Sliced quadratic Wasserstein: RMS over random directions of 1D distances.
 
     Two clouds of one size and equal weights are projected on all slices at
-    once and paired by rank after one sort per slice (Bonneel et al. 2015);
-    any other pair takes the quantile coupling slice by slice.
+    once, one row per slice, and paired by rank after one sort per row
+    (Bonneel et al. 2015); any other pair takes the quantile coupling slice by
+    slice.
     """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
@@ -376,18 +387,18 @@ def w2_sliced(a: EmpiricalMeasure, b: EmpiricalMeasure,
             and np.array_equal(a.weights, b.weights):
         # equal weights: the quantile coupling pairs same-rank points over
         # the pieces between consecutive cumulative weights, so every slice
-        # is one column of two sorted projections
+        # is one row of two sorted projections
         lens = np.diff(np.cumsum(a.weights), prepend=0.0)
         costs = np.empty(n_slices)
         step = max(1, _CHUNK_ELEMENTS // a.n)
         for s in range(0, n_slices, step):
-            pa = a.points @ dirs[s:s + step].T
-            pb = b.points @ dirs[s:s + step].T
-            pa.sort(axis=0)
-            pb.sort(axis=0)
+            pa = dirs[s:s + step] @ a.points.T
+            pb = dirs[s:s + step] @ b.points.T
+            pa.sort()
+            pb.sort()
             pa -= pb
             pa *= pa
-            costs[s:s + step] = lens @ pa
+            costs[s:s + step] = _weighted_sum(pa, lens)
     else:
         costs = [w2_empirical_1d(_project(a, u), _project(b, u)) ** 2 for u in dirs]
     acc = 0.0
@@ -454,7 +465,7 @@ def w2_cloud_vs_density_1d(mu: EmpiricalMeasure, p: GridDensity,
 def _radial_moment(points: np.ndarray, weights: np.ndarray, order: float) -> float:
     """sum_i w_i ||x_i||^order over points (n, d) and weights (n,)."""
     r = np.sqrt(np.sum(points ** 2, axis=1))
-    return float(np.dot(weights, r ** order))
+    return float(_weighted_sum(r ** order, weights))
 
 
 def empirical_radial_moment(mu: EmpiricalMeasure, order: float) -> float:

@@ -5,9 +5,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pickle
 import platform
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -402,6 +405,31 @@ class TestRunExperiment:
         first = _tree_digest(tmp_path / "first")
         assert first and _tree_digest(tmp_path / "again") == first
 
+    @pytest.mark.parametrize("cfg", [
+        {"preset": "meanfield-ou", "methods": ["particles", "picard"],
+         "n_particles": 20000, "steps": 20, "seed": 0},
+        {"preset": "example5-2", "methods": ["fp"], "n_particles": 10, "steps": 10,
+         "seed": 0, "horizon": 0.1,
+         "fp": {"domain": [[-4.0, 6.0], [-4.0, 6.0]], "nodes": [121, 121]}}],
+        ids=["cloud-20000", "grid-121x121"])
+    def test_tree_does_not_depend_on_the_blas_thread_count(self, tmp_path, cfg):
+        # OpenBLAS splits a dot product above 10,000 elements, and a
+        # matrix-vector product, across its threads; every weighted sum over a
+        # cloud or a grid is measures._weighted_sum instead, so a 20,000-particle
+        # cloud and a 121^2 FP grid write the same bytes at one and two threads
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(mvsim.harness.__file__).resolve().parents[1])
+        trees = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            subprocess.run([sys.executable, "-m", "mvsim.cli", "run", str(path),
+                            "--outdir", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True)
+            trees.append(_tree_digest(tmp_path / threads))
+        assert trees[0] and trees[1] == trees[0]
+
     def test_method_failure_is_partial(self, tmp_path):
         # box too small for the initial law: fp fails, particles still run
         cfg = {"preset": "bm", "methods": ["particles", "fp"],
@@ -573,7 +601,8 @@ class TestRunExperiment:
                "steps": 10, "seed": 0, "snapshot_times": [0, 1]}
         frag = run_experiment(cfg, outdir=tmp_path)["methods"]["particles"]
         assert frag["status"] == "ok"
-        assert frag["moments"]["t=0"]["order2"] == 1.0
+        # 100 weights of 1/100 sum to 1 up to rounding: 0.01 is not a binary fraction
+        assert frag["moments"]["t=0"]["order2"] == pytest.approx(1.0, rel=1e-15)
         d = tmp_path / "gbm" / "particles"
         assert (d / "gbm_particles_t0.csv").is_file()
         assert sorted(p.name for p in d.glob("*_kde_*")) == ["gbm_particles_kde_t1.csv"]

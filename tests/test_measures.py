@@ -72,7 +72,8 @@ def _sliced_loop(a, b, n_slices, seed):
 
 
 def _merged_w2(a, b):
-    """Exact 1D W2 on the merged partition of both cumulative weights."""
+    """Exact 1D W2 on the merged partition of both cumulative weights, its
+    cost summed by the package's one weighted sum."""
     def pieces(mu):
         order = np.argsort(mu.points[:, 0], kind="stable")
         return mu.points[order, 0], np.cumsum(mu.weights[order])
@@ -85,7 +86,8 @@ def _merged_w2(a, b):
     mids = lo + 0.5 * lens
     ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
     ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
-    return math.sqrt(max(float(np.dot(lens, (xa[ia] - xb[ib]) ** 2)), 0.0))
+    cost = float(mvsim.measures._weighted_sum((xa[ia] - xb[ib]) ** 2, lens))
+    return math.sqrt(max(cost, 0.0))
 
 
 def _tied_points(rng, n):
