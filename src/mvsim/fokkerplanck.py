@@ -395,10 +395,8 @@ class _Stencil:
 
     def outflux(self) -> float:
         """Mass leaving the box per unit time: the flux through the boundary
-        faces plus the frame terms of the differences.  A dot of at most 4n
-        edge entries, below the 10,000 OpenBLAS splits across threads, so it
-        keeps ``@`` and skips ``einsum``'s per-call set-up on every stage."""
-        return float(self.g_edge @ self.flat.take(self.edge))
+        faces plus the frame terms of the differences."""
+        return float(_weighted_sum(self.flat.take(self.edge), self.g_edge))
 
 
 def _span(s: int) -> float:
@@ -535,19 +533,23 @@ def solve_fp(problem: FPProblem) -> FPSolution:
             upd *= dt
             op.flat += upd
         else:
-            # RKL1 stages on the rows of I + wL; the flux follows the unfolded
-            # recurrence, mut_j dt = mu_j w times g . Y_{j-1} for L Y_{j-1}
+            # RKL1 stages on the rows of I + wL, keeping the edge entries of
+            # each Y_{j-1}; the flux follows the unfolded recurrence,
+            # mut_j dt = mu_j w times g . Y_{j-1} for L Y_{j-1}, with every
+            # g . Y_{j-1} of the step summed in one call
             w = dt / _span(n_stages)
             op.fold(w)
-            flux_prev = flux_cum
+            edge_rows = np.empty((n_stages, op.edge.size))
             for j in range(1, n_stages + 1):
-                mu, nu = (2 * j - 1) / j, (1 - j) / j
-                stage_flux = w * mu * op.outflux()
-                flux_cum, flux_prev = mu * flux_cum + nu * flux_prev + stage_flux, flux_cum
-                op.stage(mu, nu, upd)
+                op.flat.take(op.edge, out=edge_rows[j - 1])
+                op.stage((2 * j - 1) / j, (1 - j) / j, upd)
                 if j < n_stages:
                     _check_floor(float(op.p.min()), t, steps, j, n_stages)
             p = op.p
+            flux_prev = flux_cum
+            for j, g_y in enumerate(_weighted_sum(edge_rows, op.g_edge).tolist(), 1):
+                mu, nu = (2 * j - 1) / j, (1 - j) / j
+                flux_cum, flux_prev = mu * flux_cum + nu * flux_prev + w * mu * g_y, flux_cum
         applications += n_stages
         t = target if hit else t + dt
 

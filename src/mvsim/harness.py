@@ -13,10 +13,13 @@ Everything written is a pure function of the config, for a given numpy
 build: no wall-clock content or host data, sorted JSON keys, and every CSV
 value formatted by ``measures._reprs`` as Python's ``repr`` and written by
 ``measures._write_rows``.  The BLAS thread count does not reach the bytes:
-every dot product over a cloud or a grid is ``measures._weighted_sum``, one
-thread in one fixed order, where OpenBLAS would split a long dot product or
-the 2D FP statistic's matrix-vector product across its threads and so change
-their rounding.
+every sum over a cloud or a grid (statistics, moments, the bandwidth, KDE
+blocks and mass, W2 costs, marginals, the FP statistic and boundary flux) is
+``measures._weighted_sum``, one thread in one fixed order, where OpenBLAS
+would split a long dot product or matrix-vector product across its threads
+and so change their rounding.  The products left on BLAS sum over at most d
+terms per output: the sliced W2 projections, the initial law's Cholesky
+factor and the d x d matrices of the Malliavin sweep.
 
 Every method that simulates particles reads one draw of the initial cloud
 and Brownian increments, as wide as its widest reader: the particle and

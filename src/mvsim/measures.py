@@ -212,11 +212,11 @@ class StatisticFlow:
 
 
 def _weighted_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_n rows[..., n] weights[n], shape ``rows.shape[:-1]``: every dot
-    product over a cloud or a grid.  ``einsum`` at its default ``optimize=False``
-    runs on one thread in an order set by the shapes, so unlike a BLAS dot or
-    matrix-vector product, which splits a long sum across threads, its bits do
-    not depend on the BLAS thread count."""
+    """sum_n rows[..., n] weights[n], shape ``rows.shape[:-1]``: every sum
+    over a cloud or a grid, one or many rows at a time.  ``einsum`` at its
+    default ``optimize=False`` runs on one thread in an order set by the shapes,
+    so unlike a BLAS dot or matrix-vector product, which splits a long sum
+    across threads, its bits do not depend on the BLAS thread count."""
     return np.einsum("...n,n->...", rows, weights)
 
 
@@ -307,12 +307,12 @@ def kde_1d(mu: EmpiricalMeasure, axis: GridAxis,
         k = min(j + _KDE_BLOCK, axis.n)
         for a in range(first[j], stop[k - 1], chunk):
             b = min(a + chunk, stop[k - 1])
-            z = np.subtract.outer(x[a:b], nodes[j:k])
+            z = np.subtract.outer(nodes[j:k], x[a:b])
             z /= h
             z *= z
             z *= -0.5
             np.exp(z, out=z)
-            vals[j:k] += w[a:b] @ z
+            vals[j:k] += _weighted_sum(z, w[a:b])
     vals /= h * SQRT2PI
     total = float(_weighted_sum(vals, trapezoid_weights(axis)))
     if total <= 0:
@@ -427,7 +427,7 @@ def grid_marginal(p: GridDensity, axis_index: int) -> GridDensity:
     vals = p.values
     for other in reversed(range(p.dim)):
         if other != axis_index:
-            vals = np.tensordot(vals, trapezoid_weights(p.axes[other]), axes=([other], [0]))
+            vals = _weighted_sum(np.moveaxis(vals, other, -1), trapezoid_weights(p.axes[other]))
     return GridDensity((p.axes[axis_index],), vals, time=p.time, mass_tol=max(p.mass_tol, 1e-9))
 
 

@@ -6,6 +6,10 @@ closed form stated there; the rest are direct consequences of definitions.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -782,9 +786,34 @@ class TestMarginalsAndQuantiles:
         vals = np.random.default_rng(6).random((7, 5))
         m = grid_marginal(GridDensity(axes, vals, mass_tol=math.inf), axis_index)
         other = 1 - axis_index
-        want = np.tensordot(vals, trapezoid_weights(axes[other]), axes=([other], [0]))
+        # the trapezoid rule along the other axis, summed in einsum's one fixed order
+        want = np.einsum("ij,j->i" if other else "ij,i->j", vals, trapezoid_weights(axes[other]))
         assert m.axes == (axes[axis_index],)
         assert np.array_equal(m.values, want)
+
+    def test_kde_and_marginal_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a matrix-vector product over its long axis when the
+        # output is short: a KDE node block of one column over 40,000 points,
+        # and an 801^2 grid integrated over its first axis, each gave other
+        # bits at two threads than at one when they went through BLAS
+        script = tmp_path / "probe.py"
+        script.write_text(
+            "import hashlib, numpy as np\n"
+            "from mvsim.measures import EmpiricalMeasure, GridAxis, GridDensity, grid_marginal, kde_1d\n"
+            "rng = np.random.default_rng(0)\n"
+            "mu = EmpiricalMeasure.from_samples(rng.standard_normal((40000, 1)))\n"
+            "kde = kde_1d(mu, GridAxis(-1.0, 1.0, 33), bandwidth=1.0)\n"
+            "ax = GridAxis(-1.0, 1.0, 801)\n"
+            "p = GridDensity((ax, ax), rng.random((801, 801)), mass_tol=np.inf)\n"
+            "print(hashlib.sha256(kde.values.tobytes() + grid_marginal(p, 1).values.tobytes()).hexdigest())\n")
+        src = str(Path(mvsim.measures.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            digests.add(subprocess.run([sys.executable, str(script)], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
 
     def test_cloud_versus_density_quantile_metric(self):
         # singleton at c against N(0,1): W2^2 = c^2 + 1
