@@ -5,14 +5,15 @@ config restricted to that single method), ``presets`` (table of shipped
 presets), ``check-ellipticity`` (sampled spectrum floor of a preset's
 diffusion).  Exit codes: 0 success, 1 a method failed hard, 2 bad config or
 usage.  The run subcommands take two flags: --seed replaces the config
-document's ``seed`` (and is checked as that key), and the output directory
-comes from --outdir, then the MVSIM_OUTDIR environment variable, then
-./mvsim-out.
+document's ``seed`` (and is checked as that key), and --outdir names the
+output directory, by default ``run_experiment``'s.  A run reads no environment
+variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -28,8 +29,9 @@ def _add_run_flags(p: argparse.ArgumentParser, only: str | None = None) -> None:
     p.add_argument("config", help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None,
                    help="replace the config's seed")
-    p.add_argument("--outdir", default=None,
-                   help="output directory root (default: MVSIM_OUTDIR or ./mvsim-out)")
+    outdir = inspect.signature(run_experiment).parameters["outdir"].default
+    p.add_argument("--outdir", default=outdir,
+                   help="output directory root (default: ./%(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -258,10 +258,10 @@ class _Stencil:
         # w they were folded for (None once C has changed since)
         self.back = self.R = self.folded = None
         # the nodes at the low and the high end of each axis: the first and the
-        # last row of a 2D grid, and the first and the last entry of every row;
-        # in 1D the two end nodes, as scalar indices
+        # last row of a 2D grid, and the first and the last entry of every row
+        # (the one row's two end nodes in 1D)
         self.ends = ([(slice(0, n), slice(L - n, L))] * (d - 1)
-                     + [(slice(0, L, W), slice(n - 1, L, W)) if d > 1 else (0, n - 1)])
+                     + [(slice(0, L, W), slice(n - 1, L, W))])
         # the in-range ghosts: the right and the left frame entry between rows (none in 1D)
         self.ghosts = [s for s in (slice(n, L, W), slice(n + 1, L, W)) if s.start < L]
         self.C, self.g = np.zeros((len(self.offsets), L)), np.zeros(L)

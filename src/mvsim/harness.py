@@ -51,7 +51,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,6 @@ from .presets import PresetInstance, get_preset, preset_defaults, preset_names
 # the run order; the particle route reads the shared draw last, so it is
 # freed before its KDEs and cloud CSVs and before FP
 _METHODS = ("picard", "malliavin", "particles", "fp")
-_ENV_OUTDIR = "MVSIM_OUTDIR"
 
 
 def _fail(value, at: str, what: str):
@@ -158,10 +157,11 @@ def _key(path: str, check, default=MISSING, factory=MISSING):
                  metadata={"key": tuple(path.split(".")), "check": check})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment description with defaults resolved, checked wherever it is
-    built (from a document, directly, or by ``replace``); see ``_resolve``."""
+    built (from a document, directly, or by ``replace``); see ``_resolve``.
+    It is frozen: ``dataclasses.replace`` is the one way to change it."""
 
     preset: str = _key("preset", _string)
     methods: tuple[str, ...] = _key("methods", _array(_enum(_METHODS), unique=True))
@@ -179,13 +179,13 @@ class ExperimentConfig:
     fp_nodes: tuple[int, ...] | None = _key("fp.nodes", _array(_integer(2), most=2), None)
     fp_dt: float | str = _key("fp.dt", _auto_or(_number(0, strict=True)), "auto")
     malliavin_paths: int = _key("malliavin.n_paths", _integer(1), 100)
-    outdir: str | None = _key("outdir", _string, None)
 
     def __post_init__(self):
         for f in fields(self):  # an optional field left at None stays None
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
-                setattr(self, f.name, f.metadata["check"](value, ".".join(f.metadata["key"])))
+                object.__setattr__(self, f.name,
+                                   f.metadata["check"](value, ".".join(f.metadata["key"])))
         if self.preset not in preset_names():
             raise ConfigError(
                 f"unknown preset {self.preset!r}; known: {', '.join(preset_names())}",
@@ -201,12 +201,12 @@ class ExperimentConfig:
         return cls.from_dict(read_config(path))
 
     def echo(self) -> dict:
-        """The config document of the checked fields, without ``outdir`` and
-        optional fields left unset."""
+        """The config document of the checked fields, less optional fields left
+        unset: a valid config that reruns the same tree."""
         doc: dict = {}
         for f in fields(self):
             value, keys = getattr(self, f.name), f.metadata["key"]
-            if value is not None and f.name != "outdir":
+            if value is not None:
                 (doc.setdefault(keys[0], {}) if len(keys) > 1 else doc)[keys[-1]] = _echo(value)
         return doc
 
@@ -551,27 +551,22 @@ class _Experiment:
         return out
 
 
-def run_experiment(config, outdir=None) -> dict:
-    """Run the configured methods, write artifacts, and return the report.
+def run_experiment(config, outdir="mvsim-out") -> dict:
+    """Run the configured methods, write artifacts under ``outdir``, and
+    return the report.
 
-    ``config`` is an ExperimentConfig, a config dict, or a path to a JSON file;
-    an ExperimentConfig passed in is checked again, so a field changed after
-    it was built is checked too, and is left unchanged.  Every config mistake,
-    an output directory that cannot be created included, is a ConfigError
-    raised before any method runs.  A method failure is recorded under
+    ``config`` is an ExperimentConfig, which is used as given (it was checked
+    where it was built), a config dict, or a path to a JSON file.  The run
+    reads nothing else, the environment included.  Every config mistake, an
+    output directory that cannot be created included, is a ConfigError raised
+    before any method runs.  A method failure is recorded under
     ``methods.<name>.status`` and does not stop the remaining methods.
     """
     if isinstance(config, (str, Path)):
         config = ExperimentConfig.from_file(config)
     elif isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
-    cfg = replace(config)
-    out = outdir if outdir is not None else cfg.outdir
-    if out is None:
-        out = os.environ.get(_ENV_OUTDIR, "mvsim-out")
-    out = Path(out)
-
-    exp = _Experiment(cfg, out)
+    exp = _Experiment(config, Path(outdir))
     try:
         exp.base.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -580,7 +575,7 @@ def run_experiment(config, outdir=None) -> dict:
     # no method reads another's results: the order only sets what is alive at
     # each method's peak (see _METHODS)
     for name in _METHODS:
-        if name not in cfg.methods:
+        if name not in config.methods:
             continue
         try:
             methods[name] = {"status": "ok", **getattr(exp, f"run_{name}")()}
@@ -589,7 +584,7 @@ def run_experiment(config, outdir=None) -> dict:
                              "error": f"{type(e).__name__}: {e}"}
 
     report = {
-        "config": cfg.echo(),
+        "config": config.echo(),
         "preset": {"name": exp.preset.name, "summary": exp.preset.summary,
                    "params": {k: exp.preset.params[k]
                               for k in sorted(exp.preset.params)}},

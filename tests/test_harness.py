@@ -131,6 +131,7 @@ class TestValidateConfig:
         (_base_config(picard={"n_slices": 4}), "picard.n_slices", "unknown key 'n_slices'"),
         (_base_config(malliavin={"slack_factor": 2.0}), "malliavin.slack_factor",
          "unknown key 'slack_factor'"),
+        (_base_config(outdir="out"), "outdir", "unknown key 'outdir'"),
     ])
     def test_each_rule_names_its_field(self, doc, where, message):
         with pytest.raises(ConfigError) as ei:
@@ -194,18 +195,16 @@ class TestExperimentConfig:
             overrides={"sigma": 2.0}, horizon=2.0, snapshot_times=[1.0, 2.0],
             picard={"tol": 0.1, "max_iters": 3},
             fp={"domain": [[-9.0, 9.0]], "nodes": [33], "dt": 0.01},
-            malliavin={"n_paths": 7},
-            outdir="out")
+            malliavin={"n_paths": 7})
         cfg = ExperimentConfig.from_dict(doc)
         assert dataclasses.asdict(cfg) == {
             "preset": "bm", "methods": ("particles",), "n_particles": 100,
             "steps": 20, "seed": 1, "overrides": {"sigma": 2.0}, "horizon": 2.0,
             "snapshot_times": (1.0, 2.0), "picard_tol": 0.1, "picard_max_iters": 3,
             "fp_domain": ((-9.0, 9.0),), "fp_nodes": (33,), "fp_dt": 0.01,
-            "malliavin_paths": 7, "outdir": "out"}
-        # the echo is the document without the run's location
+            "malliavin_paths": 7}
         echo = cfg.echo()
-        assert echo == {k: v for k, v in doc.items() if k != "outdir"}
+        assert echo == doc
         # the document holds every key path that a field declares, and no other
         paths = set()
         for key, value in doc.items():
@@ -228,12 +227,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError) as ei:
             run_experiment(ExperimentConfig(**dict(good, **mistake)), outdir=tmp_path)
         assert ei.value.field_path == where
-        # a field set after construction is checked again by the run
+        # a built config is frozen: replace, which checks again, is how it changes
         cfg = ExperimentConfig(**good)
         for name, value in mistake.items():
-            setattr(cfg, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
         with pytest.raises(ConfigError) as ei:
-            run_experiment(cfg, outdir=tmp_path)
+            dataclasses.replace(cfg, **mistake)
         assert ei.value.field_path == where
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
@@ -246,7 +246,7 @@ class TestExperimentConfig:
         echo = cfg.echo()
         assert echo["snapshot_times"] == [1.0, 0.5, 0.5]
         assert ExperimentConfig.from_dict(echo) == cfg
-        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 15
+        assert len(dataclasses.fields(cfg)) == len(vars(cfg)) == 14
         assert dataclasses.replace(cfg) == cfg
         back = pickle.loads(pickle.dumps(cfg))
         assert back == cfg and back.echo() == echo == cfg.echo()
@@ -378,12 +378,6 @@ class TestRunExperiment:
     def test_shipped_configs_are_all_pinned(self):
         assert sorted(p.stem for p in Path("configs").glob("*.json")) \
             == sorted(self.SHIPPED_PICARD)
-
-    def test_config_echo_strips_location_keys(self, tmp_path):
-        cfg = _base_config(outdir=str(tmp_path))
-        report = run_experiment(cfg)
-        assert "outdir" not in report["config"]
-        assert report["config"]["seed"] == 1
 
     @pytest.mark.parametrize("cfg", [
         {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
@@ -556,20 +550,14 @@ class TestRunExperiment:
         report = run_experiment(cfg, outdir=tmp_path)
         assert report["config"]["seed"] == 7 and type(report["config"]["seed"]) is int
 
-    def test_overrides_leave_the_callers_config_unchanged(self, tmp_path):
-        # the run checks a field set after construction on its own copy
-        cfg = ExperimentConfig.from_dict(_base_config(seed=1))
-        cfg.seed = 77.0
-        before = dataclasses.asdict(cfg)
-        report = run_experiment(cfg, outdir=tmp_path / "a")
-        assert dataclasses.asdict(cfg) == before and type(cfg.seed) is float
-        assert report["config"]["seed"] == 77 and type(report["config"]["seed"]) is int
-
-    def test_env_var_supplies_outdir(self, tmp_path, monkeypatch):
+    def test_env_var_does_not_supply_outdir(self, tmp_path, monkeypatch):
+        # a run reads no environment: the default output directory is ./mvsim-out
         dest = tmp_path / "from-env"
         monkeypatch.setenv("MVSIM_OUTDIR", str(dest))
+        monkeypatch.chdir(tmp_path)
         run_experiment(_base_config())
-        assert (dest / "bm" / "report.json").is_file()
+        assert (tmp_path / "mvsim-out" / "bm" / "report.json").is_file()
+        assert not dest.exists()
 
     def test_as_printed_variant_runs(self, tmp_path):
         # the printed reading of example 5.1 is a preset of its own: it runs
@@ -1070,14 +1058,6 @@ class TestCli:
         assert cli_main(["check-ellipticity", "bm", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be at least ") and err.count("\n") == 1
-
-    def test_seed_flag_applies(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(_base_config()))
-        cli_main(["run", str(p), "--outdir", str(tmp_path / "a"),
-                  "--seed", "42"])
-        report = json.loads((tmp_path / "a" / "bm" / "report.json").read_text())
-        assert report["config"]["seed"] == 42
 
 
 @pytest.mark.parametrize("doc, match", [
