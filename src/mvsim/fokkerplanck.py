@@ -145,34 +145,25 @@ class FPSolution:
 
 
 def gaussian_on_grid(law: InitialLaw, axes: tuple[GridAxis, ...]) -> GridDensity:
-    """Discretize a Gaussian initial law, normalized to unit trapezoid mass.
-
-    The box must contain at least six standard deviations around the mean in
-    every coordinate; point laws have no density and are rejected.
-    """
+    """Discretize a Gaussian initial law, normalized to unit trapezoid mass, by
+    one formula for any number of axes.  The box must contain at least six
+    standard deviations around the mean in every coordinate; point laws have no
+    density and are rejected."""
     if law.kind != "gaussian":
         raise ValueError(
             "density evolution needs a Gaussian initial law (a point mass has no grid density)")
     d = len(axes)
     if law.d != d:
         raise ValueError(f"initial law dimension {law.d} does not match grid dimension {d}")
-    cov = np.atleast_2d(law.cov)
     for i, ax in enumerate(axes):
-        sd = math.sqrt(float(cov[i, i]))
+        sd = math.sqrt(float(law.cov[i, i]))
         if law.mean[i] - 6 * sd < ax.lo or law.mean[i] + 6 * sd > ax.hi:
             raise ValueError(
                 f"axis {i} box [{ax.lo}, {ax.hi}] does not cover six standard "
                 f"deviations around the initial mean {law.mean[i]}")
-    if d == 1:
-        x = axes[0].nodes()
-        var = float(cov[0, 0])
-        vals = np.exp(-0.5 * (x - law.mean[0]) ** 2 / var) / math.sqrt(2 * math.pi * var)
-    else:
-        xx, yy = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")
-        diff = np.stack([xx - law.mean[0], yy - law.mean[1]], axis=-1)
-        prec = np.linalg.inv(cov)
-        quad = np.einsum("...i,ij,...j->...", diff, prec, diff)
-        vals = np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(np.linalg.det(cov)))
+    diff = np.stack(np.meshgrid(*(ax.nodes() for ax in axes), indexing="ij"), axis=-1) - law.mean
+    quad = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(law.cov), diff)
+    vals = np.exp(-0.5 * quad) / ((2 * math.pi) ** (d / 2) * math.sqrt(np.linalg.det(law.cov)))
     vals = vals / float((_node_weights(axes) * vals).sum())
     return GridDensity(tuple(axes), vals, time=0.0, mass_tol=1e-9)
 

@@ -120,9 +120,23 @@ def _integer(least: int, bits: int | None = None):
     return integer
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError; it pickles and copies as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a checked config's overrides are read-only; "
+                        "change them with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _numbers(value, at):
-    """An object of finite numbers (the preset overrides), returned as a copy."""
-    return {k: _finite(v, f"{at}.{k}") for k, v in _object(value, at).items()}
+    """An object of finite numbers (the preset overrides), returned as a read-only
+    copy, so a checked config's overrides cannot change after the check."""
+    return _ReadOnlyDict({k: _finite(v, f"{at}.{k}") for k, v in _object(value, at).items()})
 
 
 def _array(item, least: int = 1, most: int | None = None, unique: bool = False):
@@ -249,7 +263,10 @@ def _resolve(cfg: ExperimentConfig) -> tuple:
     if unknown:
         raise ConfigError(f"preset {cfg.preset!r} has no parameter {unknown[0]!r}",
                           field_path=f"overrides.{unknown[0]}")
-    preset = get_preset(cfg.preset, cfg.overrides)
+    try:  # overrides whose initial law is refused, such as sigma0 whose square is 0
+        preset = get_preset(cfg.preset, cfg.overrides)
+    except ValueError as e:
+        raise ConfigError(str(e), field_path="overrides") from None
     domain = cfg.fp_domain if cfg.fp_domain is not None else preset.fp_domain
     nodes = cfg.fp_nodes if cfg.fp_nodes is not None else preset.fp_nodes
     if len(domain) != preset.model.d or len(nodes) != preset.model.d:

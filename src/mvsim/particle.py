@@ -56,24 +56,35 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Initial condition: a point mass or a Gaussian."""
+    """Initial condition: a point mass at ``mean`` or a Gaussian N(mean, cov).
+    However it is built, it refuses (ValueError) any other kind, and a covariance
+    of the wrong shape, non-finite, asymmetric or not positive definite."""
 
     kind: str
     mean: np.ndarray
     cov: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("point", "gaussian"):
+            raise ValueError(f"initial law kind must be 'point' or 'gaussian', got {self.kind!r}")
+        object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
+        if self.kind == "gaussian":
+            object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, dtype=float)))
+            if self.cov.shape != (self.d, self.d):
+                raise ValueError(f"cov shape {self.cov.shape} does not match dimension {self.d}")
+            if not (np.isfinite(self.cov).all() and np.allclose(self.cov, self.cov.T)):
+                raise ValueError("covariance must be finite and symmetric")
+            try:
+                np.linalg.cholesky(self.cov)
+            except np.linalg.LinAlgError:
+                raise ValueError("initial covariance is not positive definite") from None
+
     @classmethod
     def point(cls, x0) -> "InitialLaw":
-        return cls("point", np.atleast_1d(np.asarray(x0, dtype=float)))
+        return cls("point", x0)
 
     @classmethod
     def gaussian(cls, mean, cov) -> "InitialLaw":
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match dimension {mean.size}")
-        if not np.allclose(cov, cov.T):
-            raise ValueError("covariance must be symmetric")
         return cls("gaussian", mean, cov)
 
     @property
@@ -132,7 +143,8 @@ def coarsen_increments(increments: np.ndarray) -> np.ndarray:
 
 
 def initial_states(law: InitialLaw, n: int, seed: int) -> np.ndarray:
-    """Sample the initial cloud, shape (n, d), from a dedicated stream."""
+    """Sample the initial cloud, shape (n, d), from a dedicated stream; the law
+    checked its covariance when it was built, so the factor always exists."""
     if n < 1:
         raise ValueError("need at least one particle")
     if law.kind == "point":
@@ -140,11 +152,7 @@ def initial_states(law: InitialLaw, n: int, seed: int) -> np.ndarray:
     key = np.array([_check_seed(seed), _INIT_STREAM], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     z = rng.standard_normal((n, law.d))
-    try:
-        chol = np.linalg.cholesky(law.cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("initial covariance is not positive definite") from exc
-    return law.mean + z @ chol.T
+    return law.mean + z @ np.linalg.cholesky(law.cov).T
 
 
 def draw_noise(model, law: InitialLaw, grid: TimeGrid, n: int,

@@ -173,6 +173,13 @@ class TestGaussianOnGrid:
         g = gaussian_on_grid(STD_LAW, (GridAxis(-8.0, 8.0, 401),))
         assert g.mass() == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_reference_density_1d(self):
+        # the one formula of every dimension gives the 1D density too
+        axis = GridAxis(-4.0, 5.0, 301)
+        g = gaussian_on_grid(InitialLaw.gaussian([0.5], [[0.25]]), (axis,))
+        ref = sps.norm(loc=0.5, scale=0.5).pdf(axis.nodes())
+        np.testing.assert_allclose(g.values, ref, rtol=1e-12)
+
     def test_matches_reference_density_2d(self):
         axes = (GridAxis(-4.0, 6.0, 201), GridAxis(-4.0, 6.0, 201))
         law = InitialLaw.gaussian([0.5, 1.0], [[0.2, 0.05], [0.05, 0.3]])

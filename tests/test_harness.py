@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvsim.cli
+import mvsim.errors
 import mvsim.harness
 import mvsim.picard
 from mvsim import (ConfigError, build_fp_problem, get_preset, run_experiment, solve_fp,
@@ -148,7 +150,10 @@ class TestValidateConfig:
          "fall on one grid node"),
         ({"preset": "ou", "methods": ["fp"], "steps": 10_000_000,
           "snapshot_times": [0.1000001, 0.1000002]}, "snapshot_times",
-         "0.1000001 and 0.1000002 share the label t=0.1")])
+         "0.1000001 and 0.1000002 share the label t=0.1"),
+        # sigma0 ** 2 is 0: the preset's initial law refuses its covariance
+        ({"preset": "ou", "methods": ["fp"], "overrides": {"sigma0": 1e-200}}, "overrides",
+         "initial covariance is not positive definite")])
     def test_refuses_what_the_run_refuses(self, tmp_path, mistake, where, message):
         # a mistake across fields is refused wherever the config is built; one
         # of its snapshot times only where they are placed on the time grid
@@ -250,6 +255,27 @@ class TestExperimentConfig:
         assert dataclasses.replace(cfg) == cfg
         back = pickle.loads(pickle.dumps(cfg))
         assert back == cfg and back.echo() == echo == cfg.echo()
+
+    @pytest.mark.parametrize("change", [
+        lambda o: o.__setitem__("sigma", math.nan), lambda o: o.__delitem__("sigma"),
+        lambda o: o.__ior__({"sigma": math.nan}), lambda o: o.clear(),
+        lambda o: o.pop("sigma"), lambda o: o.popitem(),
+        lambda o: o.setdefault("x0", math.nan), lambda o: o.update(sigma=math.nan)],
+        ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"])
+    def test_overrides_cannot_change_after_the_check(self, change):
+        cfg = ExperimentConfig.from_dict(_base_config(overrides={"sigma": 2.0}))
+        with pytest.raises(TypeError, match="read-only"):
+            change(cfg.overrides)
+        assert cfg.overrides == {"sigma": 2.0}
+        # the read-only copy is still a mapping that copies, pickles and echoes
+        for copied in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg)),
+                       dataclasses.replace(cfg)):
+            assert copied == cfg
+            with pytest.raises(TypeError):
+                copied.overrides["sigma"] = 3.0
+        assert dataclasses.asdict(cfg)["overrides"] == {"sigma": 2.0}
+        assert cfg.echo()["overrides"] == {"sigma": 2.0}
+        assert dataclasses.replace(cfg, overrides={"sigma": 3.0}).overrides == {"sigma": 3.0}
 
     def test_from_file_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
@@ -375,9 +401,25 @@ class TestRunExperiment:
         assert (frag["n_iters"], frag["converged"]) == (n_iters, converged)
         np.testing.assert_allclose(frag["gaps"], gaps, rtol=0.0, atol=1e-12)
 
+    # the FP step policy on each shipped config: (n_steps, operator_applications)
+    SHIPPED_FP = {
+        "bm": (5556, 5556),
+        "example5-1": (264, 4200),
+        "example5-2": (679, 679),
+        "meanfield-ou": (2402, 2402),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FP))
+    def test_shipped_fp_keeps_its_steps(self, tmp_path, name):
+        cfg = json.loads((Path("configs") / f"{name}.json").read_text())
+        cfg["methods"] = ["fp"]
+        frag = run_experiment(cfg, outdir=tmp_path)["methods"]["fp"]
+        assert (frag["n_steps"], frag["operator_applications"]) == self.SHIPPED_FP[name]
+        assert frag["max_conservation_defect"] < 1e-10
+
     def test_shipped_configs_are_all_pinned(self):
-        assert sorted(p.stem for p in Path("configs").glob("*.json")) \
-            == sorted(self.SHIPPED_PICARD)
+        shipped = sorted(p.stem for p in Path("configs").glob("*.json"))
+        assert shipped == sorted(self.SHIPPED_PICARD) == sorted(self.SHIPPED_FP)
 
     @pytest.mark.parametrize("cfg", [
         {"preset": "meanfield-ou", "methods": ["particles", "picard", "fp", "malliavin"],
@@ -986,6 +1028,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bm/particles: ok" in out
         assert (tmp_path / "out" / "bm" / "report.json").is_file()
+
+    def test_run_prints_the_comparisons(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(methods=["particles", "fp"], n_particles=500,
+                                             fp={"nodes": [201]})))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "bm/fp: ok" in out and "bm/particles: ok" in out
+        assert re.search(r"^  t=1: l1_kde_vs_fp=\S+ ", out, re.MULTILINE)
+
+    def test_internal_error_exits_1_with_its_type(self, tmp_path, capsys, monkeypatch):
+        # a toolkit error that escapes a handler is reported, not a traceback
+        def fail(config, outdir):
+            raise mvsim.errors.ConservationError("mass drifted")
+        monkeypatch.setattr(mvsim.cli, "run_experiment", fail)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config()))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: ConservationError: mass drifted\n"
+
+    def test_refused_initial_law_is_usage_error_at_overrides(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(_base_config(preset="ou", methods=["particles", "fp"],
+                                             overrides={"sigma0": 1e-200})))
+        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error at overrides: initial covariance is not positive definite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_reports_method_failure(self, tmp_path, capsys):
         cfg = _base_config(methods=["particles", "fp"],

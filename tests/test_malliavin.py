@@ -27,7 +27,7 @@ from mvsim import (
     simulate_interacting,
     zy_residual,
 )
-from mvsim._linalg import sym_eigvals
+from mvsim._linalg import singular_extremes, sym_eigvals
 from mvsim.malliavin import _covariance, _sweep
 from mvsim.particle import coarsen_increments, draw_noise, euler_paths
 
@@ -481,6 +481,15 @@ class TestBundleDiagnostics:
         a = np.random.default_rng(0).standard_normal((20000, 2, 2))
         a = a.swapaxes(-1, -2) @ a
         assert np.array_equal(sym_eigvals(a), [_scalar_eigvals(m) for m in a])
+
+    def test_larger_matrices_fall_back_to_lapack(self):
+        a = np.random.default_rng(1).standard_normal((50, 3, 3))
+        sym = a.swapaxes(-1, -2) @ a
+        np.testing.assert_allclose(sym_eigvals(sym), np.linalg.eigvalsh(sym), rtol=1e-12)
+        lo, hi = singular_extremes(a)
+        sv = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(hi, sv[:, 0], rtol=1e-10)
+        np.testing.assert_allclose(lo, sv[:, -1], rtol=1e-6)
 
     @pytest.mark.parametrize("name,lam", [("example5-2", 0.1), ("gbm", 0.0)])
     def test_batch_equals_per_path_bit_for_bit(self, name, lam):

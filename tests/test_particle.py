@@ -139,9 +139,40 @@ class TestInitialStates:
             InitialLaw.gaussian([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
 
     def test_covariance_must_be_psd(self):
-        law = InitialLaw.gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
-            initial_states(law, 3, seed=0)
+            InitialLaw.gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+
+class TestInitialLaw:
+    @pytest.mark.parametrize("build", [InitialLaw.gaussian,
+                                       lambda mean, cov: InitialLaw("gaussian", mean, cov)],
+                             ids=["gaussian", "constructor"])
+    @pytest.mark.parametrize("mean,cov,match", [
+        ([0.0, 0.0], [[1.0]], "cov shape"),
+        ([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], "symmetric"),
+        ([0.0], [[math.inf]], "finite"),
+        ([0.0], [[math.nan]], "finite"),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+        ([0.0], [[0.0]], "not positive definite"),
+    ], ids=["shape", "asymmetric", "inf", "nan", "indefinite", "zero-variance"])
+    def test_refused_where_it_is_built(self, build, mean, cov, match):
+        # the sampler and the FP grid read the law unchecked, so each bad
+        # covariance is refused here, whichever way the law is built
+        with pytest.raises(ValueError, match=match):
+            build(mean, cov)
+
+    def test_kind_must_be_point_or_gaussian(self):
+        with pytest.raises(ValueError, match="'point' or 'gaussian'"):
+            InitialLaw("uniform", [0.0])
+
+    def test_constructor_stores_what_the_builders_store(self):
+        direct = InitialLaw("gaussian", [1, 2], [[1, 0], [0, 1]])
+        built = InitialLaw.gaussian([1.0, 2.0], np.eye(2))
+        assert direct.mean.dtype == direct.cov.dtype == np.float64
+        assert np.array_equal(direct.mean, built.mean)
+        assert np.array_equal(direct.cov, built.cov)
+        point = InitialLaw("point", 0.5)
+        assert point.d == 1 and np.array_equal(point.mean, InitialLaw.point([0.5]).mean)
 
 
 class TestDrawNoise:
