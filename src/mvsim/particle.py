@@ -54,11 +54,12 @@ class TimeGrid:
         return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialLaw:
     """Initial condition: a point mass at ``mean`` or a Gaussian N(mean, cov).
     However it is built, it refuses (ValueError) any other kind, and a covariance
-    of the wrong shape, non-finite, asymmetric or not positive definite."""
+    of the wrong shape, non-finite, asymmetric or not positive definite.  Two
+    laws compare equal only if they are one object: their fields are arrays."""
 
     kind: str
     mean: np.ndarray

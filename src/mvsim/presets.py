@@ -52,7 +52,7 @@ def _law_from(x0: np.ndarray, sigma0: float) -> InitialLaw:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if sigma0 == 0.0:
         return InitialLaw.point(x0)
-    return InitialLaw.gaussian(x0, sigma0 ** 2 * np.eye(x0.size))
+    return InitialLaw.gaussian(x0, sigma0 * sigma0 * np.eye(x0.size))
 
 
 def _build_ou(p: dict) -> PresetInstance:

@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
+import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,12 @@ def brownian_calls(monkeypatch):
                 and getattr(module, "generate_brownian", None) is original:
             monkeypatch.setattr(module, "generate_brownian", counting)
     return calls
+
+
+@pytest.fixture
+def tree_digest():
+    """Maps a directory to the sha256 of each file under it, by relative path."""
+    def digest(root: Path) -> dict:
+        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+    return digest

@@ -5,7 +5,6 @@ numbers.  These runs are heavier than the unit suite but the whole module
 stays within a few minutes on one core.
 """
 
-import hashlib
 import math
 import os
 import statistics
@@ -51,11 +50,6 @@ def _gauss_on(axis, var):
     x = axis.nodes()
     v = np.exp(-0.5 * x ** 2 / var) / math.sqrt(2 * math.pi * var)
     return GridDensity((axis,), v, time=0.0)
-
-
-def _tree_digest(root: Path) -> dict:
-    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _zy_halving_ratio(inst, seed: int):
@@ -293,7 +287,7 @@ def test_criterion_7_shipped_configs_run_end_to_end(tmp_path):
     assert ok
 
 
-def test_criterion_8_reruns_are_byte_identical(tmp_path):
+def test_criterion_8_reruns_are_byte_identical(tmp_path, tree_digest):
     # the second run is the CLI in a fresh interpreter: no state is shared
     cfg = Path("configs") / "meanfield-ou.json"
     run_experiment(cfg, outdir=tmp_path / "one")
@@ -303,8 +297,8 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
     subprocess.run([sys.executable, "-m", "mvsim.cli", "run", str(cfg),
                     "--outdir", str(tmp_path / "two")], env=env, check=True,
                    capture_output=True)
-    d1 = _tree_digest(tmp_path / "one")
-    d2 = _tree_digest(tmp_path / "two")
+    d1 = tree_digest(tmp_path / "one")
+    d2 = tree_digest(tmp_path / "two")
     ok = bool(d1) and d1 == d2
     _verdict(8, ok, f"{len(d1)} files identical across a rerun in a fresh "
                     f"interpreter")

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -48,14 +47,6 @@ def _fields(doc: dict) -> dict:
             out.update({names[(key, k)]: v for k, v in value.items()})
         else:
             out[names[(key,)]] = value
-    return out
-
-
-def _tree_digest(root: Path) -> dict:
-    out = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
 
 
@@ -151,9 +142,11 @@ class TestValidateConfig:
         ({"preset": "ou", "methods": ["fp"], "steps": 10_000_000,
           "snapshot_times": [0.1000001, 0.1000002]}, "snapshot_times",
          "0.1000001 and 0.1000002 share the label t=0.1"),
-        # sigma0 ** 2 is 0: the preset's initial law refuses its covariance
+        # sigma0 squared is 0 or inf: the preset's initial law refuses its covariance
         ({"preset": "ou", "methods": ["fp"], "overrides": {"sigma0": 1e-200}}, "overrides",
-         "initial covariance is not positive definite")])
+         "initial covariance is not positive definite"),
+        ({"preset": "ou", "methods": ["fp"], "overrides": {"sigma0": 1e200}}, "overrides",
+         "covariance must be finite")])
     def test_refuses_what_the_run_refuses(self, tmp_path, mistake, where, message):
         # a mistake across fields is refused wherever the config is built; one
         # of its snapshot times only where they are placed on the time grid
@@ -431,29 +424,32 @@ class TestRunExperiment:
          "picard": {"max_iters": 2},
          "fp": {"domain": [[-4.0, 6.0], [-4.0, 6.0]], "nodes": [81, 81]},
          "malliavin": {"n_paths": 3}}])
-    def test_config_echo_reruns_the_tree(self, tmp_path, cfg):
+    def test_config_echo_reruns_the_tree(self, tmp_path, cfg, tree_digest):
         # the echo is the resolved config: run again, it writes the same
         # bytes, its report.json included
         report = run_experiment(cfg, outdir=tmp_path / "first")
         assert all(m["status"] == "ok" for m in report["methods"].values())
         assert report["config"]["picard"]["tol"] == 1e-3
         run_experiment(report["config"], outdir=tmp_path / "again")
-        first = _tree_digest(tmp_path / "first")
-        assert first and _tree_digest(tmp_path / "again") == first
+        first = tree_digest(tmp_path / "first")
+        assert first and tree_digest(tmp_path / "again") == first
 
     @pytest.mark.parametrize("cfg", [
         {"preset": "meanfield-ou", "methods": ["particles", "picard"],
          "n_particles": 20000, "steps": 20, "seed": 0},
-        {"preset": "example5-2", "methods": ["fp"], "n_particles": 10, "steps": 10,
-         "seed": 0, "horizon": 0.1,
+        {"preset": "example5-2", "methods": ["particles", "picard", "fp", "malliavin"],
+         "n_particles": 10, "steps": 10, "seed": 0, "horizon": 0.1,
+         "picard": {"max_iters": 2}, "malliavin": {"n_paths": 3},
          "fp": {"domain": [[-4.0, 6.0], [-4.0, 6.0]], "nodes": [121, 121]}}],
         ids=["cloud-20000", "grid-121x121"])
-    def test_tree_does_not_depend_on_the_blas_thread_count(self, tmp_path, cfg):
+    def test_tree_does_not_depend_on_the_blas_thread_count(self, tmp_path, cfg, tree_digest):
         # OpenBLAS splits a dot product above 10,000 elements, and a
         # matrix-vector product, across its threads; every weighted sum over a
         # cloud or a grid is measures._weighted_sum instead, so a 20,000-particle
         # cloud and a 121^2 FP grid write the same bytes at one, two and four
-        # threads (four oversubscribes a 2-core host, which OpenBLAS allows)
+        # threads (four oversubscribes a 2-core host, which OpenBLAS allows).
+        # Each run is a fresh interpreter, so the 2D run's sliced W2, marginal
+        # KDEs and Malliavin paths are rewritten by a second interpreter too
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         src = str(Path(mvsim.harness.__file__).resolve().parents[1])
@@ -464,7 +460,7 @@ class TestRunExperiment:
             subprocess.run([sys.executable, "-m", "mvsim.cli", "run", str(path),
                             "--outdir", str(tmp_path / threads)],
                            env=env, check=True, capture_output=True)
-            trees.append(_tree_digest(tmp_path / threads))
+            trees.append(tree_digest(tmp_path / threads))
         assert trees[0] and trees[1:] == [trees[0]] * 2
 
     def test_method_failure_is_partial(self, tmp_path):
@@ -601,7 +597,7 @@ class TestRunExperiment:
         assert (tmp_path / "mvsim-out" / "bm" / "report.json").is_file()
         assert not dest.exists()
 
-    def test_as_printed_variant_runs(self, tmp_path):
+    def test_as_printed_variant_runs(self, tmp_path, tree_digest):
         # the printed reading of example 5.1 is a preset of its own: it runs
         # into its own directory, reports the coefficients it ran, and a
         # vol override takes effect
@@ -622,7 +618,7 @@ class TestRunExperiment:
             report = run_experiment(dict(cfg, preset="example5-1-printed",
                                          overrides={"vol": vol}), outdir=out)
             assert report["preset"]["params"]["vol"] == vol
-            trees[vol] = _tree_digest(out / "example5-1-printed" / "particles")
+            trees[vol] = tree_digest(out / "example5-1-printed" / "particles")
         assert trees[0.5] and trees[0.5] != trees[0.9]
 
     def test_point_mass_snapshot_has_no_kde(self, tmp_path):
@@ -702,7 +698,8 @@ class TestRunExperiment:
             run_experiment(_base_config(fp={"domain": [[2.0, -2.0]]}), outdir=tmp_path)
         assert ei.value.field_path == "fp.domain"
 
-    def test_particles_and_picard_draw_their_noise_once(self, tmp_path, brownian_calls):
+    def test_particles_and_picard_draw_their_noise_once(self, tmp_path, brownian_calls,
+                                                         tree_digest):
         # the Malliavin paths read the same draw as well
         cfg = {"preset": "meanfield-ou", "n_particles": 300, "steps": 20,
                "seed": 4, "snapshot_times": [0.5, 1.0],
@@ -713,11 +710,11 @@ class TestRunExperiment:
         for method in ("particles", "picard", "malliavin"):
             run_experiment(dict(cfg, methods=[method]), outdir=tmp_path / method)
             sub = Path("meanfield-ou") / method
-            alone = _tree_digest(tmp_path / method / sub)
-            assert alone and alone == _tree_digest(tmp_path / "both" / sub)
+            alone = tree_digest(tmp_path / method / sub)
+            assert alone and alone == tree_digest(tmp_path / "both" / sub)
 
     def test_a_wider_malliavin_draw_leaves_the_particles_alone(self, tmp_path,
-                                                                brownian_calls):
+                                                                brownian_calls, tree_digest):
         # 25 paths widen the one draw past the 10 particles, which read its
         # first 10: the particle and Picard trees are those of a run without paths
         cfg = {"preset": "meanfield-ou", "n_particles": 10, "steps": 20, "seed": 4,
@@ -729,8 +726,8 @@ class TestRunExperiment:
         run_experiment(dict(cfg, methods=["particles", "picard"]), outdir=tmp_path / "narrow")
         for method in ("particles", "picard"):
             sub = Path("meanfield-ou") / method
-            narrow = _tree_digest(tmp_path / "narrow" / sub)
-            assert narrow and narrow == _tree_digest(tmp_path / "wide" / sub)
+            narrow = tree_digest(tmp_path / "narrow" / sub)
+            assert narrow and narrow == tree_digest(tmp_path / "wide" / sub)
 
     def test_kde_off_the_grid_is_skipped(self, tmp_path):
         # every kernel of the cloud misses [3, 5]: the particle route keeps its
@@ -803,7 +800,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name,n_particles", [("example5-1", 60), ("example5-2", 40),
                                                   ("example5-2", 10)])
     def test_malliavin_paths_reuse_the_particle_draw(self, tmp_path, brownian_calls,
-                                                     name, n_particles):
+                                                     name, n_particles, tree_digest):
         # the run draws once, as wide as its widest reader, and the 25 paths
         # read its first 25 particles, which are the 25 a run of them alone draws
         cfg = {"preset": name, "n_particles": n_particles, "steps": 16, "seed": 9,
@@ -813,8 +810,8 @@ class TestRunExperiment:
         run_experiment(dict(cfg, methods=["malliavin"]), outdir=tmp_path / "alone")
         assert [args[1] for args, _ in brownian_calls[1:]] == [25]
         sub = Path(name) / "malliavin"
-        alone = _tree_digest(tmp_path / "alone" / sub)
-        assert alone and alone == _tree_digest(tmp_path / "both" / sub)
+        alone = tree_digest(tmp_path / "alone" / sub)
+        assert alone and alone == tree_digest(tmp_path / "both" / sub)
 
     def test_particle_solves_keep_only_the_slices_they_read(self, tmp_path, monkeypatch):
         # the particle run keeps t=0 and the snapshot times, every Picard
@@ -884,7 +881,8 @@ class TestRunExperiment:
         (None, "seed", 4.0), (None, "n_particles", 60.0), (None, "steps", 20.0),
         ("picard", "max_iters", 3.0), ("malliavin", "n_paths", 3.0),
         ("fp", "nodes", [101.0])])
-    def test_integral_float_counts_run_as_ints(self, tmp_path, section, key, value):
+    def test_integral_float_counts_run_as_ints(self, tmp_path, section, key, value,
+                                               tree_digest):
         # an integer field admits an integral float such as 1.0: each count runs
         # as its int, and the tree, the report's config echo included, is the
         # int config's
@@ -897,8 +895,19 @@ class TestRunExperiment:
         report = run_experiment(floats, outdir=tmp_path / "float")
         assert [m["status"] for m in report["methods"].values()] == ["ok"] * 4
         run_experiment(cfg, outdir=tmp_path / "int")
-        ints = _tree_digest(tmp_path / "int")
-        assert ints and _tree_digest(tmp_path / "float") == ints
+        ints = tree_digest(tmp_path / "int")
+        assert ints and tree_digest(tmp_path / "float") == ints
+
+    def test_report_echoes_only_the_keys_a_run_can_set(self, tmp_path):
+        # a config that sets no picard or malliavin key still has its report
+        # echo every such key at its default, and no other
+        cfg = {"preset": "meanfield-ou", "methods": ["picard"], "n_particles": 10,
+               "steps": 10, "seed": 0}
+        echo = run_experiment(cfg, outdir=tmp_path)["config"]
+        assert echo["picard"] == {"tol": 1e-3, "max_iters": 8}
+        assert echo["malliavin"] == {"n_paths": 100}
+        on_disk = json.loads((tmp_path / "meanfield-ou" / "report.json").read_text())
+        assert on_disk["config"] == echo
 
     def test_fp_report_counts_operator_applications(self, tmp_path):
         # ou at 401 nodes is diffusion-limited, so its steps are stretched
@@ -1049,13 +1058,15 @@ class TestCli:
         assert capsys.readouterr().err == "error: ConservationError: mass drifted\n"
 
     def test_refused_initial_law_is_usage_error_at_overrides(self, tmp_path, capsys):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(_base_config(preset="ou", methods=["particles", "fp"],
-                                             overrides={"sigma0": 1e-200})))
-        assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
-        assert "config error at overrides: initial covariance is not positive definite" \
-            in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # sigma0 squared is 0, then inf
+        for sigma0, message in [(1e-200, "initial covariance is not positive definite"),
+                                (1e200, "covariance must be finite and symmetric")]:
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(_base_config(preset="ou", methods=["particles", "fp"],
+                                                 overrides={"sigma0": sigma0})))
+            assert cli_main(["run", str(p), "--outdir", str(tmp_path / "out")]) == 2
+            assert f"config error at overrides: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_run_reports_method_failure(self, tmp_path, capsys):
         cfg = _base_config(methods=["particles", "fp"],
@@ -1109,10 +1120,24 @@ class TestCli:
         assert len((base / "malliavin" / "paths.csv").read_text().splitlines()) == 6 + 1
 
     def test_presets_listing(self, capsys):
+        # each preset's row begins with its name, the printed variants' too
         assert cli_main(["presets"]) == 0
         out = capsys.readouterr().out
-        assert "example5-1" in out and "example5-2" in out
-        assert "example5-1-printed" in out and "example5-2-printed" in out
+        names = [row["name"] for row in list_presets()]
+        assert {"example5-1-printed", "example5-2-printed"} <= set(names)
+        for name in names:
+            assert re.search(rf"^{re.escape(name)} ", out, re.MULTILINE), name
+
+    def test_cli_loads_no_schema_library(self):
+        # a fresh interpreter, since this one may hold any module
+        src = str(Path(mvsim.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, mvsim.cli; print(*sys.modules)"],
+            env=env, check=True, capture_output=True, text=True).stdout.split()
+        assert "mvsim.cli" in loaded
+        assert not {"jsonschema", "referencing", "rpds"} & {m.split(".")[0] for m in loaded}
 
     def test_check_ellipticity(self, capsys):
         rc = cli_main(["check-ellipticity", "example5-2", "--samples", "256"])

@@ -174,6 +174,16 @@ class TestInitialLaw:
         point = InitialLaw("point", 0.5)
         assert point.d == 1 and np.array_equal(point.mean, InitialLaw.point([0.5]).mean)
 
+    def test_comparing_laws_and_presets_does_not_raise(self):
+        # the fields are arrays, so a law is equal only to itself, and so is a
+        # preset instance, which holds one
+        law = InitialLaw.point([0.0, 1.0])
+        assert law == law and law != InitialLaw.point([0.0, 1.0])
+        gauss = InitialLaw.gaussian([0.0, 1.0], np.eye(2))
+        assert gauss != InitialLaw.gaussian([0.0, 1.0], np.eye(2))
+        preset = get_preset("ou")
+        assert preset == preset and preset != get_preset("ou")
+
 
 class TestDrawNoise:
     @pytest.mark.parametrize("law", [
